@@ -1,12 +1,15 @@
 """Sturm-Liouville eigensolver on a finite interval.
 
 Solves -(p u')' + q u = lambda rho u on [0, l] with Robin, Neumann or
-Dirichlet conditions at either end.  The machinery follows the classical
-initial-value route: integrate the left-normalized solution across the
-interval (fixed-step fourth order, with a Picard iteration on the equivalent
-Volterra equation available as an independent cross-check), read eigenvalues
-off the zeros of the right-end boundary residual, and bracket them through
-the oscillation count delivered by the phase equation.
+Dirichlet conditions at either end, by the classical initial-value route.
+Fixed-step RK4 on the linear system for (u, p u') makes each step a 2x2
+matrix with entries quadratic in lambda, built once per problem, so a sweep
+is a product of step matrices: a pairwise tree product gives the right-end
+boundary residual, whose zeros are the eigenvalues, and a log-depth prefix
+product gives every node value.  The unwrapped angle of (S u, p u') at the
+nodes is the scaled Pruefer phase, which counts oscillations and brackets
+each eigenvalue before it is polished on the boundary residual.  A Picard
+iteration on the equivalent Volterra equation is the independent cross-check.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._quad import composite_simpson, cumulative_simpson
+from ._rootfind import refine_root
 
 __all__ = [
     "BoundaryCondition",
@@ -31,6 +35,7 @@ __all__ = [
     "eigen_solve",
     "const_coeff_eigen",
     "rayleigh_quotient",
+    "ResolutionError",
 ]
 
 
@@ -84,8 +89,8 @@ class SLProblem:
         right: BoundaryCondition,
         grid_size: int = 4096,
     ):
-        if l <= 0.0:
-            raise ValueError("interval length must be positive")
+        if not (math.isfinite(l) and l > 0.0):
+            raise ValueError("interval length must be finite and positive")
         if grid_size < 16 or grid_size % 2:
             raise ValueError("grid_size must be an even integer >= 16")
         self.p, self.q, self.rho = p, q, rho
@@ -99,8 +104,11 @@ class SLProblem:
         self._p = np.array([float(p(x)) for x in xs])
         self._q = np.array([float(q(x)) for x in xs])
         self._rho = np.array([float(rho(x)) for x in xs])
+        if not all(np.isfinite(v).all() for v in (self._p, self._q, self._rho)):
+            raise ValueError("coefficient samples must be finite")
         if self._p.min() <= 0.0 or self._rho.min() <= 0.0 or self._q.min() < 0.0:
             raise ValueError("need p > 0, rho > 0, q >= 0 on the sampling grid")
+        self._step_coeffs = _rk4_step_coeffs(self._p, self._q, self._rho, self.h_step)
 
     @property
     def h_step(self) -> float:
@@ -191,42 +199,78 @@ class ThetaSolution:
         return float(self.derivs[-1])
 
 
+def _rk4_step_coeffs(p: np.ndarray, q: np.ndarray, rho: np.ndarray, h: float) -> np.ndarray:
+    """RK4 step matrices of theta' = w/p, w' = (q - lam rho) theta as
+    polynomials in lam, from the half-step samples p, q, rho.
+
+    One step maps (theta, w) at node i to M_i(lam) (theta, w) at node i+1.
+    Returns c of shape (3, 4 n): c[0] + lam c[1] + lam^2 c[2] lists M11, M12,
+    M21 and M22 of every step in turn.
+    """
+    p0, pm, p1 = p[:-1:2], p[1::2], p[2::2]
+    zero = np.zeros_like(p0)
+    # q - lam rho at the start, middle and end of each step
+    g0, gm, g1 = (np.stack([q[k::2][: len(p0)], -rho[k::2][: len(p0)], zero]) for k in (0, 1, 2))
+    e = np.stack([np.ones_like(p0), zero, zero])
+
+    def mul(u, v):  # product of two polynomials of degree <= 1
+        return np.stack([u[0] * v[0], u[0] * v[1] + u[1] * v[0], u[1] * v[1]])
+
+    # Expanding the four RK4 stages of y' = A y with A = [[0, 1/p], [g, 0]]
+    # gives M = I + h/6 (A0 + 4 Am + A1) + h^2/6 (Am A0 + Am^2 + A1 Am)
+    # + h^3/12 (Am^2 A0 + A1 Am^2) + h^4/24 A1 Am^2 A0, where products of two
+    # A's are diagonal and Am^2 = (gm/pm) I.
+    m11 = e + h**2 / 6.0 * (g0 + gm) / pm + h**2 / 6.0 * gm / p1 + h**4 / 24.0 * mul(gm, g0) / (pm * p1)
+    m12 = h / 6.0 * (1.0 / p0 + 4.0 / pm + 1.0 / p1) * e + h**3 / 12.0 * gm / pm * (1.0 / p0 + 1.0 / p1)
+    m21 = h / 6.0 * (g0 + 4.0 * gm + g1) + h**3 / 12.0 * mul(gm, g0 + g1) / pm
+    m22 = e + h**2 / 6.0 * gm / p0 + h**2 / 6.0 * (gm + g1) / pm + h**4 / 24.0 * mul(gm, g1) / (pm * p0)
+    return np.stack([m11, m12, m21, m22], axis=1).reshape(3, -1)
+
+
+def _step_matrices(problem: SLProblem, lams: np.ndarray) -> np.ndarray:
+    """Every step matrix at each lambda of the 1-d array lams, as an array of
+    shape (2, 2, len(lams), n): matrix axes first, steps last so that array
+    loops run along the grid."""
+    powers = np.stack([np.ones_like(lams), lams, lams * lams], axis=1)
+    return (powers @ problem._step_coeffs).reshape(len(lams), 2, 2, problem.n).transpose(1, 2, 0, 3)
+
+
+def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """Matrix products later @ earlier of stacked 2x2 matrices (2, 2, ...)."""
+    return np.einsum("ij...,jk...->ik...", later, earlier)
+
+
+def _end_transfer(m: np.ndarray) -> np.ndarray:
+    """Ordered product M_{n-1} ... M_1 M_0 of the stacked step matrices
+    m (2, 2, ..., n) by pairwise tree reduction; an odd count is padded with
+    the identity."""
+    while m.shape[-1] > 1:
+        if m.shape[-1] % 2:
+            eye = np.zeros_like(m[..., :1])
+            eye[0, 0] = eye[1, 1] = 1.0
+            m = np.concatenate([m, eye], axis=-1)
+        m = _compose(m[..., 1::2], m[..., 0::2])
+    return m[..., 0]
+
+
+def _node_transfers(m: np.ndarray) -> np.ndarray:
+    """Prefix products M_k ... M_0 (k = 0 .. n-1) of the stacked step matrices,
+    by recursive doubling in ceil(log2 n) rounds."""
+    d = 1
+    while d < m.shape[-1]:
+        m = np.concatenate([m[..., :d], _compose(m[..., d:], m[..., :-d])], axis=-1)
+        d *= 2
+    return m
+
+
 def _rk4_integrate(problem: SLProblem, lam: float, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 on theta' = w/p, w' = (q - lam*rho) theta."""
-    n = problem.n
-    h = problem.h_step
-    p, q, rho = problem._p, problem._q, problem._rho
-    g = q - lam * rho
-    theta = np.empty(n + 1)
-    w = np.empty(n + 1)
-    th = a
-    ww = problem._p[0] * b
-    theta[0] = th
-    w[0] = ww
-    for i in range(n):
-        i2 = 2 * i
-        p0, pm, p1 = p[i2], p[i2 + 1], p[i2 + 2]
-        g0, gm, g1 = g[i2], g[i2 + 1], g[i2 + 2]
-        k1t = ww / p0
-        k1w = g0 * th
-        t2 = th + 0.5 * h * k1t
-        w2 = ww + 0.5 * h * k1w
-        k2t = w2 / pm
-        k2w = gm * t2
-        t3 = th + 0.5 * h * k2t
-        w3 = ww + 0.5 * h * k2w
-        k3t = w3 / pm
-        k3w = gm * t3
-        t4 = th + h * k3t
-        w4 = ww + h * k3w
-        k4t = w4 / p1
-        k4w = g1 * t4
-        th += h / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-        ww += h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        theta[i + 1] = th
-        w[i + 1] = ww
-    derivs = w / p[::2]
-    return theta, derivs
+    """Fixed-step RK4 on theta' = w/p, w' = (q - lam*rho) theta, as products
+    of the step matrices."""
+    t = _node_transfers(_step_matrices(problem, np.array([lam])))[:, :, 0]
+    w0 = problem._p[0] * b
+    theta = np.concatenate([[a], t[0, 0] * a + t[0, 1] * w0])
+    w = np.concatenate([[w0], t[1, 0] * a + t[1, 1] * w0])
+    return theta, w / problem._p[::2]
 
 
 def _picard_integrate(problem: SLProblem, lam: float, a: float, b: float, tol: float = 1e-12):
@@ -282,108 +326,93 @@ def solve_theta(
     return ThetaSolution(problem=problem, lam=lam, values=vals, derivs=ders)
 
 
+def _end_residual(problem: SLProblem, value, deriv):
+    if problem.right.dirichlet:
+        return value
+    return deriv + problem.right.h * value
+
+
 def characteristic(problem: SLProblem, lam: float, method: str = "rk4") -> float:
     """Right-end boundary residual of the left-normalized solution.
 
     Its zeros are exactly the eigenvalues: m(lam) = theta'(l) + h2 theta(l)
     for a Robin right end, theta(l) for a Dirichlet right end.
     """
+    if method == "rk4":
+        if not math.isfinite(lam):
+            raise ValueError("lambda must be finite")
+        return float(characteristic_many(problem, [lam])[0])
     a, b = problem.left_initial_data()
     sol = solve_theta(problem, lam, a, b, method=method)
-    if problem.right.dirichlet:
-        return sol.end_value
-    return sol.end_derivative + problem.right.h * sol.end_value
+    return _end_residual(problem, sol.end_value, sol.end_derivative)
+
+
+# lambda values per batch in characteristic_many; bounds the scan's working
+# memory to a few (2, 2, batch, n) arrays
+_LAMBDA_BATCH = 4
 
 
 def characteristic_many(problem: SLProblem, lams: Sequence[float]) -> np.ndarray:
-    """Vectorized characteristic over an array of lambda values.
-
-    One fixed-step RK4 sweep advances all requested lambda simultaneously;
-    used for dense scans.
-    """
+    """Vectorized characteristic over an array of lambda values, used for
+    dense scans: the step matrices of a batch of lambda are evaluated from the
+    problem's polynomial coefficients and tree-reduced together."""
     lams = np.asarray(lams, dtype=float)
-    n = problem.n
-    h = problem.h_step
-    p, q, rho = problem._p, problem._q, problem._rho
+    flat = lams.ravel()
     a, b = problem.left_initial_data()
-    th = np.full(lams.shape, a)
-    ww = np.full(lams.shape, p[0] * b)
-    for i in range(n):
-        i2 = 2 * i
-        p0, pm, p1 = p[i2], p[i2 + 1], p[i2 + 2]
-        g0 = q[i2] - lams * rho[i2]
-        gm = q[i2 + 1] - lams * rho[i2 + 1]
-        g1 = q[i2 + 2] - lams * rho[i2 + 2]
-        k1t = ww / p0
-        k1w = g0 * th
-        t2 = th + 0.5 * h * k1t
-        w2 = ww + 0.5 * h * k1w
-        k2t = w2 / pm
-        k2w = gm * t2
-        t3 = th + 0.5 * h * k2t
-        w3 = ww + 0.5 * h * k2w
-        k3t = w3 / pm
-        k3w = gm * t3
-        t4 = th + h * k3t
-        w4 = ww + h * k3w
-        k4t = w4 / p1
-        k4w = g1 * t4
-        th = th + h / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-        ww = ww + h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-    if problem.right.dirichlet:
-        return th
-    return ww / p[-1] + problem.right.h * th
+    w0 = problem._p[0] * b
+    out = np.empty(flat.shape)
+    for k in range(0, flat.size, _LAMBDA_BATCH):
+        t = _end_transfer(_step_matrices(problem, flat[k : k + _LAMBDA_BATCH]))
+        theta, w = t[0, 0] * a + t[0, 1] * w0, t[1, 0] * a + t[1, 1] * w0
+        out[k : k + _LAMBDA_BATCH] = _end_residual(problem, theta, w / problem._p[-1])
+    return out.reshape(lams.shape)
 
 
 def _phase_scale(problem: SLProblem, lam: float) -> float:
     """Scale S for the Pruefer transform u = r sin(phi), p u' = r S cos(phi).
 
     S ~ sqrt(lam * rho * p) makes phi' nearly constant (exactly constant for
-    constant coefficients), so the integrator never sees the lam-steep risers
-    of the unscaled phase."""
+    constant coefficients), so the phase turns at a nearly even rate between
+    nodes."""
     b = problem.coefficient_bounds()
     pm = math.sqrt(b["p_min"] * b["p_max"])
     rm = math.sqrt(b["rho_min"] * b["rho_max"])
     return math.sqrt(max(lam, 1.0) * pm * rm)
 
 
-def _phase_end(problem: SLProblem, lam: float, scale: float) -> float:
-    """Terminal value phi(l) of the scaled phase equation
-    phi' = (S/p) cos^2(phi) + ((lam rho - q)/S) sin^2(phi),
-    with tan(phi) = S u/(p u') and the left boundary condition built into
-    phi(0).  Interior zeros of u sit exactly at multiples of pi."""
-    n = problem.n
-    h = problem.h_step
-    p, q, rho = problem._p, problem._q, problem._rho
-    s_inv = 1.0 / scale
-    if problem.left.dirichlet:
-        th = 0.0
-    else:
-        th = math.atan2(scale, p[0] * problem.left.h)
+class ResolutionError(RuntimeError):
+    """Raised when the grid is too coarse for the requested spectral parameter:
+    h sqrt(max(lam, 0) rho_max / p_min) > 1.  Within that bound and for
+    lam >= 1, one step turns the scaled phase by less than kappa^(1/4) radians,
+    kappa = max(p_max/p_min, rho_max/rho_min): below pi, as unwrapping needs,
+    for kappa < 97."""
 
-    def f(t, pp, gg):
-        c = math.cos(t)
-        s = math.sin(t)
-        return scale * c * c / pp + gg * s_inv * s * s
 
-    for i in range(n):
-        i2 = 2 * i
-        g0 = lam * rho[i2] - q[i2]
-        gm = lam * rho[i2 + 1] - q[i2 + 1]
-        g1 = lam * rho[i2 + 2] - q[i2 + 2]
-        k1 = f(th, p[i2], g0)
-        k2 = f(th + 0.5 * h * k1, p[i2 + 1], gm)
-        k3 = f(th + 0.5 * h * k2, p[i2 + 1], gm)
-        k4 = f(th + h * k3, p[i2 + 2], g1)
-        th += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return th
+_MAX_STEP_PHASE = 1.0
+
+
+def _phase(problem: SLProblem, lam: float, scale: float) -> np.ndarray:
+    """Scaled Pruefer phase phi at the nodes: the unwrapped angle of (S u, p u')
+    for the left-normalized u, so phi(0) carries the left boundary condition
+    and interior zeros of u sit exactly at multiples of pi."""
+    b = problem.coefficient_bounds()
+    step_phase = problem.h_step * math.sqrt(max(lam, 0.0) * b["rho_max"] / b["p_min"])
+    if step_phase > _MAX_STEP_PHASE:
+        raise ResolutionError(
+            f"grid of {problem.n} steps under-resolves lambda={lam}: "
+            f"h*sqrt(lam*rho_max/p_min) = {step_phase:.3f} > {_MAX_STEP_PHASE}"
+        )
+    a, b0 = problem.left_initial_data()
+    theta, derivs = _rk4_integrate(problem, lam, a, b0)
+    return np.unwrap(np.arctan2(scale * theta, problem._p[::2] * derivs))
 
 
 def node_count(problem: SLProblem, lam: float) -> int:
-    """Number of interior zeros on (0, l) of the left-normalized solution."""
+    """Number of interior zeros on (0, l) of the left-normalized solution;
+    ResolutionError if the grid under-resolves lam."""
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
-    theta_end = _phase_end(problem, lam, _phase_scale(problem, lam))
+    theta_end = _phase(problem, lam, _phase_scale(problem, lam))[-1]
     return max(0, int(math.floor(theta_end / math.pi - 1e-10)))
 
 
@@ -441,23 +470,30 @@ def _expand_bracket(fn, lo, hi, max_expand=6):
     width = hi - lo
     for _ in range(max_expand):
         if flo * fhi <= 0.0:
-            return lo, hi, flo, fhi
+            return lo, hi
         lo -= width
         hi += width
         width = hi - lo
         flo, fhi = fn(lo), fn(hi)
     if flo * fhi <= 0.0:
-        return lo, hi, flo, fhi
+        return lo, hi
     raise BracketingError(f"no sign change after expansion; scanned [{lo}, {hi}]")
+
+
+def _sign_changes(problem: SLProblem, values: np.ndarray) -> int:
+    """Interior sign changes of node values; a Dirichlet right end's node is
+    zero only up to rounding and is left out."""
+    inner = values[:-1] if problem.right.dirichlet else values
+    return int(np.count_nonzero(np.signbit(inner[1:]) != np.signbit(inner[:-1])))
 
 
 def eigen_solve(problem: SLProblem, n_max: int, m_tol: float = 1e-10) -> EigenBasis:
     """First n_max eigenpairs.
 
-    Each eigenvalue is located by solving Theta(l; lam) = target_n on the
-    monotone phase (which brackets it between consecutive oscillation-count
-    jumps), then polished on the characteristic until |m(lam)| <= m_tol
-    times its local scale.
+    Each eigenvalue is located by solving phi(l; lam) = target_n on the
+    monotone phase, bracketed from the spectral window, then polished on the
+    characteristic and certified by |m(lam)| <= m_tol times its local scale.
+    Raises ResolutionError when the grid cannot resolve the eigenvalues.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -467,6 +503,7 @@ def eigen_solve(problem: SLProblem, n_max: int, m_tol: float = 1e-10) -> EigenBa
     counts: list[int] = []
     a0, b0 = problem.left_initial_data()
     rho_nodes = problem._rho[::2]
+    g = lambda t: characteristic(problem, t)
     for n in range(1, n_max + 1):
         lo, hi = problem.eigenvalue_window(n)
         lo -= 1e-6 + 1e-3 * abs(lo)
@@ -475,61 +512,16 @@ def eigen_solve(problem: SLProblem, n_max: int, m_tol: float = 1e-10) -> EigenBa
         # strictly monotone in lambda across the bracket
         scale_s = _phase_scale(problem, 0.5 * (lo + hi))
         target = _phase_target(problem, n, scale_s)
-        fn = lambda lam: _phase_end(problem, lam, scale_s) - target
-        lo, hi, flo, fhi = _expand_bracket(fn, lo, hi)
-        # bisection + secant on the monotone phase condition
-        for _ in range(200):
-            if hi - lo <= 1e-13 * max(1.0, abs(hi)):
-                break
-            mid = 0.5 * (lo + hi)
-            denom = fhi - flo
-            if denom != 0.0:
-                sec = lo - flo * (hi - lo) / denom
-                if lo + 0.05 * (hi - lo) < sec < hi - 0.05 * (hi - lo):
-                    mid = sec
-            fm = fn(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if flo * fm < 0.0:
-                hi, fhi = mid, fm
-            else:
-                lo, flo = mid, fm
-        lam = 0.5 * (lo + hi)
-        # polish on the characteristic; the bracket starts tight around the
-        # phase root and grows until it straddles the characteristic zero
-        # (the two discrete routes carry different O(h^4) biases)
-        win_lo, win_hi = problem.eigenvalue_window(n)
-        span = max(1e-9, 1e-7 * max(1.0, abs(lam)))
-        span_cap = max(1e-6, 0.25 * (win_hi - win_lo))
-        g = lambda t: characteristic(problem, t)
-        mlo, mhi = lam - span, lam + span
-        glo, ghi = g(mlo), g(mhi)
+        fn = lambda lam: _phase(problem, lam, scale_s)[-1] - target
+        # phase and characteristic share one discrete solution, so their roots
+        # coincide: a phase bracket narrowed to span leaves the characteristic
+        # root within lam +- span
+        span = max(1e-9, 1e-7 * max(1.0, abs(hi)))
+        lam = refine_root(fn, *_expand_bracket(fn, lo, hi), xtol=span)
+        glo, ghi = g(lam - span), g(lam + span)
         scale = max(1.0, abs(glo), abs(ghi))
-        while glo * ghi > 0.0 and span < span_cap:
-            span *= 4.0
-            mlo, mhi = lam - span, lam + span
-            glo, ghi = g(mlo), g(mhi)
-            scale = max(scale, abs(glo), abs(ghi))
         if glo * ghi <= 0.0:
-            for _ in range(80):
-                if mhi - mlo <= 4.0 * math.ulp(max(abs(mlo), abs(mhi), 1.0)):
-                    break
-                mid = 0.5 * (mlo + mhi)
-                denom = ghi - glo
-                if denom != 0.0:
-                    sec = mlo - glo * (mhi - mlo) / denom
-                    if mlo < sec < mhi:
-                        mid = sec
-                gm = g(mid)
-                if gm == 0.0:
-                    mlo = mhi = mid
-                    break
-                if glo * gm < 0.0:
-                    mhi, ghi = mid, gm
-                else:
-                    mlo, glo = mid, gm
-            lam = 0.5 * (mlo + mhi)
+            lam = refine_root(g, lam - span, lam + span, ftol=0.0)
         mval = g(lam)
         if abs(mval) > m_tol * scale:
             raise BracketingError(
@@ -537,11 +529,10 @@ def eigen_solve(problem: SLProblem, n_max: int, m_tol: float = 1e-10) -> EigenBa
             )
         sol = solve_theta(problem, lam, a0, b0)
         norm2 = composite_simpson(rho_nodes * sol.values**2, problem.h_step)
-        c = 1.0 / math.sqrt(norm2)
-        eigs.append(lam)
+        eigs.append(float(lam))
         sols.append(sol)
-        norms.append(c)
-        counts.append(node_count(problem, lam))
+        norms.append(1.0 / math.sqrt(norm2))
+        counts.append(_sign_changes(problem, sol.values))
     return EigenBasis(
         problem=problem,
         eigenvalues=eigs,

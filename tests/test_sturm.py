@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectralbvp._quad import composite_simpson
 from spectralbvp._rootfind import refine_root, scan_brackets
@@ -14,8 +15,10 @@ from spectralbvp.sturm import (
     DIRICHLET,
     NEUMANN,
     BoundaryCondition,
+    ResolutionError,
     SLProblem,
     characteristic,
+    characteristic_many,
     const_coeff_eigen,
     eigen_solve,
     node_count,
@@ -29,6 +32,23 @@ ZERO = lambda x: 0.0
 
 def dirichlet_problem(l=1.0, grid=4096):
     return SLProblem(ONE, ZERO, ONE, l, DIRICHLET, DIRICHLET, grid_size=grid)
+
+
+def test_problem_rejects_nonfinite_input():
+    nan, inf = math.nan, math.inf
+    for p, q, rho in [
+        (lambda x: nan, ZERO, ONE),
+        (lambda x: inf, ZERO, ONE),
+        (ONE, lambda x: nan if x > 0.5 else 0.0, ONE),
+        (ONE, lambda x: inf, ONE),
+        (ONE, ZERO, lambda x: inf),
+        (ONE, ZERO, lambda x: nan),
+    ]:
+        with pytest.raises(ValueError):
+            SLProblem(p, q, rho, 1.0, DIRICHLET, DIRICHLET, grid_size=64)
+    for l in (nan, inf, -inf):
+        with pytest.raises(ValueError):
+            SLProblem(ONE, ZERO, ONE, l, DIRICHLET, DIRICHLET, grid_size=64)
 
 
 # ----------------------------------------------------------------------
@@ -96,6 +116,103 @@ def test_theta_growth_bound():
         rate = math.sqrt((abs(lam) * bnd["rho_max"] + bnd["q_max"]) / bnd["p_min"])
         for x in np.linspace(0.0, 1.0, 21):
             assert abs(sol(float(x))) <= pref * math.cosh(rate * float(x)) + 1e-9
+
+
+def rk4_step_loop(prob, lam, a, b):
+    """Reference: the RK4 scheme stepped node by node on (theta, p theta')."""
+    h = prob.h_step
+    p, q, rho = prob._p, prob._q, prob._rho
+    g = q - lam * rho
+    y = np.array([a, p[0] * b])
+    out = [y]
+    for i in range(prob.n):
+        a0 = np.array([[0.0, 1.0 / p[2 * i]], [g[2 * i], 0.0]])
+        am = np.array([[0.0, 1.0 / p[2 * i + 1]], [g[2 * i + 1], 0.0]])
+        a1 = np.array([[0.0, 1.0 / p[2 * i + 2]], [g[2 * i + 2], 0.0]])
+        k1 = a0 @ y
+        k2 = am @ (y + 0.5 * h * k1)
+        k3 = am @ (y + 0.5 * h * k2)
+        k4 = a1 @ (y + h * k3)
+        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    out = np.array(out)
+    return out[:, 0], out[:, 1] / p[::2]
+
+
+def test_propagator_matches_step_loop():
+    # the step-matrix products regroup the loop's arithmetic, so values agree
+    # to rounding that grows with the number of steps
+    p = lambda x: 1.0 + 0.4 * math.sin(2.0 * x + 0.3)
+    q = lambda x: 0.3 * (1.0 + math.sin(3.0 * x))
+    rho = lambda x: 1.0 + 0.5 * math.cos(1.5 * x) ** 2
+    for grid in (16, 250, 1030):
+        for left, right in [(DIRICHLET, DIRICHLET), (BoundaryCondition.robin(0.7), NEUMANN)]:
+            prob = SLProblem(p, q, rho, 1.3, left, right, grid_size=grid)
+            a, b = prob.left_initial_data()
+            lams = [-30.0, 0.0, 5.0, 120.0]
+            many = characteristic_many(prob, lams)
+            for lam, m_many in zip(lams, many):
+                vals, ders = rk4_step_loop(prob, lam, a, b)
+                sol = solve_theta(prob, lam, a, b)
+                tol = 16 * grid * np.finfo(float).eps * max(np.abs(vals).max(), np.abs(ders).max())
+                assert np.abs(sol.values - vals).max() <= tol
+                assert np.abs(sol.derivs - ders).max() <= tol
+                m_ref = vals[-1] if right.dirichlet else ders[-1] + right.h * vals[-1]
+                assert abs(characteristic(prob, lam) - m_ref) <= tol
+                assert abs(m_many - m_ref) <= tol
+
+
+def constant_coefficient_solution(pc, qc, rc, lam, a, b, x):
+    """u, u' and the wavenumber of -pc u'' + qc u = lam rc u, u(0) = a, u'(0) = b."""
+    k2 = (lam * rc - qc) / pc
+    if k2 >= 0.0:
+        k = math.sqrt(k2)
+        return a * np.cos(k * x) + b * x * np.sinc(k * x / math.pi), -a * k * np.sin(k * x) + b * np.cos(k * x), k
+    k = math.sqrt(-k2)
+    return a * np.cosh(k * x) + b * np.sinh(k * x) / k, a * k * np.sinh(k * x) + b * np.cosh(k * x), k
+
+
+END_PAIRS = [(True, True), (True, False), (False, True), (False, False)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    half_grid=st.integers(min_value=8, max_value=2048),
+    ends=st.sampled_from(END_PAIRS),
+    h_left=st.floats(min_value=0.0, max_value=5.0),
+    h_right=st.floats(min_value=0.0, max_value=5.0),
+    pc=st.floats(min_value=0.5, max_value=2.0),
+    qc=st.floats(min_value=0.0, max_value=3.0),
+    rc=st.floats(min_value=0.5, max_value=2.0),
+    l=st.floats(min_value=0.5, max_value=2.0),
+    s=st.floats(min_value=-1.0, max_value=1.0),
+)
+def test_propagator_constant_coefficients_closed_form(half_grid, ends, h_left, h_right, pc, qc, rc, l, s):
+    left = DIRICHLET if ends[0] else BoundaryCondition.robin(h_left)
+    right = DIRICHLET if ends[1] else BoundaryCondition.robin(h_right)
+    prob = SLProblem(lambda x: pc, lambda x: qc, lambda x: rc, l, left, right, grid_size=2 * half_grid)
+    h = prob.h_step
+    # h k up to 0.5 on the oscillatory side, growth up to exp(15) on the other
+    k2 = s * (0.5 / h) ** 2 if s >= 0.0 else s * (15.0 / l) ** 2
+    lam = (k2 * pc + qc) / rc
+    a, b = prob.left_initial_data()
+    u, du, k = constant_coefficient_solution(pc, qc, rc, lam, a, b, prob.grid)
+    # RK4 advances each step by the degree-4 Taylor polynomial of the exact
+    # propagator: an error of at most (h k)^5/120 per step in the norm that
+    # the exact solution keeps, hence k l (h k)^4/120 over the interval
+    amp = (abs(a) + abs(b) * (l if k * l <= 1.0 else 1.0 / k)) * (math.cosh(k * l) if k2 < 0.0 else 1.0)
+    trunc = 1.25 * k * l * (h * k) ** 4 / 120.0
+    roundoff = 16 * prob.n * np.finfo(float).eps
+    sol = solve_theta(prob, lam, a, b)
+    assert np.abs(sol.values - u).max() <= (trunc + roundoff) * amp
+    m_exact = u[-1] if right.dirichlet else du[-1] + right.h * u[-1]
+    m_scale = (k + 1.0 + (0.0 if right.dirichlet else right.h)) * amp
+    m_rk4 = characteristic(prob, lam)
+    assert abs(m_rk4 - m_exact) <= (trunc + roundoff) * m_scale
+    if abs(lam) <= 40.0 and prob.n <= 1024:
+        # the Volterra route carries its own O(h^4) Simpson bias
+        m_picard = characteristic(prob, lam, method="picard")
+        assert abs(m_picard - m_rk4) <= (trunc + 0.125 * (h * k) ** 4 * (1.0 + k * l) + roundoff + 1e-11) * m_scale
 
 
 def test_theta_rejects_nonfinite_lambda():
@@ -166,6 +283,13 @@ def test_node_count_constant_dirichlet():
         lam = (k * math.pi) ** 2 + 1e-3
         assert node_count(prob, lam) == k
         assert node_count(prob, (k * math.pi) ** 2 - 1e-3) == k - 1
+
+
+def test_node_count_rejects_underresolved_lambda():
+    prob = dirichlet_problem(grid=64)
+    assert node_count(prob, (19.5 * math.pi) ** 2) == 19
+    with pytest.raises(ResolutionError):
+        node_count(prob, 64.5**2)
 
 
 def test_node_count_monotone():
@@ -249,6 +373,29 @@ def test_eigenbasis_orthonormality_and_nodes():
         changes = int(np.sum(np.signbit(vals[1:]) != np.signbit(vals[:-1])))
         assert changes == n - 1
     assert basis.node_counts == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("grid", [64, 128, 4096])
+def test_node_counts_at_every_grid(grid):
+    prob = dirichlet_problem(grid=grid)
+    basis = eigen_solve(prob, 12)
+    assert basis.node_counts == list(range(12))
+    inner = np.linspace(0.0, 1.0, 4001)[1:-1]
+    for n in range(1, 13):
+        vals = basis.eigenfunction(n)(inner)
+        assert int(np.sum(np.signbit(vals[1:]) != np.signbit(vals[:-1]))) == n - 1
+
+
+def test_eigen_solve_underresolved_grid_raises_resolution_error():
+    with pytest.raises(ResolutionError):
+        eigen_solve(dirichlet_problem(grid=64), 29)
+
+
+def test_eigenvalues_are_python_floats():
+    prob = SLProblem(ONE, lambda x: 0.3 * x, ONE, 1.0, BoundaryCondition.robin(0.5), DIRICHLET, grid_size=256)
+    basis = eigen_solve(prob, 3)
+    assert all(type(lam) is float for lam in basis.eigenvalues)
+    assert all(type(c) is float for c in basis.norm_constants)
 
 
 def test_monotonicity_under_stiffening_and_loading():
