@@ -4,6 +4,11 @@ Adaptive Simpson is the workhorse for one-dimensional integrals of
 evaluation-callable integrands; Gauss-Legendre panels are used where the
 integrand is smooth and the cost of adaptivity is not warranted (tensorized
 quadrature over rectangles, spheres, disks).
+
+Projections of initial data on a family of modes sample the data once per
+rule with ``sample`` and reuse the samples for every mode: a one-dimensional
+coefficient is ``gauss_sum(data * shape, a, b)``, a two-dimensional one a
+weighted contraction of the sampled grid with the ``gauss_rule`` weights.
 """
 
 from __future__ import annotations
@@ -16,6 +21,9 @@ import numpy as np
 __all__ = [
     "adaptive_simpson",
     "gauss_legendre_nodes",
+    "gauss_rule",
+    "gauss_sum",
+    "sample",
     "fixed_gauss",
     "composite_simpson",
     "cumulative_simpson",
@@ -81,18 +89,44 @@ def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return got
 
 
+def gauss_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule scaled to [a, b]."""
+    x, w = gauss_legendre_nodes(n)
+    half = 0.5 * (b - a)
+    return 0.5 * (b + a) + half * x, half * w
+
+
+def gauss_sum(values: np.ndarray, a: float, b: float) -> float:
+    """Integral over [a, b] of a function given by its values at the nodes of
+    ``gauss_rule(a, b, len(values))``."""
+    _, w = gauss_legendre_nodes(len(values))
+    return 0.5 * (b - a) * float(np.dot(w, values))
+
+
+def sample(f, *axes: np.ndarray) -> np.ndarray:
+    """Values of f on the tensor grid of the given node arrays.
+
+    One vectorised call on the ``ij``-indexed mesh is tried first; if it
+    raises ``TypeError``/``ValueError`` or returns anything but one value per
+    grid point (a scalar-only or constant-returning callable), f is called
+    once per point with Python floats instead.
+    """
+    grids = np.meshgrid(*axes, indexing="ij") if len(axes) > 1 else list(axes)
+    shape = grids[0].shape
+    try:
+        vals = np.asarray(f(*grids), dtype=float)
+        if vals.shape == shape:
+            return vals
+    except (TypeError, ValueError):
+        pass
+    points = zip(*(g.ravel().tolist() for g in grids))
+    return np.array([f(*p) for p in points], dtype=float).reshape(shape)
+
+
 def fixed_gauss(f, a: float, b: float, n: int = 64) -> float:
     """n-point Gauss-Legendre integral of a scalar or vectorized callable."""
-    x, w = gauss_legendre_nodes(n)
-    xm = 0.5 * (b + a) + 0.5 * (b - a) * x
-    try:
-        vals = f(xm)
-        vals = np.asarray(vals, dtype=float)
-        if vals.shape != xm.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([f(float(t)) for t in xm])
-    return 0.5 * (b - a) * float(np.dot(w, vals))
+    x, _ = gauss_rule(a, b, n)
+    return gauss_sum(sample(f, x), a, b)
 
 
 def composite_simpson(values: np.ndarray, h: float) -> float:
@@ -111,20 +145,20 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
     the result is O(h^4) accurate at every node, not only the even ones.
     """
     n = len(values)
-    out = np.empty(n)
-    out[0] = 0.0
+    out = np.zeros(n)
     if n == 1:
         return out
+    v = np.asarray(values, dtype=float)
     # Pairwise Simpson increments over [x_{2k}, x_{2k+2}].
-    for i in range(2, n, 2):
-        out[i] = out[i - 2] + h / 3.0 * (values[i - 2] + 4.0 * values[i - 1] + values[i])
+    out[2::2] = np.cumsum(h / 3.0 * (v[0:-2:2] + 4.0 * v[1:-1:2] + v[2::2]))
     # Odd nodes: integrate over [x_{i-1}, x_i] with the quadratic through
     # (i-1, i, i+1) when available, else through (i-2, i-1, i).
-    for i in range(1, n, 2):
-        if i + 1 < n:
-            out[i] = out[i - 1] + h / 12.0 * (5.0 * values[i - 1] + 8.0 * values[i] - values[i + 1])
-        else:
-            out[i] = out[i - 1] + h / 12.0 * (-values[i - 2] + 8.0 * values[i - 1] + 5.0 * values[i])
+    m = (n - 1) // 2  # odd nodes with a right neighbour
+    out[1 : 2 * m : 2] = out[0 : 2 * m - 1 : 2] + h / 12.0 * (
+        5.0 * v[0 : 2 * m - 1 : 2] + 8.0 * v[1 : 2 * m : 2] - v[2 : 2 * m + 1 : 2]
+    )
+    if n % 2 == 0:
+        out[n - 1] = out[n - 2] + h / 12.0 * (-v[n - 3] + 8.0 * v[n - 2] + 5.0 * v[n - 1])
     return out
 
 

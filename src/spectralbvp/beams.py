@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from ._quad import fixed_gauss
+from ._quad import fixed_gauss, gauss_rule, gauss_sum, sample
 from ._rootfind import refine_root
 from .specfun import ZeroFamily, zero_table
 
@@ -210,11 +210,15 @@ def beam_response(
     """Free bending vibration u(x, t) = sum q_n(t) X_n(x) from initial shape
     u0 and velocity v0, truncated at n_modes."""
     bc, l, c = spectrum.bc_pair, spectrum.l, spectrum.c
+    xs, _ = gauss_rule(0.0, l, 192)
+    u_at = sample(u0, xs) if u0 is not None else None
+    v_at = sample(v0, xs) if v0 is not None else None
     total = 0.0
     for n in range(1, n_modes + 1):
         mode = lambda xx: beam_mode(bc, n, xx, l)
-        a_n = fixed_gauss(lambda xx: u0(xx) * mode(xx), 0.0, l, n=192) if u0 is not None else 0.0
-        b_n = fixed_gauss(lambda xx: v0(xx) * mode(xx), 0.0, l, n=192) if v0 is not None else 0.0
+        mode_at = sample(mode, xs)
+        a_n = gauss_sum(u_at * mode_at, 0.0, l) if u_at is not None else 0.0
+        b_n = gauss_sum(v_at * mode_at, 0.0, l) if v_at is not None else 0.0
         mu = beam_char_roots(bc, n)[n - 1]
         w = c * mu * mu / (l * l)
         q = a_n * math.cos(w * t) + (b_n / w) * math.sin(w * t)

@@ -14,7 +14,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from ._quad import adaptive_simpson, fixed_gauss, gauss_legendre_nodes
+from ._quad import adaptive_simpson, fixed_gauss, gauss_rule, gauss_sum, sample
 from .specfun import (
     ZeroFamily,
     assoc_legendre,
@@ -204,26 +204,21 @@ def disk_axisym_solution(
     radial modes; an optional force surface density F(r, t) adds the
     sin-convolution response of each mode.
     """
+    zeros = [0.0] * n_modes
+    a_coefs = disk_axisym_coefficients(spec, u0, n_modes) if u0 is not None else zeros
+    b_coefs = disk_axisym_coefficients(spec, v0, n_modes) if v0 is not None else zeros
+    rf, _ = gauss_rule(0.0, spec.radius, 96)
     total = 0.0
-    for k in range(1, n_modes + 1):
+    for k, a_k, b_k in zip(range(1, n_modes + 1), a_coefs, b_coefs):
         alpha, chi = _disk_radial(spec, 0, k)
         omega = alpha * spec.a / spec.radius
-        a_k = (
-            fixed_gauss(lambda rr: rr * u0(rr) * chi(rr), 0.0, spec.radius, n=192)
-            if u0 is not None
-            else 0.0
-        )
-        b_k = (
-            fixed_gauss(lambda rr: rr * v0(rr) * chi(rr), 0.0, spec.radius, n=192)
-            if v0 is not None
-            else 0.0
-        )
         q = a_k * math.cos(omega * t) + (b_k / omega) * math.sin(omega * t)
         if force is not None:
+            chi_at = sample(chi, rf)
             q += (
                 adaptive_simpson(
                     lambda tau: math.sin(omega * (t - tau))
-                    * fixed_gauss(lambda rr: rr * force(rr, tau) * chi(rr), 0.0, spec.radius, n=96),
+                    * gauss_sum(rf * sample(lambda s: force(s, tau), rf) * chi_at, 0.0, spec.radius),
                     0.0,
                     t,
                     tol=1e-9,
@@ -238,10 +233,12 @@ def disk_axisym_coefficients(
     spec: DiskMembrane, u0: Callable[[float], float], n_modes: int
 ) -> list[float]:
     """Projections of u0(r) on the normalized axisymmetric radial modes."""
+    rr, _ = gauss_rule(0.0, spec.radius, 192)
+    data = rr * sample(u0, rr)
     out = []
     for k in range(1, n_modes + 1):
         _, chi = _disk_radial(spec, 0, k)
-        out.append(fixed_gauss(lambda rr: rr * u0(rr) * chi(rr), 0.0, spec.radius, n=192))
+        out.append(gauss_sum(data * sample(chi, rr), 0.0, spec.radius))
     return out
 
 
@@ -281,16 +278,26 @@ def cylinder_cooling(
     if not 0.0 <= r <= radius:
         raise ValueError("radial coordinate outside the cylinder")
     takes_z = _arity_two(t0)
+    if half_infinite and takes_z:
+        raise ValueError("half-infinite reduction needs radial initial data T0(r)")
+    if not half_infinite and not -height / 2.0 <= z <= height / 2.0:
+        raise ValueError("axial coordinate outside the cylinder")
+    alphas = [bessel_zero(ZeroFamily.BESSEL_J, 0, k) for k in range(1, n_radial + 1)]
+    j0_shapes = [(lambda s, a=alpha: bessel_j(0, a * s / radius)) for alpha in alphas]
+    if takes_z:
+        # T0(r, z) is sampled once on the 96 x 96 grid; each (k, n)
+        # coefficient is (w_r r J_0) . T . (w_z axial_n)
+        rr, wr = gauss_rule(0.0, radius, 96)
+        zz, wz = gauss_rule(-height / 2.0, height / 2.0, 96)
+        grid = sample(t0, rr, zz)
+    else:
+        rr, _ = gauss_rule(0.0, radius, 192)
+        weighted = rr * sample(t0, rr)
+        radial_projs = [gauss_sum(weighted * sample(j0, rr), 0.0, radius) for j0 in j0_shapes]
+    total = 0.0
     if half_infinite:
-        if takes_z:
-            raise ValueError("half-infinite reduction needs radial initial data T0(r)")
-        total = 0.0
-        for k in range(1, n_radial + 1):
-            alpha = bessel_zero(ZeroFamily.BESSEL_J, 0, k)
+        for alpha, proj in zip(alphas, radial_projs):
             norm = 2.0 / (radius**2 * bessel_j_prime(0, alpha) ** 2)
-            proj = fixed_gauss(
-                lambda rr: rr * t0(rr) * bessel_j(0, alpha * rr / radius), 0.0, radius, n=192
-            )
             total += (
                 norm
                 * proj
@@ -298,44 +305,30 @@ def cylinder_cooling(
                 * bessel_j(0, alpha * r / radius)
             )
         return total
-    if not -height / 2.0 <= z <= height / 2.0:
-        raise ValueError("axial coordinate outside the cylinder")
-    total = 0.0
-    for k in range(1, n_radial + 1):
-        alpha = bessel_zero(ZeroFamily.BESSEL_J, 0, k)
+    for k, alpha in enumerate(alphas):
         rad_norm = 2.0 / (radius**2 * bessel_j_prime(0, alpha) ** 2)
         mu_k = (alpha / radius) ** 2
         rad_here = bessel_j(0, alpha * r / radius)
         if takes_z:
+            radial_row = (wr * rr * sample(j0_shapes[k], rr)) @ grid
             for n in range(1, n_axial + 1):
                 kz = math.pi * n / height
-                axial = (
-                    (lambda zz, kz=kz: math.cos(kz * zz))
-                    if n % 2 == 1
-                    else (lambda zz, kz=kz: math.sin(kz * zz))
-                )
-                proj = fixed_gauss(
-                    lambda rr: rr
-                    * bessel_j(0, alpha * rr / radius)
-                    * fixed_gauss(lambda zz: t0(rr, zz) * axial(zz), -height / 2.0, height / 2.0, n=96),
-                    0.0,
-                    radius,
-                    n=96,
-                )
+                if n % 2 == 1:
+                    axial, axial_here = np.cos(kz * zz), math.cos(kz * z)
+                else:
+                    axial, axial_here = np.sin(kz * zz), math.sin(kz * z)
+                proj = float(np.dot(radial_row, wz * axial))
                 total += (
                     rad_norm
                     * (2.0 / height)
                     * proj
                     * math.exp(-(mu_k + kz * kz) * a2 * t)
                     * rad_here
-                    * axial(z)
+                    * axial_here
                 )
         else:
             # axial projection of z-uniform data is elementary: only odd
             # cosine modes survive, with weight 2H(-1)^p/(pi (2p+1))
-            proj_r = fixed_gauss(
-                lambda rr: rr * t0(rr) * bessel_j(0, alpha * rr / radius), 0.0, radius, n=192
-            )
             p = np.arange(0, n_axial)
             nn = 2 * p + 1
             kz = math.pi * nn / height
@@ -347,7 +340,7 @@ def cylinder_cooling(
                     * np.cos(kz * z)
                 )
             )
-            total += rad_norm * proj_r * axial_sum * rad_here
+            total += rad_norm * radial_projs[k] * axial_sum * rad_here
     return total
 
 
@@ -453,12 +446,12 @@ def ball_solution(
     big_r = spec.radius
     if problem == BallProblem.COOLING:
         r = float(point)
+        rr, _ = gauss_rule(0.0, big_r, 256)
+        weighted = rr * rr * sample(data, rr)
         total = 0.0
         for k in range(1, n_modes + 1):
             lam, phi = ball_radial_modes(spec, k)
-            a_k = 4.0 * math.pi * fixed_gauss(
-                lambda rr: rr * rr * data(rr) * phi(rr), 0.0, big_r, n=256
-            )
+            a_k = 4.0 * math.pi * gauss_sum(weighted * sample(phi, rr), 0.0, big_r)
             total += a_k * math.exp(-lam * spec.a2 * t) * phi(r)
         return total
     if problem == BallProblem.SOURCES:
@@ -466,11 +459,12 @@ def ball_solution(
         r = float(point)
         if math.isinf(t):
             return _ball_steady_sources(spec, q, r, conductivity)
+        rr, _ = gauss_rule(0.0, big_r, 256)
         total = 0.0
         for k in range(1, n_modes + 1):
             lam, phi = ball_radial_modes(spec, k)
-            f_k = (q / conductivity) * spec.a2 * 4.0 * math.pi * fixed_gauss(
-                lambda rr: rr * rr * phi(rr), 0.0, big_r, n=256
+            f_k = (q / conductivity) * spec.a2 * 4.0 * math.pi * gauss_sum(
+                rr * rr * sample(phi, rr), 0.0, big_r
             )
             rate = lam * spec.a2
             theta_k = f_k * (1.0 - math.exp(-rate * t)) / rate
@@ -481,11 +475,11 @@ def ball_solution(
         return _ball_axisym_cooling(spec, data, n_modes, r, theta, t)
     if problem == BallProblem.LAPLACE_DIRICHLET:
         r, theta = point
+        xs, _ = gauss_rule(-1.0, 1.0, 160)
+        surface = sample(data, _polar_angles(xs))
         total = 0.0
         for n in range(0, n_modes):
-            a_n = (n + 0.5) * fixed_gauss(
-                lambda xx: data(math.acos(xx)) * legendre("P", n, xx), -1.0, 1.0, n=160
-            )
+            a_n = (n + 0.5) * gauss_sum(surface * _legendre_at(n, xs), -1.0, 1.0)
             total += a_n * (r / big_r) ** n * legendre("P", n, math.cos(theta))
         return total
     raise ValueError(f"unsupported problem kind {problem}")
@@ -505,13 +499,27 @@ def _ball_steady_sources(spec: BallSpec, q: float, r: float, conductivity: float
     return surface - adaptive_simpson(flux, r, spec.radius, tol=1e-12)
 
 
+def _polar_angles(xs: np.ndarray) -> np.ndarray:
+    """Polar angles acos(x) of the Legendre nodes, by math.acos node by node."""
+    return np.array([math.acos(x) for x in xs.tolist()])
+
+
+def _legendre_at(n: int, xs: np.ndarray) -> np.ndarray:
+    return sample(lambda x: legendre("P", n, x), xs)
+
+
 def _ball_axisym_cooling(spec: BallSpec, t0, n_modes: int, r: float, theta: float, t: float) -> float:
     if spec.bc != BallBC.DIRICHLET:
         raise NotImplementedError("axisymmetric cooling implemented for the clamped surface")
     big_r = spec.radius
     total = 0.0
-    xs, ws = gauss_legendre_nodes(96)
+    # T0(r, theta) is sampled once on the 128 x 96 grid; each (n, k)
+    # coefficient is (w_r r^2 j_n(alpha r/R)) . T . (w_x P_n(x)), x = cos(theta)
+    rr, wr = gauss_rule(0.0, big_r, 128)
+    xs, ws = gauss_rule(-1.0, 1.0, 96)
+    grid = sample(t0, rr, _polar_angles(xs))
     for n in range(0, n_modes):
+        angular = grid @ (ws * _legendre_at(n, xs))
         for k in range(1, n_modes + 1):
             alpha = spherical_bessel_zero(n, k)
             lam = (alpha / big_r) ** 2
@@ -523,19 +531,8 @@ def _ball_axisym_cooling(spec: BallSpec, t0, n_modes: int, r: float, theta: floa
                 n=192,
             )
             ang_norm = 2.0 / (2 * n + 1)
-            proj = 0.0
-            for xx, ww in zip(xs, ws):
-                th = math.acos(xx)
-                radial_int = fixed_gauss(
-                    lambda rr: rr
-                    * rr
-                    * t0(rr, th)
-                    * spherical_bessel("j", n, alpha * rr / big_r),
-                    0.0,
-                    big_r,
-                    n=128,
-                )
-                proj += ww * legendre("P", n, xx) * radial_int
+            j_n = sample(lambda s: spherical_bessel("j", n, alpha * s / big_r), rr)
+            proj = float(np.dot(wr * rr * rr * j_n, angular))
             coeff = proj / (rad_norm * ang_norm)
             total += (
                 coeff
@@ -574,17 +571,18 @@ def expand_series(
     sum c_n P_n(x).
     """
     if kind == "fourier_bessel":
+        rs, _ = gauss_rule(0.0, radius, 256)
+        weighted = rs * sample(f, rs)
         coeffs = []
         alphas = []
         for k in range(1, n_terms + 1):
             alpha = bessel_zero(ZeroFamily.BESSEL_J, m, k)
             alphas.append(alpha)
+            shape = sample(lambda r: bessel_j(m, alpha * r / radius), rs)
             c = (
                 2.0
                 / (radius**2 * bessel_j_prime(m, alpha) ** 2)
-                * fixed_gauss(
-                    lambda r: r * f(r) * bessel_j(m, alpha * r / radius), 0.0, radius, n=256
-                )
+                * gauss_sum(weighted * shape, 0.0, radius)
             )
             coeffs.append(c)
 
@@ -593,10 +591,9 @@ def expand_series(
 
         return SeriesExpansion(kind, coeffs, reconstruct)
     if kind == "legendre":
-        coeffs = []
-        for n in range(0, n_terms):
-            c = (n + 0.5) * fixed_gauss(lambda x: f(x) * legendre("P", n, x), -1.0, 1.0, n=max(160, 2 * n_terms))
-            coeffs.append(c)
+        xs, _ = gauss_rule(-1.0, 1.0, max(160, 2 * n_terms))
+        values = sample(f, xs)
+        coeffs = [(n + 0.5) * gauss_sum(values * _legendre_at(n, xs), -1.0, 1.0) for n in range(0, n_terms)]
 
         def reconstruct(x: float) -> float:
             return sum(c * legendre("P", n, x) for n, c in enumerate(coeffs))

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from ._quad import adaptive_simpson, erfcx, fixed_gauss
+from ._quad import adaptive_simpson, erfcx, fixed_gauss, gauss_rule, gauss_sum, sample
 from .intervals import UniformBasis, uniform_basis
 from .sturm import BoundaryCondition
 
@@ -304,16 +304,18 @@ def heat_interval_modes(
     """
     left, right = bc
     basis = uniform_basis(l, left, right, n_modes)
-    coeffs = []
-    for mode in basis.modes:
-        if u0 is None:
-            coeffs.append(0.0)
-        else:
-            coeffs.append(fixed_gauss(lambda x: u0(x) * mode.shape(x), 0.0, l, n=256))
+    if u0 is None:
+        coeffs = [0.0] * len(basis)
+    else:
+        xs, _ = gauss_rule(0.0, l, 256)
+        data = sample(u0, xs)
+        coeffs = [gauss_sum(data * sample(mode.shape, xs), 0.0, l) for mode in basis.modes]
     source_coeffs = None
     if source is not None:
+        # mode shapes are sampled once; each f_n(tau) samples only the source
+        xs, _ = gauss_rule(0.0, l, 128)
         source_coeffs = [
-            (lambda tau, m=mode: fixed_gauss(lambda x: source(x, tau) * m.shape(x), 0.0, l, n=128))
+            (lambda tau, m=sample(mode.shape, xs): gauss_sum(sample(lambda x: source(x, tau), xs) * m, 0.0, l))
             for mode in basis.modes
         ]
     return HeatModalSolution(basis, medium, coeffs, source_coeffs)

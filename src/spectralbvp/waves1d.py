@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quad import adaptive_simpson, fixed_gauss
+from ._quad import adaptive_simpson, gauss_rule, gauss_sum, sample
 from .intervals import UniformBasis, uniform_basis
 from .sturm import BoundaryCondition
 
@@ -307,10 +307,9 @@ class ModalSolution:
 def _project(basis: UniformBasis, func: Callable[[float], float] | None, l: float) -> list[float]:
     if func is None:
         return [0.0] * len(basis)
-    coeffs = []
-    for mode in basis.modes:
-        coeffs.append(fixed_gauss(lambda x: func(x) * mode.shape(x), 0.0, l, n=256))
-    return coeffs
+    xs, _ = gauss_rule(0.0, l, 256)
+    data = sample(func, xs)
+    return [gauss_sum(data * sample(mode.shape, xs), 0.0, l) for mode in basis.modes]
 
 
 def _compatible(u0, bc: BoundaryCondition, end_value: float) -> bool:

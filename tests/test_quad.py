@@ -11,6 +11,9 @@ from spectralbvp._quad import (
     cumulative_simpson,
     erfcx,
     fixed_gauss,
+    gauss_rule,
+    gauss_sum,
+    sample,
 )
 from spectralbvp._rootfind import nth_root_from_scan, refine_root
 
@@ -40,6 +43,70 @@ def test_fixed_gauss_polynomial_exactness():
     assert got == pytest.approx(want, rel=1e-14)
 
 
+def test_gauss_rule_scaled_to_interval():
+    xs, ws = gauss_rule(-1.0, 3.0, 4)
+    assert np.all((xs > -1.0) & (xs < 3.0))
+    assert float(np.sum(ws)) == pytest.approx(4.0, rel=1e-15)
+    want = (3.0**8 - 1.0) / 8.0 - 2 * (3.0**4 - 1.0) / 4.0 + 4.0
+    poly = xs**7 - 2 * xs**3 + 1
+    assert float(np.dot(ws, poly)) == pytest.approx(want, rel=1e-14)
+    assert gauss_sum(poly, -1.0, 3.0) == pytest.approx(want, rel=1e-14)
+
+
+# The same function as a scalar-only callable (math.fabs raises TypeError on
+# arrays of more than one element) and as a numpy-vectorised one; both use
+# only exactly rounded operations, so their values agree bit for bit.
+def _scalar_1d(x):
+    return math.fabs(x) * x + 3.0 * x
+
+
+def _vector_1d(x):
+    return np.abs(x) * x + 3.0 * x
+
+
+def _scalar_2d(x, y):
+    return math.fabs(x) * y + 3.0 * x
+
+
+def _vector_2d(x, y):
+    return np.abs(x) * y + 3.0 * x
+
+
+def test_sample_scalar_vectorised_and_constant_callables_agree():
+    xs, _ = gauss_rule(-1.0, 2.0, 7)
+    ys, _ = gauss_rule(0.0, 1.0, 5)
+    want_1d = np.array([_scalar_1d(x) for x in xs.tolist()])
+    for f in (_scalar_1d, _vector_1d):
+        got = sample(f, xs)
+        assert got.shape == (7,)
+        assert np.array_equal(got, want_1d)
+    want_2d = np.array([[_scalar_2d(x, y) for y in ys.tolist()] for x in xs.tolist()])
+    for f in (_scalar_2d, _vector_2d):
+        got = sample(f, xs, ys)
+        assert got.shape == (7, 5)
+        assert np.array_equal(got, want_2d)
+    assert np.array_equal(sample(lambda x: 2.5, xs), np.full(7, 2.5))
+    assert np.array_equal(sample(lambda x, y: 2.5, xs, ys), np.full((7, 5), 2.5))
+
+
+def test_sample_calls_a_vectorised_callable_once():
+    calls = []
+
+    def f(x, y):
+        calls.append(np.shape(x))
+        return x * y
+
+    xs, ys = np.linspace(0.0, 1.0, 4), np.linspace(1.0, 2.0, 3)
+    assert np.array_equal(sample(f, xs, ys), np.outer(xs, ys))
+    assert calls == [(4, 3)]
+
+
+def test_fixed_gauss_is_sample_plus_dot():
+    for f in (_scalar_1d, _vector_1d, math.cos):
+        xs, _ = gauss_rule(0.2, 1.7, 48)
+        assert fixed_gauss(f, 0.2, 1.7, n=48) == gauss_sum(sample(f, xs), 0.2, 1.7)
+
+
 def test_composite_and_cumulative_simpson():
     xs = np.linspace(0.0, 2.0, 201)
     vals = np.exp(xs)
@@ -66,3 +133,26 @@ def test_refine_root_and_scan():
         refine_root(lambda x: x * x + 1.0, -1.0, 1.0)
     third = nth_root_from_scan(math.sin, 0.5, 0.5, 3)
     assert third == pytest.approx(3 * math.pi, rel=1e-12)
+
+
+def _cumulative_simpson_loop(values, h):
+    """Node-by-node reference for cumulative_simpson."""
+    n = len(values)
+    out = np.empty(n)
+    out[0] = 0.0
+    if n == 1:
+        return out
+    for i in range(2, n, 2):
+        out[i] = out[i - 2] + h / 3.0 * (values[i - 2] + 4.0 * values[i - 1] + values[i])
+    for i in range(1, n, 2):
+        if i + 1 < n:
+            out[i] = out[i - 1] + h / 12.0 * (5.0 * values[i - 1] + 8.0 * values[i] - values[i + 1])
+        else:
+            out[i] = out[i - 1] + h / 12.0 * (-values[i - 2] + 8.0 * values[i - 1] + 5.0 * values[i])
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 2049, 2050, 4097])
+def test_cumulative_simpson_matches_node_loop(n):
+    values = np.random.default_rng(n).standard_normal(n)
+    assert np.array_equal(cumulative_simpson(values, 0.37), _cumulative_simpson_loop(values, 0.37))
