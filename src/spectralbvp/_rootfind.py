@@ -1,9 +1,8 @@
-"""Bracketed scalar root finding: bisection with secant acceleration.
+"""Bracketed scalar root finding: Brent's method.
 
 All transcendental characteristic equations in the package are solved through
 these helpers.  The contract is deliberately conservative: a root is only
-reported from a sign-change bracket, and secant steps that leave the bracket
-fall back to bisection.
+reported from a sign-change bracket, and every iterate stays inside it.
 """
 
 from __future__ import annotations
@@ -24,9 +23,13 @@ def refine_root(
 ) -> float:
     """Root of f in the sign-change bracket [a, b].
 
-    Iterates secant steps clipped to the current bracket, with bisection as
-    fallback, until |f| <= ftol or the bracket collapses to floating-point
-    resolution (or the optional xtol).
+    Brent's zeroin (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4): inverse quadratic or secant steps while they stay inside
+    the bracket and at least halve the step before last, bisection
+    otherwise.  Stops when |f| <= ftol on a bracket narrower than
+    1e-9 * max(1, |x|), or when the bracket collapses to floating-point
+    resolution (or the optional xtol).  Returns the bracket end with the
+    smaller |f|, so the result lies in [a, b].
     """
     fa = f(a)
     fb = f(b)
@@ -36,28 +39,46 @@ def refine_root(
         return b
     if fa * fb > 0.0:
         raise ValueError(f"no sign change on bracket [{a}, {b}]: f={fa}, {fb}")
-    x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+    # b is the best estimate, c the other end of the bracket, a the previous b
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(max_iter):
-        width = b - a
-        if width <= xtol or width <= 4.0 * math.ulp(max(abs(a), abs(b), 1.0)):
-            break
-        # Secant through the bracket endpoints, clipped inside.
-        denom = fb - fa
-        if denom != 0.0:
-            s = a - fa * (b - a) / denom
+        if abs(fc) < abs(fb):
+            a, fa = b, fb
+            b, fb = c, fc
+            c, fc = a, fa
+        tol = 0.5 * max(xtol, 4.0 * math.ulp(max(abs(b), abs(c), 1.0)))
+        half = 0.5 * (c - b)
+        width = abs(c - b)
+        if fb == 0.0 or abs(half) <= tol or abs(fb) <= ftol and width <= 1e-9 * max(1.0, abs(b)):
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p = 2.0 * half * s
+                q = 1.0 - s
+            else:  # inverse quadratic through (a, fa), (b, fb), (c, fc)
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = half
         else:
-            s = 0.5 * (a + b)
-        if not (a + 0.01 * width < s < b - 0.01 * width):
-            s = 0.5 * (a + b)
-        fs = f(s)
-        if fs == 0.0 or abs(fs) <= ftol and width <= 1e-9 * max(1.0, abs(s)):
-            return s
-        if fa * fs < 0.0:
-            b, fb = s, fs
-        else:
-            a, fa = s, fs
-        x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-    return x
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, half)
+        fb = f(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+    return b if abs(fb) <= abs(fc) else c
 
 
 def scan_brackets(

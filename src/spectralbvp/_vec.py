@@ -1,0 +1,80 @@
+"""Scalar-or-array arguments for the special functions and mode shapes.
+
+Each special function and mode shape of x has one code path.  Its kernels
+are plain arithmetic that runs unchanged on a Python float or on a float
+ndarray; the elementary functions come from the namespace ``xp(x)`` (``math``
+for a float, ``numpy`` for an array), so a scalar call never pays for a 0-d
+array.  Where a function switches evaluation regime, ``piecewise`` picks the
+regime per element with masks.  A scalar argument gives a Python float, an
+array argument an array of its shape.
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_left
+
+import numpy as np
+
+__all__ = ["as_arg", "xp", "piecewise", "inside", "full", "where", "any_"]
+
+
+def as_arg(x):
+    """A Python float for a scalar (including 0-d arrays and numpy scalars),
+    a float ndarray otherwise."""
+    if type(x) is float:
+        return x
+    a = np.asarray(x, dtype=float)
+    return float(a) if a.ndim == 0 else a
+
+
+def xp(x):
+    """Namespace of elementary functions matching x: numpy or math."""
+    return np if isinstance(x, np.ndarray) else math
+
+
+def piecewise(x, edges, kernels, arg):
+    """Evaluate ``kernels[i](x, xp, arg)`` element by element, where regime i
+    holds the x with ``edges[i-1] < x <= edges[i]`` (edges ascending, one
+    fewer than kernels; NaN falls in the first regime of a float and the
+    last of an array, so kernels propagate it).
+
+    A float picks its kernel by bisection; an array is split into one mask
+    per regime and each kernel runs once on the elements it owns.
+    """
+    if type(x) is float:
+        return kernels[bisect_left(edges, x)](x, math, arg)
+    regime = np.searchsorted(edges, x, side="left")
+    out = np.empty(x.shape)
+    for i, kernel in enumerate(kernels):
+        sel = regime == i
+        if sel.any():
+            out[sel] = kernel(x[sel], np, arg)
+    return out
+
+
+def inside(x, lo: float, hi: float, closed: bool = True) -> bool:
+    """Whether every element of x lies in [lo, hi] (or (lo, hi))."""
+    if type(x) is float:
+        return lo <= x <= hi if closed else lo < x < hi
+    if closed:
+        return bool(((x >= lo) & (x <= hi)).all())
+    return bool(((x > lo) & (x < hi)).all())
+
+
+def full(x, c: float):
+    """The constant c, shaped like x."""
+    return np.full(x.shape, c) if isinstance(x, np.ndarray) else c
+
+
+def where(cond, a, b):
+    """a where cond holds, b elsewhere."""
+    if cond is False:
+        return b
+    if cond is True:
+        return a
+    return np.where(cond, a, b)
+
+
+def any_(cond) -> bool:
+    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)

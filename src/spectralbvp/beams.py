@@ -16,6 +16,7 @@ from typing import Callable
 
 from ._quad import fixed_gauss, gauss_rule, gauss_sum, sample
 from ._rootfind import refine_root
+from ._vec import as_arg, inside, xp
 from .specfun import ZeroFamily, zero_table
 
 __all__ = [
@@ -91,43 +92,38 @@ def beam_spectrum(bc_pair: BeamBC | str, k_max: int, c: float = 1.0, l: float = 
 # Mode shapes
 # ----------------------------------------------------------------------
 
-def _mode_raw(bc: BeamBC, mu: float, z: float) -> float:
-    """Dimensionless shape at z = mu x / l, z in [0, mu], unnormalized.
+def _sigma(bc: BeamBC, mu: float) -> tuple[float, float]:
+    """sigma = 1 + delta of the end pair and delta e^mu / 2, for the shapes
+    (cosh -+ cos) - sigma (sinh -+ sin): sigma is (cosh mu - cos mu)/(sinh mu
+    - sin mu), or (cosh mu + cos mu)/(sinh mu + sin mu) for clamped_free,
+    with numerator and denominator scaled by e^{-mu}."""
+    emu = math.exp(-mu)
+    if bc == BeamBC.CLAMPED_FREE:
+        num = emu + math.cos(mu) - math.sin(mu)
+        den = 0.5 * (1.0 - emu * emu) + math.sin(mu) * emu
+    else:
+        num = emu + math.sin(mu) - math.cos(mu)
+        den = 0.5 * (1.0 - emu * emu) - math.sin(mu) * emu
+    return 1.0 + emu * num / den, num / (2.0 * den)
+
+
+def _mode_raw(bc: BeamBC, mu: float, z):
+    """Dimensionless shape at z = mu x / l, z in [0, mu] (a float or an
+    array), unnormalized.
 
     The textbook combinations (cosh -+ cos) - sigma (sinh -+ sin) are
     rearranged so every exponentially large piece is multiplied by its
-    exponentially small partner before evaluation.
+    exponentially small partner before evaluation:
+    cosh z - sigma sinh z = e^{-z}(1+sigma)/2 - (delta e^mu/2) e^{z-mu}.
     """
+    f = xp(z)
     if bc == BeamBC.PINNED_PINNED:
-        return math.sin(z)
-    ep = math.exp(z - mu)   # e^z / e^mu
-    em = math.exp(-z)
-    emu = math.exp(-mu)
-    if bc in (BeamBC.CLAMPED_CLAMPED, BeamBC.CLAMPED_PINNED):
-        # sigma = (cosh mu - cos mu)/(sinh mu - sin mu) = 1 + delta
-        num = emu + math.sin(mu) - math.cos(mu)
-        den = 0.5 * (1.0 - emu * emu) - math.sin(mu) * emu  # (sinh mu - sin mu) e^{-mu}
-        delta_scaled = num / (2.0 * den)  # delta * e^{mu} / 2
-        # X = (cosh z - sigma sinh z) - cos z + sigma sin z
-        #   = e^{-z}(1+sigma)/2 - delta e^{z}/2 - cos z + sigma sin z
-        sigma = 1.0 + emu * num / den
-        return 0.5 * em * (1.0 + sigma) - delta_scaled * ep - math.cos(z) + sigma * math.sin(z)
-    if bc == BeamBC.CLAMPED_FREE:
-        # sigma = (cosh mu + cos mu)/(sinh mu + sin mu) = 1 + delta
-        num = emu + math.cos(mu) - math.sin(mu)
-        den = 0.5 * (1.0 - emu * emu) + math.sin(mu) * emu
-        delta_scaled = num / (2.0 * den)
-        sigma = 1.0 + emu * num / den
-        return 0.5 * em * (1.0 + sigma) - delta_scaled * ep - math.cos(z) + sigma * math.sin(z)
-    if bc == BeamBC.FREE_FREE:
-        # X = (cosh z + cos z) - sigma (sinh z + sin z),
-        # sigma = (cosh mu - cos mu)/(sinh mu - sin mu)
-        num = emu + math.sin(mu) - math.cos(mu)
-        den = 0.5 * (1.0 - emu * emu) - math.sin(mu) * emu
-        delta_scaled = num / (2.0 * den)
-        sigma = 1.0 + emu * num / den
-        return 0.5 * em * (1.0 + sigma) - delta_scaled * ep + math.cos(z) - sigma * math.sin(z)
-    raise ValueError(f"unsupported end pair {bc}")
+        return f.sin(z)
+    sigma, delta_scaled = _sigma(bc, mu)
+    hyper = 0.5 * f.exp(-z) * (1.0 + sigma) - delta_scaled * f.exp(z - mu)
+    trig = sigma * f.sin(z) - f.cos(z)
+    # free_free pairs cosh with +cos, the clamped pairs with -cos
+    return hyper - trig if bc == BeamBC.FREE_FREE else hyper + trig
 
 
 _NORM_CACHE: dict[tuple[BeamBC, int], float] = {}
@@ -143,12 +139,14 @@ def _mode_norm(bc: BeamBC, mu: float, n: int) -> float:
     return got
 
 
-def beam_mode(bc_pair: BeamBC | str, n: int, x: float, l: float = 1.0) -> float:
-    """n-th mode shape (n >= 1), normalized to unit L2 norm on [0, l]."""
+def beam_mode(bc_pair: BeamBC | str, n: int, x, l: float = 1.0):
+    """n-th mode shape (n >= 1), normalized to unit L2 norm on [0, l], at x
+    (a float or an array)."""
     bc = BeamBC(bc_pair)
     if n < 1:
         raise ValueError("mode index must be >= 1")
-    if not 0.0 <= x <= l:
+    x = as_arg(x)
+    if not inside(x, 0.0, l):
         raise ValueError("x must lie in [0, l]")
     mu = beam_char_roots(bc, n)[n - 1]
     raw = _mode_raw(bc, mu, mu * x / l)
@@ -164,17 +162,9 @@ def _mode_derivatives(bc: BeamBC, mu: float, z: float):
     """
     if bc == BeamBC.PINNED_PINNED:
         return math.sin(z), math.cos(z), -math.sin(z), -math.cos(z)
-    emu = math.exp(-mu)
+    sigma, delta_scaled = _sigma(bc, mu)
     ep = math.exp(z - mu)
     em = math.exp(-z)
-    if bc in (BeamBC.CLAMPED_CLAMPED, BeamBC.CLAMPED_PINNED, BeamBC.FREE_FREE):
-        num = emu + math.sin(mu) - math.cos(mu)
-        den = 0.5 * (1.0 - emu * emu) - math.sin(mu) * emu
-    else:  # CLAMPED_FREE
-        num = emu + math.cos(mu) - math.sin(mu)
-        den = 0.5 * (1.0 - emu * emu) + math.sin(mu) * emu
-    sigma = 1.0 + emu * num / den
-    delta_scaled = num / (2.0 * den)
     h_val = 0.5 * em * (1.0 + sigma) - delta_scaled * ep
     h_der = -0.5 * em * (1.0 + sigma) - delta_scaled * ep
     t_val = -math.cos(z) + sigma * math.sin(z)

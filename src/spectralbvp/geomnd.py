@@ -15,6 +15,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from ._quad import adaptive_simpson, fixed_gauss, gauss_rule, gauss_sum, sample
+from ._vec import as_arg, full, piecewise, xp
 from .specfun import (
     ZeroFamily,
     assoc_legendre,
@@ -75,24 +76,24 @@ def _axis_factor(bc: tuple[EdgeBC, EdgeBC], length: float, m: int):
         if m < 1:
             raise ValueError("fixed-fixed index starts at 1")
         k = math.pi * m / length
-        return k * k, (lambda s, k=k: math.sqrt(2.0 / length) * math.sin(k * s))
+        return k * k, (lambda s, k=k: math.sqrt(2.0 / length) * xp(s).sin(k * s))
     if lo == "fixed" and hi == "free":
         if m < 1:
             raise ValueError("fixed-free index starts at 1")
         k = math.pi * (m - 0.5) / length
-        return k * k, (lambda s, k=k: math.sqrt(2.0 / length) * math.sin(k * s))
+        return k * k, (lambda s, k=k: math.sqrt(2.0 / length) * xp(s).sin(k * s))
     if lo == "free" and hi == "fixed":
         if m < 1:
             raise ValueError("free-fixed index starts at 1")
         k = math.pi * (m - 0.5) / length
-        return k * k, (lambda s, k=k: math.sqrt(2.0 / length) * math.cos(k * s))
+        return k * k, (lambda s, k=k: math.sqrt(2.0 / length) * xp(s).cos(k * s))
     # free-free: cosine family with the constant mode at m = 0
     if m < 0:
         raise ValueError("free-free index starts at 0")
     if m == 0:
-        return 0.0, (lambda s: 1.0 / math.sqrt(length))
+        return 0.0, (lambda s: full(s, 1.0 / math.sqrt(length)))
     k = math.pi * m / length
-    return k * k, (lambda s, k=k: math.sqrt(2.0 / length) * math.cos(k * s))
+    return k * k, (lambda s, k=k: math.sqrt(2.0 / length) * xp(s).cos(k * s))
 
 
 def rect_membrane_modes(spec: RectMembrane, m: int, n: int):
@@ -179,11 +180,11 @@ def disk_membrane_modes(spec: DiskMembrane, m: int, k: int, parity: str = "cos")
     alpha, chi = _disk_radial(spec, m, k)
     omega = alpha * spec.a / spec.radius
     if m == 0:
-        ang = lambda phi: 1.0 / math.sqrt(2.0 * math.pi)
+        ang = lambda phi: full(phi, 1.0 / math.sqrt(2.0 * math.pi))
     elif parity == "cos":
-        ang = lambda phi: math.cos(m * phi) / math.sqrt(math.pi)
+        ang = lambda phi: xp(phi).cos(m * phi) / math.sqrt(math.pi)
     elif parity == "sin":
-        ang = lambda phi: math.sin(m * phi) / math.sqrt(math.pi)
+        ang = lambda phi: xp(phi).sin(m * phi) / math.sqrt(math.pi)
     else:
         raise ValueError("parity must be 'cos' or 'sin'")
     return omega, (lambda r, phi: chi(r) * ang(phi))
@@ -389,11 +390,21 @@ def _ball_gamma(spec: BallSpec, k: int) -> float:
     return bessel_zero(ZeroFamily.RADIAL_ROBIN, 0, k, param=spec.h * spec.radius)
 
 
-def _sin_over_r(gamma_over_R: float, r: float) -> float:
-    u = gamma_over_R * r
-    if abs(u) < 1e-6:
-        return gamma_over_R * (1.0 - u * u / 6.0)
-    return math.sin(u) / r
+def _sin_over_r_small(r, f, g: float):
+    u = g * r
+    return g * (1.0 - u * u / 6.0)
+
+
+def _sin_over_r_direct(r, f, g: float):
+    return f.sin(g * r) / r
+
+
+def _sin_over_r(gamma_over_R: float, r):
+    """sin(g r)/r for g > 0 (even in r), from its Taylor expansion where
+    |g r| < 1e-6."""
+    r = as_arg(r)
+    edge = math.nextafter(1e-6 / gamma_over_R, 0.0)
+    return piecewise(abs(r), (edge,), (_sin_over_r_small, _sin_over_r_direct), gamma_over_R)
 
 
 def ball_radial_modes(spec: BallSpec, k: int):
@@ -476,10 +487,10 @@ def ball_solution(
     if problem == BallProblem.LAPLACE_DIRICHLET:
         r, theta = point
         xs, _ = gauss_rule(-1.0, 1.0, 160)
-        surface = sample(data, _polar_angles(xs))
+        surface = sample(data, np.arccos(xs))
         total = 0.0
         for n in range(0, n_modes):
-            a_n = (n + 0.5) * gauss_sum(surface * _legendre_at(n, xs), -1.0, 1.0)
+            a_n = (n + 0.5) * gauss_sum(surface * legendre("P", n, xs), -1.0, 1.0)
             total += a_n * (r / big_r) ** n * legendre("P", n, math.cos(theta))
         return total
     raise ValueError(f"unsupported problem kind {problem}")
@@ -499,13 +510,10 @@ def _ball_steady_sources(spec: BallSpec, q: float, r: float, conductivity: float
     return surface - adaptive_simpson(flux, r, spec.radius, tol=1e-12)
 
 
-def _polar_angles(xs: np.ndarray) -> np.ndarray:
-    """Polar angles acos(x) of the Legendre nodes, by math.acos node by node."""
-    return np.array([math.acos(x) for x in xs.tolist()])
-
-
-def _legendre_at(n: int, xs: np.ndarray) -> np.ndarray:
-    return sample(lambda x: legendre("P", n, x), xs)
+def _ball_radial_norm(n: int, alpha: float, big_r: float) -> float:
+    """int_0^R j_n(alpha r/R)^2 r^2 dr = R^3 j_{n+1}(alpha)^2 / 2, alpha a
+    zero of j_n."""
+    return 0.5 * big_r**3 * spherical_bessel("j", n + 1, alpha) ** 2
 
 
 def _ball_axisym_cooling(spec: BallSpec, t0, n_modes: int, r: float, theta: float, t: float) -> float:
@@ -517,28 +525,23 @@ def _ball_axisym_cooling(spec: BallSpec, t0, n_modes: int, r: float, theta: floa
     # coefficient is (w_r r^2 j_n(alpha r/R)) . T . (w_x P_n(x)), x = cos(theta)
     rr, wr = gauss_rule(0.0, big_r, 128)
     xs, ws = gauss_rule(-1.0, 1.0, 96)
-    grid = sample(t0, rr, _polar_angles(xs))
+    grid = sample(t0, rr, np.arccos(xs))
     for n in range(0, n_modes):
-        angular = grid @ (ws * _legendre_at(n, xs))
+        angular = grid @ (ws * legendre("P", n, xs))
+        ang_norm = 2.0 / (2 * n + 1)
+        p_here = legendre("P", n, math.cos(theta))
         for k in range(1, n_modes + 1):
             alpha = spherical_bessel_zero(n, k)
             lam = (alpha / big_r) ** 2
-            # normalization: int_0^R j_n(alpha r/R)^2 r^2 dr and Legendre norm
-            rad_norm = fixed_gauss(
-                lambda rr: rr * rr * spherical_bessel("j", n, alpha * rr / big_r) ** 2,
-                0.0,
-                big_r,
-                n=192,
-            )
-            ang_norm = 2.0 / (2 * n + 1)
-            j_n = sample(lambda s: spherical_bessel("j", n, alpha * s / big_r), rr)
+            rad_norm = _ball_radial_norm(n, alpha, big_r)
+            j_n = spherical_bessel("j", n, alpha * rr / big_r)
             proj = float(np.dot(wr * rr * rr * j_n, angular))
             coeff = proj / (rad_norm * ang_norm)
             total += (
                 coeff
                 * math.exp(-lam * spec.a2 * t)
                 * spherical_bessel("j", n, alpha * r / big_r)
-                * legendre("P", n, math.cos(theta))
+                * p_here
             )
     return total
 
@@ -593,7 +596,7 @@ def expand_series(
     if kind == "legendre":
         xs, _ = gauss_rule(-1.0, 1.0, max(160, 2 * n_terms))
         values = sample(f, xs)
-        coeffs = [(n + 0.5) * gauss_sum(values * _legendre_at(n, xs), -1.0, 1.0) for n in range(0, n_terms)]
+        coeffs = [(n + 0.5) * gauss_sum(values * legendre("P", n, xs), -1.0, 1.0) for n in range(0, n_terms)]
 
         def reconstruct(x: float) -> float:
             return sum(c * legendre("P", n, x) for n, c in enumerate(coeffs))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ._rootfind import refine_root
+from ._vec import full, xp
 from .sturm import BoundaryCondition
 
 __all__ = ["UniformMode", "UniformBasis", "uniform_basis", "robin_xi_roots", "robin_norm_constant"]
@@ -101,22 +102,26 @@ def robin_norm_constant(l: float, h1: float, xi: float) -> float:
     return 1.0 / math.sqrt(n2)
 
 
+# Mode shapes accept a float or an array (see ``_vec``).
+
 def _sine_family(l: float, k: float):
     def shape(x, k=k):
-        return math.sin(k * x)
+        return xp(x).sin(k * x)
 
     def dshape(x, k=k):
-        return k * math.cos(k * x)
+        return k * xp(x).cos(k * x)
 
     return shape, dshape
 
 
 def _cos_family(l: float, k: float, h1: float):
     def shape(x, k=k, h1=h1):
-        return math.cos(k * x) + (h1 / k) * math.sin(k * x)
+        f = xp(x)
+        return f.cos(k * x) + (h1 / k) * f.sin(k * x)
 
     def dshape(x, k=k, h1=h1):
-        return -k * math.sin(k * x) + h1 * math.cos(k * x)
+        f = xp(x)
+        return -k * f.sin(k * x) + h1 * f.cos(k * x)
 
     return shape, dshape
 
@@ -171,8 +176,8 @@ def _build_modes(l: float, left: BoundaryCondition, right: BoundaryCondition, n_
                 index=0,
                 xi=0.0,
                 lam=0.0,
-                shape=lambda x: 1.0 / math.sqrt(l),
-                shape_prime=lambda x: 0.0,
+                shape=lambda x: full(x, 1.0 / math.sqrt(l)),
+                shape_prime=lambda x: full(x, 0.0),
                 is_zero_mode=True,
             )
             modes.append(zero)

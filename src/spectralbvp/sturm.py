@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quad import composite_simpson, cumulative_simpson
+from ._quad import composite_simpson, cumulative_simpson, sample
 from ._rootfind import refine_root
 
 __all__ = [
@@ -101,9 +101,9 @@ class SLProblem:
         # Samples at half-step resolution: index i corresponds to x = i*h/2.
         xs = np.linspace(0.0, self.l, 2 * self.n + 1)
         self._xs_half = xs
-        self._p = np.array([float(p(x)) for x in xs])
-        self._q = np.array([float(q(x)) for x in xs])
-        self._rho = np.array([float(rho(x)) for x in xs])
+        self._p = sample(p, xs)
+        self._q = sample(q, xs)
+        self._rho = sample(rho, xs)
         if not all(np.isfinite(v).all() for v in (self._p, self._q, self._rho)):
             raise ValueError("coefficient samples must be finite")
         if self._p.min() <= 0.0 or self._rho.min() <= 0.0 or self._q.min() < 0.0:
@@ -460,7 +460,7 @@ class EigenBasis:
         """rho-weighted inner product <X_n, f>."""
         xs = self.problem.grid
         rho = self.problem._rho[::2]
-        fv = np.array([f(float(x)) for x in xs])
+        fv = sample(f, xs)
         xn = self.norm_constants[n - 1] * self._solutions[n - 1].values
         return composite_simpson(rho * fv * xn, self.problem.h_step)
 
@@ -564,18 +564,14 @@ def rayleigh_quotient(
     """
     xs = problem.grid
     h = problem.h_step
-    fv = np.array([float(f(x)) for x in xs])
+    fv = sample(f, xs)
     if fprime is not None:
-        fd = np.array([float(fprime(x)) for x in xs])
+        fd = sample(fprime, xs)
     else:
         step = (np.finfo(float).eps) ** (1.0 / 3.0) * max(1.0, problem.l)
-        fd = np.array(
-            [
-                (f(min(problem.l, x + step)) - f(max(0.0, x - step)))
-                / ((min(problem.l, x + step)) - (max(0.0, x - step)))
-                for x in xs
-            ]
-        )
+        right = np.minimum(problem.l, xs + step)
+        left = np.maximum(0.0, xs - step)
+        fd = (sample(f, right) - sample(f, left)) / (right - left)
     p = problem._p[::2]
     q = problem._q[::2]
     rho = problem._rho[::2]
