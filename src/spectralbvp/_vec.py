@@ -36,8 +36,10 @@ def xp(x):
 def piecewise(x, edges, kernels, arg):
     """Evaluate ``kernels[i](x, xp, arg)`` element by element, where regime i
     holds the x with ``edges[i-1] < x <= edges[i]`` (edges ascending, one
-    fewer than kernels; NaN falls in the first regime of a float and the
-    last of an array, so kernels propagate it).
+    fewer than kernels).  The Bessel-type special functions reject
+    non-finite x before they get here; for other callers NaN falls in the
+    first regime of a float and the last of an array, so kernels propagate
+    it.
 
     A float picks its kernel by bisection; an array is split into one mask
     per regime and each kernel runs once on the elements it owns.

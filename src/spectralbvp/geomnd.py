@@ -16,6 +16,7 @@ import numpy as np
 
 from ._quad import adaptive_simpson, fixed_gauss, gauss_rule, gauss_sum, sample
 from ._vec import as_arg, full, piecewise, xp
+from .intervals import uniform_basis
 from .specfun import (
     ZeroFamily,
     assoc_legendre,
@@ -26,6 +27,7 @@ from .specfun import (
     spherical_bessel,
     spherical_bessel_zero,
 )
+from .sturm import DIRICHLET, NEUMANN
 
 __all__ = [
     "RectMembrane",
@@ -69,31 +71,19 @@ class RectMembrane:
             raise ValueError("membrane dimensions, speed and density must be positive")
 
 
+_EDGE_BC = {"fixed": DIRICHLET, "free": NEUMANN}
+
+
 def _axis_factor(bc: tuple[EdgeBC, EdgeBC], length: float, m: int):
-    """1-D eigenvalue and normalized factor for one coordinate direction."""
+    """1-D eigenvalue and normalized factor for one coordinate direction:
+    mode m of the interval basis, counted from 0 only for free-free edges."""
     lo, hi = bc
-    if lo == "fixed" and hi == "fixed":
-        if m < 1:
-            raise ValueError("fixed-fixed index starts at 1")
-        k = math.pi * m / length
-        return k * k, (lambda s, k=k: math.sqrt(2.0 / length) * xp(s).sin(k * s))
-    if lo == "fixed" and hi == "free":
-        if m < 1:
-            raise ValueError("fixed-free index starts at 1")
-        k = math.pi * (m - 0.5) / length
-        return k * k, (lambda s, k=k: math.sqrt(2.0 / length) * xp(s).sin(k * s))
-    if lo == "free" and hi == "fixed":
-        if m < 1:
-            raise ValueError("free-fixed index starts at 1")
-        k = math.pi * (m - 0.5) / length
-        return k * k, (lambda s, k=k: math.sqrt(2.0 / length) * xp(s).cos(k * s))
-    # free-free: cosine family with the constant mode at m = 0
-    if m < 0:
-        raise ValueError("free-free index starts at 0")
-    if m == 0:
-        return 0.0, (lambda s: full(s, 1.0 / math.sqrt(length)))
-    k = math.pi * m / length
-    return k * k, (lambda s, k=k: math.sqrt(2.0 / length) * xp(s).cos(k * s))
+    first = 0 if bc == ("free", "free") else 1
+    if m < first:
+        raise ValueError(f"{lo}-{hi} index starts at {first}")
+    mode = uniform_basis(length, _EDGE_BC[lo], _EDGE_BC[hi], m + 1 - first).modes[-1]
+    k = mode.xi / length
+    return k * k, mode.shape
 
 
 def rect_membrane_modes(spec: RectMembrane, m: int, n: int):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ._quad import adaptive_simpson, erfcx, fixed_gauss, gauss_rule, gauss_sum, sample
-from .intervals import UniformBasis, uniform_basis
+from .intervals import UniformBasis, _project, uniform_basis
 from .sturm import BoundaryCondition
 
 __all__ = [
@@ -304,12 +304,7 @@ def heat_interval_modes(
     """
     left, right = bc
     basis = uniform_basis(l, left, right, n_modes)
-    if u0 is None:
-        coeffs = [0.0] * len(basis)
-    else:
-        xs, _ = gauss_rule(0.0, l, 256)
-        data = sample(u0, xs)
-        coeffs = [gauss_sum(data * sample(mode.shape, xs), 0.0, l) for mode in basis.modes]
+    coeffs = _project(basis, u0)
     source_coeffs = None
     if source is not None:
         # mode shapes are sampled once; each f_n(tau) samples only the source

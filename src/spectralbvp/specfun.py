@@ -209,18 +209,29 @@ def _j_recurrence(x, xp, o: _BesselOrder):
 _J_KERNELS = ((_j_series, _j_hankel), (_j_series, _j_recurrence))
 
 
+def _finite(x):
+    """x as ``as_arg`` returns it; ValueError unless every element is finite
+    (the Bessel functions and their derivatives have no value at inf or NaN)."""
+    if type(x) is not float:
+        x = as_arg(x)
+    if not inside(x, -math.inf, math.inf, closed=False):
+        raise ValueError("x must be finite")
+    return x
+
+
 def bessel_j(m: int, x):
     """Bessel function J_m(x) for integer order m >= 0 and real x (a float or
     an array).
 
-    Regime selection: the defining power series wherever its float64
-    cancellation stays below ~1e-10 (|x| <= max(12, m)), the large-argument
-    asymptotic for orders 0 and 1 beyond that, and the three-term upward
-    recurrence (stable for m < x) for higher orders at large argument.
+    Regime selection: the defining power series for |x| <= max(12, m), where
+    its float64 cancellation stays below ~1e-10 up to about m = 30 and grows
+    to about 1e-8 near x = m = 40; the large-argument asymptotic for orders
+    0 and 1 beyond that, and the three-term upward recurrence (stable for
+    m < x) for higher orders at large argument.  Non-finite x raises
+    ValueError.
     """
     o = _BESSEL_ORDERS.get(m) or _order(m)
-    if type(x) is not float:
-        x = as_arg(x)
+    x = _finite(x)
     ax = abs(x)
     v = piecewise(ax, (o.reach,), _J_KERNELS[m > 1], o)
     return where(x < 0.0, -v, v) if m % 2 else v
@@ -329,8 +340,8 @@ def _n_hankel(x, xp, o: _BesselOrder):
 
 
 def bessel_n(m: int, x):
-    """Neumann function N_m(x) for integer m >= 0; requires x > 0 (a float or
-    an array).
+    """Neumann function N_m(x) for integer m >= 0; requires finite x > 0 (a
+    float or an array).
 
     N_0 comes from its logarithmic series (asymptotic beyond x = 12), N_1
     from the differentiated series, and higher orders from the upward
@@ -338,8 +349,7 @@ def bessel_n(m: int, x):
     is the growing solution.
     """
     o = _BESSEL_ORDERS.get(m) or _order(m)
-    if type(x) is not float:
-        x = as_arg(x)
+    x = _finite(x)
     if any_(x <= 0.0):
         raise ValueError("Neumann function requires x > 0 (logarithmic singularity at 0)")
     return piecewise(x, (_SERIES_X,), (_n_series, _n_hankel), o)
@@ -457,7 +467,7 @@ def zero_table(
     """First ``count`` positive roots of the requested family, cached.
 
     Roots are located by a sign-change scan seeded near the origin and
-    refined by bisection+secant to |f| <= 1e-10 on the scaled characteristic.
+    refined by Brent's method to |f| <= 1e-10 on the scaled characteristic.
     """
     family = ZeroFamily(family)
     key = (family, order, param)
@@ -469,8 +479,7 @@ def zero_table(
     roots: list[float] = list(cached.roots) if cached is not None else []
     scan_from = roots[-1] + 1e-9 if roots else start
     while len(roots) < count:
-        k_rel = 1
-        roots.append(nth_root_from_scan(f, scan_from, step, k_rel, ftol=1e-15))
+        roots.append(nth_root_from_scan(f, scan_from, step, 1, ftol=1e-15))
         scan_from = roots[-1] + 0.25 * step
     table = ZeroTable(family=family, order=order, roots=tuple(roots), tol=1e-10, param=param)
     _ZERO_CACHE[key] = table
@@ -599,11 +608,10 @@ def spherical_bessel(kind: str, n: int, x):
     j_n near 0 (|x| < 0.5, n <= 40) comes from its power series, and
     otherwise from the three-term recurrence: upward from the closed forms
     of j_0, j_1 when x >= n, downward (normalized by j_0) when n > x.  y_n
-    always recurs upward from y_0, y_1.
+    always recurs upward from y_0, y_1.  Non-finite x raises ValueError.
     """
     o = _SPH_ORDERS.get(n) or _sph_order(n)
-    if type(x) is not float:
-        x = as_arg(x)
+    x = _finite(x)
     ax = abs(x)
     if kind == "j":
         v = piecewise(ax, o.edges, o.kernels, o)

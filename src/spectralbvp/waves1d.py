@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._quad import adaptive_simpson, gauss_rule, gauss_sum, sample
-from .intervals import UniformBasis, uniform_basis
+from ._quad import adaptive_simpson
+from .intervals import UniformBasis, _project, uniform_basis
 from .sturm import BoundaryCondition
 
 __all__ = [
@@ -210,43 +210,29 @@ class ModeLaw:
         return ModeRegime.APERIODIC
 
     def q(self, t: float) -> float:
-        w, a0, b0, eta = self.omega, self.a_coef, self.b_coef, self.eta
-        if eta == 0.0:
-            if w == 0.0:
-                return a0 + b0 * t
-            return a0 * math.cos(w * t) + b0 * math.sin(w * t) / w
-        c0 = b0 + eta * a0
-        disc = w * w - eta * eta
-        e = math.exp(-eta * t)
-        if disc > 0.0:
-            om = math.sqrt(disc)
-            return e * (a0 * math.cos(om * t) + c0 * math.sin(om * t) / om)
-        if disc == 0.0:
-            return e * (a0 + c0 * t)
-        om = math.sqrt(-disc)
-        return e * (a0 * math.cosh(om * t) + c0 * math.sinh(om * t) / om)
+        s, ds = _impulse(self.omega, self.eta, t)
+        return self.a_coef * (ds + 2.0 * self.eta * s) + self.b_coef * s
 
     def qdot(self, t: float) -> float:
-        w, a0, b0, eta = self.omega, self.a_coef, self.b_coef, self.eta
-        if eta == 0.0:
-            if w == 0.0:
-                return b0
-            return -a0 * w * math.sin(w * t) + b0 * math.cos(w * t)
-        c0 = b0 + eta * a0
-        disc = w * w - eta * eta
-        e = math.exp(-eta * t)
-        if disc > 0.0:
-            om = math.sqrt(disc)
-            q = a0 * math.cos(om * t) + c0 * math.sin(om * t) / om
-            dq = -a0 * om * math.sin(om * t) + c0 * math.cos(om * t)
-        elif disc == 0.0:
-            q = a0 + c0 * t
-            dq = c0
-        else:
-            om = math.sqrt(-disc)
-            q = a0 * math.cosh(om * t) + c0 * math.sinh(om * t) / om
-            dq = a0 * om * math.sinh(om * t) + c0 * math.cosh(om * t)
-        return e * (dq - eta * q)
+        s, ds = _impulse(self.omega, self.eta, t)
+        return -self.a_coef * self.omega**2 * s + self.b_coef * ds
+
+
+def _impulse(omega: float, eta: float, t: float) -> tuple[float, float]:
+    """Impulse response S(t) of q'' + 2 eta q' + omega^2 q = 0 (S(0) = 0,
+    S'(0) = 1) and its derivative S'(t).  A coordinate with q(0) = a and
+    q'(0) = b is a (S' + 2 eta S) + b S; with omega = eta = 0 (drift) S = t."""
+    disc = omega * omega - eta * eta
+    e = math.exp(-eta * t)
+    if disc > 0.0:
+        om = math.sqrt(disc) if eta else omega
+        s, c = math.sin(om * t) / om, math.cos(om * t)
+    elif disc == 0.0:
+        s, c = t, 1.0
+    else:
+        om = math.sqrt(-disc)
+        s, c = math.sinh(om * t) / om, math.cosh(om * t)
+    return e * s, e * (c - eta * s)
 
 
 class ModalSolution:
@@ -304,20 +290,6 @@ class ModalSolution:
         return last * r / (1.0 - r) if r < 1.0 else math.inf
 
 
-def _project(basis: UniformBasis, func: Callable[[float], float] | None, l: float) -> list[float]:
-    if func is None:
-        return [0.0] * len(basis)
-    xs, _ = gauss_rule(0.0, l, 256)
-    data = sample(func, xs)
-    return [gauss_sum(data * sample(mode.shape, xs), 0.0, l) for mode in basis.modes]
-
-
-def _compatible(u0, bc: BoundaryCondition, end_value: float) -> bool:
-    if u0 is None or not bc.dirichlet:
-        return True
-    return abs(end_value) <= 1e-9
-
-
 def string_modes(
     medium: WaveMedium,
     bc: tuple[BoundaryCondition, BoundaryCondition],
@@ -337,8 +309,8 @@ def string_modes(
     if not math.isfinite(l):
         raise ValueError("modal solutions need a finite interval")
     basis = uniform_basis(l, left, right, n_modes)
-    a_coefs = _project(basis, u0, l)
-    b_coefs = _project(basis, v0, l)
+    a_coefs = _project(basis, u0)
+    b_coefs = _project(basis, v0)
     compatible = True
     if u0 is not None:
         if left.dirichlet and abs(u0(0.0)) > 1e-9:
@@ -486,22 +458,8 @@ def time_green_string(
         raise ValueError("time must be >= 0")
     left, right = bc
     basis = uniform_basis(medium.l, left, right, n_modes)
-    eta = medium.eta
     total = 0.0
     for mode in basis.modes:
-        wn = medium.a * math.sqrt(mode.lam)
-        if eta == 0.0:
-            factor = t if wn == 0.0 else math.sin(wn * t) / wn
-        else:
-            disc = wn * wn - eta * eta
-            e = math.exp(-eta * t)
-            if disc > 0.0:
-                om = math.sqrt(disc)
-                factor = e * math.sin(om * t) / om
-            elif disc == 0.0:
-                factor = e * t
-            else:
-                om = math.sqrt(-disc)
-                factor = e * math.sinh(om * t) / om
+        factor, _ = _impulse(medium.a * math.sqrt(mode.lam), medium.eta, t)
         total += factor * mode.shape(x) * mode.shape(xp)
     return total / medium.rho

@@ -317,3 +317,26 @@ def test_radial_family_residuals():
         specfun.bessel_zero("radial_robin", 0, 1)  # parameter required
     with pytest.raises(ValueError):
         specfun.bessel_zero("bessel_j", 0, 0)  # root index starts at 1
+
+
+NON_FINITE = [math.inf, -math.inf, math.nan, np.array([1.0, np.inf]), np.array([np.nan, 2.0])]
+
+
+@pytest.mark.parametrize("x", NON_FINITE, ids=["inf", "-inf", "nan", "array-inf", "array-nan"])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda x: specfun.bessel_j(0, x),
+        lambda x: specfun.bessel_j(3, x),
+        lambda x: specfun.bessel_j_prime(2, x),
+        lambda x: specfun.bessel_j_eval(1, x),
+        lambda x: specfun.bessel_n(1, x),
+        lambda x: specfun.bessel_n_prime(2, x),
+        lambda x: specfun.spherical_bessel("j", 2, x),
+        lambda x: specfun.spherical_bessel("y", 1, x),
+    ],
+    ids=["J0", "J3", "J2'", "J1 eval", "N1", "N2'", "j2", "y1"],
+)
+def test_bessel_functions_reject_non_finite_x(fn, x):
+    with pytest.raises(ValueError, match="x must be finite"):
+        fn(x)

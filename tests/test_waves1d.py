@@ -10,6 +10,7 @@ import pytest
 from spectralbvp import GIBBS_CONSTANT
 from spectralbvp.sturm import DIRICHLET, NEUMANN, BoundaryCondition
 from spectralbvp.waves1d import (
+    ModeLaw,
     ModeRegime,
     ResonanceError,
     WaveMedium,
@@ -224,6 +225,40 @@ def test_damped_critical_flag():
     sol = damped_modes(med, FIXED_ENDS, lambda x: math.sin(math.pi * x), None, 3)
     assert sol.laws[0].regime == ModeRegime.CRITICAL
     assert sol.laws[1].regime == ModeRegime.OSCILLATORY
+
+
+def _law_reference(law: ModeLaw, t: float) -> tuple[float, float]:
+    """q(t), q'(t) of q'' + 2 eta q' + omega^2 q = 0, q(0) = a, q'(0) = b,
+    written out per regime."""
+    w, a0, b0, eta = law.omega, law.a_coef, law.b_coef, law.eta
+    c0 = b0 + eta * a0
+    e = math.exp(-eta * t)
+    if law.regime == ModeRegime.DRIFT:
+        return a0 + b0 * t, b0
+    if law.regime == ModeRegime.CRITICAL:
+        q, dq = a0 + c0 * t, c0
+    elif law.regime == ModeRegime.OSCILLATORY:
+        om = math.sqrt(w * w - eta * eta)
+        q = a0 * math.cos(om * t) + c0 * math.sin(om * t) / om
+        dq = -a0 * om * math.sin(om * t) + c0 * math.cos(om * t)
+    else:
+        om = math.sqrt(eta * eta - w * w)
+        q = a0 * math.cosh(om * t) + c0 * math.sinh(om * t) / om
+        dq = a0 * om * math.sinh(om * t) + c0 * math.cosh(om * t)
+    return e * q, e * (dq - eta * q)
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.7, 2.0, 5.0])
+@pytest.mark.parametrize("eta", [0.0, 0.7, 2.0, 3.5])
+def test_mode_law_matches_each_regime(omega, eta):
+    for a0, b0 in ((1.0, 0.0), (0.0, 1.0), (0.37, -1.3)):
+        law = ModeLaw(omega, a0, b0, eta)
+        assert (law.q(0.0), law.qdot(0.0)) == pytest.approx((a0, b0), abs=1e-15)
+        for t in (0.25 * i for i in range(1, 29)):
+            q, dq = _law_reference(law, t)
+            scale = (abs(a0) + abs(b0)) * (1.0 + omega) * (1.0 + t)
+            assert abs(law.q(t) - q) <= 1e-14 * scale
+            assert abs(law.qdot(t) - dq) <= 1e-14 * scale * (1.0 + omega)
 
 
 def test_damped_energy_identity():
