@@ -14,8 +14,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from ._quad import fixed_gauss, gauss_rule, gauss_sum, sample
+import numpy as np
+
+from ._quad import fixed_gauss, gauss_rule, sample
 from ._rootfind import refine_root
+from ._series import contract, oscillator, outer, project
 from ._vec import as_arg, inside, xp
 from .specfun import ZeroFamily, zero_table
 
@@ -92,24 +95,25 @@ def beam_spectrum(bc_pair: BeamBC | str, k_max: int, c: float = 1.0, l: float = 
 # Mode shapes
 # ----------------------------------------------------------------------
 
-def _sigma(bc: BeamBC, mu: float) -> tuple[float, float]:
+def _sigma(bc: BeamBC, mu):
     """sigma = 1 + delta of the end pair and delta e^mu / 2, for the shapes
     (cosh -+ cos) - sigma (sinh -+ sin): sigma is (cosh mu - cos mu)/(sinh mu
     - sin mu), or (cosh mu + cos mu)/(sinh mu + sin mu) for clamped_free,
-    with numerator and denominator scaled by e^{-mu}."""
-    emu = math.exp(-mu)
+    with numerator and denominator scaled by e^{-mu}; mu one root or many."""
+    f = xp(mu)
+    emu = f.exp(-mu)
     if bc == BeamBC.CLAMPED_FREE:
-        num = emu + math.cos(mu) - math.sin(mu)
-        den = 0.5 * (1.0 - emu * emu) + math.sin(mu) * emu
+        num = emu + f.cos(mu) - f.sin(mu)
+        den = 0.5 * (1.0 - emu * emu) + f.sin(mu) * emu
     else:
-        num = emu + math.sin(mu) - math.cos(mu)
-        den = 0.5 * (1.0 - emu * emu) - math.sin(mu) * emu
+        num = emu + f.sin(mu) - f.cos(mu)
+        den = 0.5 * (1.0 - emu * emu) - f.sin(mu) * emu
     return 1.0 + emu * num / den, num / (2.0 * den)
 
 
-def _mode_raw(bc: BeamBC, mu: float, z):
+def _mode_raw(bc: BeamBC, mu, z):
     """Dimensionless shape at z = mu x / l, z in [0, mu] (a float or an
-    array), unnormalized.
+    array), unnormalized; for an array of roots mu, z has a column each.
 
     The textbook combinations (cosh -+ cos) - sigma (sinh -+ sin) are
     rearranged so every exponentially large piece is multiplied by its
@@ -126,17 +130,20 @@ def _mode_raw(bc: BeamBC, mu: float, z):
     return hyper - trig if bc == BeamBC.FREE_FREE else hyper + trig
 
 
-_NORM_CACHE: dict[tuple[BeamBC, int], float] = {}
+def _mode_norm(bc: BeamBC, mu: float, n: int | None = None) -> float:
+    """sqrt(int_0^1 X(mu s)^2 ds) of the raw dimensionless shape by a
+    160-point Gauss rule: the quadrature reference for the endpoint identity
+    of ``beam_mode_norm2_endpoint``."""
+    return math.sqrt(fixed_gauss(lambda s: _mode_raw(bc, mu, mu * s) ** 2, 0.0, 1.0, n=160))
 
 
-def _mode_norm(bc: BeamBC, mu: float, n: int) -> float:
-    """sqrt(int_0^1 X(mu s)^2 ds) of the raw dimensionless shape."""
-    key = (bc, n)
-    got = _NORM_CACHE.get(key)
-    if got is None:
-        got = math.sqrt(fixed_gauss(lambda s: _mode_raw(bc, mu, mu * s) ** 2, 0.0, 1.0, n=160))
-        _NORM_CACHE[key] = got
-    return got
+def _shapes(bc: BeamBC, mu, l: float, x):
+    """Modes of unit L2 norm on [0, l] at x (a float or an array in [0, l]):
+    one mode for a float root mu, (points x modes) for an array of roots."""
+    x = as_arg(x)
+    if not inside(x, 0.0, l):
+        raise ValueError("x must lie in [0, l]")
+    return _mode_raw(bc, mu, outer(x, mu) / l) / (xp(mu).sqrt(_norm2(bc, mu)) * math.sqrt(l))
 
 
 def beam_mode(bc_pair: BeamBC | str, n: int, x, l: float = 1.0):
@@ -145,33 +152,36 @@ def beam_mode(bc_pair: BeamBC | str, n: int, x, l: float = 1.0):
     bc = BeamBC(bc_pair)
     if n < 1:
         raise ValueError("mode index must be >= 1")
-    x = as_arg(x)
-    if not inside(x, 0.0, l):
-        raise ValueError("x must lie in [0, l]")
-    mu = beam_char_roots(bc, n)[n - 1]
-    raw = _mode_raw(bc, mu, mu * x / l)
-    return raw / (_mode_norm(bc, mu, n) * math.sqrt(l))
+    return _shapes(bc, beam_char_roots(bc, n)[n - 1], l, x)
 
 
-def _mode_derivatives(bc: BeamBC, mu: float, z: float):
+def _mode_derivatives(bc: BeamBC, mu, z):
     """Value and first three z-derivatives of the raw shape, analytic.
 
     The hyperbolic part H = cosh - sigma sinh obeys H'' = H, and the trig
     part flips sign under two derivatives, so all four values come from the
     same stable exponential regrouping used by ``_mode_raw``.
     """
+    f = xp(z)
     if bc == BeamBC.PINNED_PINNED:
-        return math.sin(z), math.cos(z), -math.sin(z), -math.cos(z)
+        return f.sin(z), f.cos(z), -f.sin(z), -f.cos(z)
     sigma, delta_scaled = _sigma(bc, mu)
-    ep = math.exp(z - mu)
-    em = math.exp(-z)
+    ep = f.exp(z - mu)
+    em = f.exp(-z)
     h_val = 0.5 * em * (1.0 + sigma) - delta_scaled * ep
     h_der = -0.5 * em * (1.0 + sigma) - delta_scaled * ep
-    t_val = -math.cos(z) + sigma * math.sin(z)
-    t_der = math.sin(z) + sigma * math.cos(z)
+    t_val = -f.cos(z) + sigma * f.sin(z)
+    t_der = f.sin(z) + sigma * f.cos(z)
     if bc == BeamBC.FREE_FREE:
         t_val, t_der = -t_val, -t_der
     return h_val + t_val, h_der + t_der, h_val - t_val, h_der - t_der
+
+
+def _norm2(bc: BeamBC, mu):
+    """int_0^1 X(mu s)^2 ds of the raw shape from its endpoint values (see
+    ``beam_mode_norm2_endpoint``), for one root or an array of roots."""
+    v, d1, d2, d3 = _mode_derivatives(bc, mu, mu)
+    return 0.25 * (v * v + d2 * d2 - 2.0 * d1 * d3)
 
 
 def beam_mode_norm2_endpoint(bc_pair: BeamBC | str, n: int) -> float:
@@ -184,9 +194,7 @@ def beam_mode_norm2_endpoint(bc_pair: BeamBC | str, n: int) -> float:
     off-pattern boundary terms.
     """
     bc = BeamBC(bc_pair)
-    mu = beam_char_roots(bc, n)[n - 1]
-    v, d1, d2, d3 = _mode_derivatives(bc, mu, mu)
-    return 0.25 * (v * v + d2 * d2 - 2.0 * d1 * d3)
+    return _norm2(bc, beam_char_roots(bc, n)[n - 1])
 
 
 def beam_response(
@@ -200,20 +208,12 @@ def beam_response(
     """Free bending vibration u(x, t) = sum q_n(t) X_n(x) from initial shape
     u0 and velocity v0, truncated at n_modes."""
     bc, l, c = spectrum.bc_pair, spectrum.l, spectrum.c
-    xs, _ = gauss_rule(0.0, l, 192)
-    u_at = sample(u0, xs) if u0 is not None else None
-    v_at = sample(v0, xs) if v0 is not None else None
-    total = 0.0
-    for n in range(1, n_modes + 1):
-        mode = lambda xx: beam_mode(bc, n, xx, l)
-        mode_at = sample(mode, xs)
-        a_n = gauss_sum(u_at * mode_at, 0.0, l) if u_at is not None else 0.0
-        b_n = gauss_sum(v_at * mode_at, 0.0, l) if v_at is not None else 0.0
-        mu = beam_char_roots(bc, n)[n - 1]
-        w = c * mu * mu / (l * l)
-        q = a_n * math.cos(w * t) + (b_n / w) * math.sin(w * t)
-        total += q * mode(x)
-    return total
+    mus = np.array(beam_char_roots(bc, n_modes))
+    xs, w = gauss_rule(0.0, l, 192)
+    phi = _shapes(bc, mus, l, xs)
+    a = project(phi, w, sample(u0, xs)) if u0 is not None else 0.0
+    b = project(phi, w, sample(v0, xs)) if v0 is not None else 0.0
+    return contract(_shapes(bc, mus, l, x), oscillator(c * mus * mus / (l * l), a, b, 0.0, t)[0])
 
 
 def free_free_zero_modes(l: float = 1.0) -> tuple[Callable[[float], float], Callable[[float], float]]:

@@ -148,7 +148,8 @@ def _run_heat_interval(p: dict):
     bc = (_bc_from_string(p["left"]), _bc_from_string(p["right"]))
     sol = heat_interval_modes(bc, lambda x: p["T0"], medium, p["l"], p["n_modes"])
     xs = [p["l"] * i / p["grid"] for i in range(p["grid"] + 1)]
-    rows = {"x": xs, "u": [sol(x, p["t"]) for x in xs]}
+    # one array call; .tolist() gives the Python floats that _format_cell reprs
+    rows = {"x": xs, "u": sol(xs, p["t"]).tolist()}
     taus = [t for t in sol.relaxation_times if math.isfinite(t)]
     return rows, {
         "truncation": p["n_modes"],

@@ -14,16 +14,17 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from ._quad import adaptive_simpson, fixed_gauss, gauss_rule, gauss_sum, sample
+from ._quad import adaptive_simpson, fixed_gauss, gauss_rule, sample
+from ._series import contract, oscillator, outer, project
 from ._vec import as_arg, full, piecewise, xp
 from .intervals import uniform_basis
 from .specfun import (
     ZeroFamily,
+    _legendre_columns,
     assoc_legendre,
     bessel_j,
     bessel_j_prime,
     bessel_zero,
-    legendre,
     spherical_bessel,
     spherical_bessel_zero,
 )
@@ -195,42 +196,41 @@ def disk_axisym_solution(
     radial modes; an optional force surface density F(r, t) adds the
     sin-convolution response of each mode.
     """
-    zeros = [0.0] * n_modes
-    a_coefs = disk_axisym_coefficients(spec, u0, n_modes) if u0 is not None else zeros
-    b_coefs = disk_axisym_coefficients(spec, v0, n_modes) if v0 is not None else zeros
-    rf, _ = gauss_rule(0.0, spec.radius, 96)
-    total = 0.0
-    for k, a_k, b_k in zip(range(1, n_modes + 1), a_coefs, b_coefs):
-        alpha, chi = _disk_radial(spec, 0, k)
-        omega = alpha * spec.a / spec.radius
-        q = a_k * math.cos(omega * t) + (b_k / omega) * math.sin(omega * t)
-        if force is not None:
-            chi_at = sample(chi, rf)
-            q += (
-                adaptive_simpson(
-                    lambda tau: math.sin(omega * (t - tau))
-                    * gauss_sum(rf * sample(lambda s: force(s, tau), rf) * chi_at, 0.0, spec.radius),
-                    0.0,
-                    t,
-                    tol=1e-9,
-                )
-                / (omega * spec.rho)
-            )
-        total += q * chi(r)
-    return total
+    alphas, phi = _disk_family(spec, n_modes)
+    a = np.array(disk_axisym_coefficients(spec, u0, n_modes)) if u0 is not None else 0.0
+    b = np.array(disk_axisym_coefficients(spec, v0, n_modes)) if v0 is not None else 0.0
+    omega = alphas * spec.a / spec.radius
+    q = oscillator(omega, a, b, 0.0, t)[0]
+    if force is not None:
+        rf, wf = gauss_rule(0.0, spec.radius, 96)
+        load = lambda tau, chi: float(project(chi, wf * rf, sample(lambda x: force(x, tau), rf)))
+        q = q + [
+            adaptive_simpson(lambda tau: math.sin(w * (t - tau)) * load(tau, chi), 0.0, t, tol=1e-9) / (w * spec.rho)
+            for chi, w in zip(phi(rf).T, omega.tolist())
+        ]
+    return contract(phi(r), q)
 
 
 def disk_axisym_coefficients(
     spec: DiskMembrane, u0: Callable[[float], float], n_modes: int
 ) -> list[float]:
     """Projections of u0(r) on the normalized axisymmetric radial modes."""
-    rr, _ = gauss_rule(0.0, spec.radius, 192)
-    data = rr * sample(u0, rr)
-    out = []
-    for k in range(1, n_modes + 1):
-        _, chi = _disk_radial(spec, 0, k)
-        out.append(gauss_sum(data * sample(chi, rr), 0.0, spec.radius))
-    return out
+    _, phi = _disk_family(spec, n_modes)
+    rr, w = gauss_rule(0.0, spec.radius, 192)
+    return project(phi(rr), w * rr, sample(u0, rr)).tolist()
+
+
+def _disk_family(spec: DiskMembrane, n_modes: int):
+    """Roots alpha_k and Phi(r) of the first n_modes normalized axisymmetric
+    radial modes sqrt(2) J_0(alpha_k r/R) / (R |J_0'(alpha_k)|)."""
+    alphas = _j_zeros(0, n_modes)
+    scale = math.sqrt(2.0) / (spec.radius * np.abs(bessel_j_prime(0, alphas)))
+    return alphas, (lambda r: scale * bessel_j(0, outer(r, alphas) / spec.radius))
+
+
+def _j_zeros(m: int, count: int) -> np.ndarray:
+    """The first count positive zeros of J_m."""
+    return np.array([bessel_zero(ZeroFamily.BESSEL_J, m, k) for k in range(1, count + 1)])
 
 
 def disk_pressure_steady_amplitude(spec: DiskMembrane, p0: float, omega: float, r: float) -> float:
@@ -273,66 +273,33 @@ def cylinder_cooling(
         raise ValueError("half-infinite reduction needs radial initial data T0(r)")
     if not half_infinite and not -height / 2.0 <= z <= height / 2.0:
         raise ValueError("axial coordinate outside the cylinder")
-    alphas = [bessel_zero(ZeroFamily.BESSEL_J, 0, k) for k in range(1, n_radial + 1)]
-    j0_shapes = [(lambda s, a=alpha: bessel_j(0, a * s / radius)) for alpha in alphas]
+    alphas = _j_zeros(0, n_radial)
+    rad_norm = 2.0 / (radius**2 * bessel_j_prime(0, alphas) ** 2)
+    rad_rate = (alphas / radius) ** 2
+    # axial modes sqrt(2/H) sin(n pi s/H) in s = z + H/2
     if takes_z:
-        # T0(r, z) is sampled once on the 96 x 96 grid; each (k, n)
+        # T0(r, z) is sampled once on the 96 x 96 grid; each (n, k)
         # coefficient is (w_r r J_0) . T . (w_z axial_n)
+        axial = uniform_basis(height, DIRICHLET, DIRICHLET, n_axial)
         rr, wr = gauss_rule(0.0, radius, 96)
         zz, wz = gauss_rule(-height / 2.0, height / 2.0, 96)
-        grid = sample(t0, rr, zz)
+        by_r = project(axial._shapes(zz + height / 2.0), wz, sample(t0, rr, zz))
+        coef = rad_norm * project(bessel_j(0, outer(rr, alphas) / radius), wr * rr, by_r.T)
+        ax_here, ax_rate = axial._shapes(z + height / 2.0), np.array(axial.eigenvalues)
     else:
-        rr, _ = gauss_rule(0.0, radius, 192)
-        weighted = rr * sample(t0, rr)
-        radial_projs = [gauss_sum(weighted * sample(j0, rr), 0.0, radius) for j0 in j0_shapes]
-    total = 0.0
-    if half_infinite:
-        for alpha, proj in zip(alphas, radial_projs):
-            norm = 2.0 / (radius**2 * bessel_j_prime(0, alpha) ** 2)
-            total += (
-                norm
-                * proj
-                * math.exp(-(alpha / radius) ** 2 * a2 * t)
-                * bessel_j(0, alpha * r / radius)
-            )
-        return total
-    for k, alpha in enumerate(alphas):
-        rad_norm = 2.0 / (radius**2 * bessel_j_prime(0, alpha) ** 2)
-        mu_k = (alpha / radius) ** 2
-        rad_here = bessel_j(0, alpha * r / radius)
-        if takes_z:
-            radial_row = (wr * rr * sample(j0_shapes[k], rr)) @ grid
-            for n in range(1, n_axial + 1):
-                kz = math.pi * n / height
-                if n % 2 == 1:
-                    axial, axial_here = np.cos(kz * zz), math.cos(kz * z)
-                else:
-                    axial, axial_here = np.sin(kz * zz), math.sin(kz * z)
-                proj = float(np.dot(radial_row, wz * axial))
-                total += (
-                    rad_norm
-                    * (2.0 / height)
-                    * proj
-                    * math.exp(-(mu_k + kz * kz) * a2 * t)
-                    * rad_here
-                    * axial_here
-                )
+        rr, wr = gauss_rule(0.0, radius, 192)
+        radial = rad_norm * project(bessel_j(0, outer(rr, alphas) / radius), wr * rr, sample(t0, rr))
+        if half_infinite:
+            coef, ax_here, ax_rate = radial[None, :], np.ones(1), np.zeros(1)
         else:
-            # axial projection of z-uniform data is elementary: only odd
-            # cosine modes survive, with weight 2H(-1)^p/(pi (2p+1))
-            p = np.arange(0, n_axial)
-            nn = 2 * p + 1
-            kz = math.pi * nn / height
-            axial_sum = float(
-                np.sum(
-                    (4.0 / (math.pi * nn))
-                    * (-1.0) ** p
-                    * np.exp(-(mu_k + kz * kz) * a2 * t)
-                    * np.cos(kz * z)
-                )
-            )
-            total += rad_norm * radial_projs[k] * axial_sum * rad_here
-    return total
+            # z-uniform data has only the odd axial modes, with the
+            # elementary weights int_0^H X_n ds = 2 sqrt(2H)/(pi n)
+            axial = uniform_basis(height, DIRICHLET, DIRICHLET, 2 * n_axial)
+            nn = np.arange(1, 2 * n_axial, 2)
+            coef = np.multiply.outer(2.0 * math.sqrt(2.0 * height) / (math.pi * nn), radial)
+            ax_here, ax_rate = axial._shapes(z + height / 2.0)[::2], np.array(axial.eigenvalues[::2])
+    decay = np.exp(-np.add.outer(ax_rate, rad_rate) * a2 * t)
+    return contract(ax_here, (coef * decay) @ bessel_j(0, alphas * r / radius))
 
 
 def _arity_two(f) -> bool:
@@ -380,21 +347,36 @@ def _ball_gamma(spec: BallSpec, k: int) -> float:
     return bessel_zero(ZeroFamily.RADIAL_ROBIN, 0, k, param=spec.h * spec.radius)
 
 
-def _sin_over_r_small(r, f, g: float):
-    u = g * r
-    return g * (1.0 - u * u / 6.0)
+def _sinc_small(u, f, _):
+    return 1.0 - u * u / 6.0
 
 
-def _sin_over_r_direct(r, f, g: float):
-    return f.sin(g * r) / r
+def _sinc_direct(u, f, _):
+    return f.sin(u) / u
 
 
-def _sin_over_r(gamma_over_R: float, r):
-    """sin(g r)/r for g > 0 (even in r), from its Taylor expansion where
-    |g r| < 1e-6."""
-    r = as_arg(r)
-    edge = math.nextafter(1e-6 / gamma_over_R, 0.0)
-    return piecewise(abs(r), (edge,), (_sin_over_r_small, _sin_over_r_direct), gamma_over_R)
+def _sin_over_r(g, r):
+    """sin(g r)/r for g > 0 (even in r) as g sin(u)/u, u = g r, from the
+    Taylor expansion of sin(u)/u where |u| < 1e-6; one g gives the shape of
+    r, an array of g one column per g."""
+    u = outer(as_arg(r), g)
+    return g * piecewise(abs(u), (math.nextafter(1e-6, 0.0),), (_sinc_small, _sinc_direct), None)
+
+
+def _ball_modes(spec: BallSpec, gamma):
+    """Eigenvalues gamma^2/R^2 and the radial modes C sin(gamma r/R)/r of
+    unit norm over the ball volume, for one root or an array of roots."""
+    big_r = spec.radius
+    f = xp(gamma)
+    if spec.bc == BallBC.DIRICHLET:
+        c = 1.0 / math.sqrt(2.0 * math.pi * big_r)
+    elif spec.bc == BallBC.NEUMANN:
+        c = f.sqrt(1.0 + gamma * gamma) / (gamma * math.sqrt(2.0 * math.pi * big_r))
+    else:
+        hr = spec.h * big_r
+        c = f.sqrt((gamma**2 + (hr - 1.0) ** 2) / (gamma**2 + (hr - 1.0) * hr)) / math.sqrt(2.0 * math.pi * big_r)
+    g = gamma / big_r
+    return (gamma / big_r) ** 2, (lambda r: c * _sin_over_r(g, r))
 
 
 def ball_radial_modes(spec: BallSpec, k: int):
@@ -402,20 +384,7 @@ def ball_radial_modes(spec: BallSpec, k: int):
     Phi_k(r) = C_k sin(gamma_k r/R)/r with unit norm over the ball volume."""
     if k < 1:
         raise ValueError("radial index starts at 1")
-    big_r = spec.radius
-    gamma = _ball_gamma(spec, k)
-    lam = (gamma / big_r) ** 2
-    if spec.bc == BallBC.DIRICHLET:
-        c = 1.0 / math.sqrt(2.0 * math.pi * big_r)
-    elif spec.bc == BallBC.NEUMANN:
-        c = math.sqrt(1.0 + gamma * gamma) / (gamma * math.sqrt(2.0 * math.pi * big_r))
-    else:
-        hr = spec.h * big_r
-        c = math.sqrt((gamma**2 + (hr - 1.0) ** 2) / (gamma**2 + (hr - 1.0) * hr)) / math.sqrt(
-            2.0 * math.pi * big_r
-        )
-    g_over_r = gamma / big_r
-    return lam, (lambda r, c=c, g=g_over_r: c * _sin_over_r(g, r))
+    return _ball_modes(spec, _ball_gamma(spec, k))
 
 
 class BallProblem(str, Enum):
@@ -445,44 +414,27 @@ def ball_solution(
     """
     problem = BallProblem(problem)
     big_r = spec.radius
-    if problem == BallProblem.COOLING:
+    if problem in (BallProblem.COOLING, BallProblem.SOURCES):
         r = float(point)
-        rr, _ = gauss_rule(0.0, big_r, 256)
-        weighted = rr * rr * sample(data, rr)
-        total = 0.0
-        for k in range(1, n_modes + 1):
-            lam, phi = ball_radial_modes(spec, k)
-            a_k = 4.0 * math.pi * gauss_sum(weighted * sample(phi, rr), 0.0, big_r)
-            total += a_k * math.exp(-lam * spec.a2 * t) * phi(r)
-        return total
-    if problem == BallProblem.SOURCES:
-        q = float(data)
-        r = float(point)
-        if math.isinf(t):
-            return _ball_steady_sources(spec, q, r, conductivity)
-        rr, _ = gauss_rule(0.0, big_r, 256)
-        total = 0.0
-        for k in range(1, n_modes + 1):
-            lam, phi = ball_radial_modes(spec, k)
-            f_k = (q / conductivity) * spec.a2 * 4.0 * math.pi * gauss_sum(
-                rr * rr * sample(phi, rr), 0.0, big_r
-            )
-            rate = lam * spec.a2
-            theta_k = f_k * (1.0 - math.exp(-rate * t)) / rate
-            total += theta_k * phi(r)
-        return total
+        if problem == BallProblem.SOURCES and math.isinf(t):
+            return _ball_steady_sources(spec, float(data), r, conductivity)
+        lam, phi = _ball_modes(spec, np.array([_ball_gamma(spec, k) for k in range(1, n_modes + 1)]))
+        rr, w = gauss_rule(0.0, big_r, 256)
+        if problem == BallProblem.COOLING:
+            a = 4.0 * math.pi * project(phi(rr), w * rr * rr, sample(data, rr))
+            return contract(phi(r), a * np.exp(-lam * spec.a2 * t))
+        f = (float(data) / conductivity) * spec.a2 * 4.0 * math.pi * project(phi(rr), w, rr * rr)
+        rate = lam * spec.a2
+        return contract(phi(r), f * (1.0 - np.exp(-rate * t)) / rate)
     if problem == BallProblem.AXISYM_COOLING:
         r, theta = point
         return _ball_axisym_cooling(spec, data, n_modes, r, theta, t)
     if problem == BallProblem.LAPLACE_DIRICHLET:
         r, theta = point
-        xs, _ = gauss_rule(-1.0, 1.0, 160)
-        surface = sample(data, np.arccos(xs))
-        total = 0.0
-        for n in range(0, n_modes):
-            a_n = (n + 0.5) * gauss_sum(surface * legendre("P", n, xs), -1.0, 1.0)
-            total += a_n * (r / big_r) ** n * legendre("P", n, math.cos(theta))
-        return total
+        xs, w = gauss_rule(-1.0, 1.0, 160)
+        degrees = np.arange(n_modes)
+        a = (degrees + 0.5) * project(_legendre_columns(n_modes, xs), w, sample(data, np.arccos(xs)))
+        return contract(_legendre_columns(n_modes, math.cos(theta)), a * (r / big_r) ** degrees)
     raise ValueError(f"unsupported problem kind {problem}")
 
 
@@ -510,30 +462,20 @@ def _ball_axisym_cooling(spec: BallSpec, t0, n_modes: int, r: float, theta: floa
     if spec.bc != BallBC.DIRICHLET:
         raise NotImplementedError("axisymmetric cooling implemented for the clamped surface")
     big_r = spec.radius
-    total = 0.0
     # T0(r, theta) is sampled once on the 128 x 96 grid; each (n, k)
     # coefficient is (w_r r^2 j_n(alpha r/R)) . T . (w_x P_n(x)), x = cos(theta)
     rr, wr = gauss_rule(0.0, big_r, 128)
     xs, ws = gauss_rule(-1.0, 1.0, 96)
-    grid = sample(t0, rr, np.arccos(xs))
-    for n in range(0, n_modes):
-        angular = grid @ (ws * legendre("P", n, xs))
-        ang_norm = 2.0 / (2 * n + 1)
-        p_here = legendre("P", n, math.cos(theta))
-        for k in range(1, n_modes + 1):
-            alpha = spherical_bessel_zero(n, k)
-            lam = (alpha / big_r) ** 2
-            rad_norm = _ball_radial_norm(n, alpha, big_r)
-            j_n = spherical_bessel("j", n, alpha * rr / big_r)
-            proj = float(np.dot(wr * rr * rr * j_n, angular))
-            coeff = proj / (rad_norm * ang_norm)
-            total += (
-                coeff
-                * math.exp(-lam * spec.a2 * t)
-                * spherical_bessel("j", n, alpha * r / big_r)
-                * p_here
-            )
-    return total
+    angular = project(_legendre_columns(n_modes, xs), ws, sample(t0, rr, np.arccos(xs)))
+    p_here = _legendre_columns(n_modes, math.cos(theta))
+    phi, amps = [], []
+    for n in range(n_modes):
+        alphas = np.array([spherical_bessel_zero(n, k) for k in range(1, n_modes + 1)])
+        proj = project(spherical_bessel("j", n, outer(rr, alphas) / big_r), wr * rr * rr, angular[:, n])
+        coeff = proj / (_ball_radial_norm(n, alphas, big_r) * (2.0 / (2 * n + 1)))
+        amps.append(coeff * np.exp(-((alphas / big_r) ** 2) * spec.a2 * t))
+        phi.append(spherical_bessel("j", n, alphas * r / big_r) * p_here[n])
+    return contract(np.concatenate(phi), np.concatenate(amps))
 
 
 # ----------------------------------------------------------------------
@@ -564,34 +506,16 @@ def expand_series(
     sum c_n P_n(x).
     """
     if kind == "fourier_bessel":
-        rs, _ = gauss_rule(0.0, radius, 256)
-        weighted = rs * sample(f, rs)
-        coeffs = []
-        alphas = []
-        for k in range(1, n_terms + 1):
-            alpha = bessel_zero(ZeroFamily.BESSEL_J, m, k)
-            alphas.append(alpha)
-            shape = sample(lambda r: bessel_j(m, alpha * r / radius), rs)
-            c = (
-                2.0
-                / (radius**2 * bessel_j_prime(m, alpha) ** 2)
-                * gauss_sum(weighted * shape, 0.0, radius)
-            )
-            coeffs.append(c)
-
-        def reconstruct(r: float) -> float:
-            return sum(c * bessel_j(m, a * r / radius) for c, a in zip(coeffs, alphas))
-
-        return SeriesExpansion(kind, coeffs, reconstruct)
+        alphas = _j_zeros(m, n_terms)
+        rs, w = gauss_rule(0.0, radius, 256)
+        norms = 2.0 / (radius**2 * bessel_j_prime(m, alphas) ** 2)
+        coeffs = norms * project(bessel_j(m, outer(rs, alphas) / radius), w * rs, sample(f, rs))
+        reconstruct = lambda r: contract(bessel_j(m, outer(r, alphas) / radius), coeffs)
+        return SeriesExpansion(kind, coeffs.tolist(), reconstruct)
     if kind == "legendre":
-        xs, _ = gauss_rule(-1.0, 1.0, max(160, 2 * n_terms))
-        values = sample(f, xs)
-        coeffs = [(n + 0.5) * gauss_sum(values * legendre("P", n, xs), -1.0, 1.0) for n in range(0, n_terms)]
-
-        def reconstruct(x: float) -> float:
-            return sum(c * legendre("P", n, x) for n, c in enumerate(coeffs))
-
-        return SeriesExpansion(kind, coeffs, reconstruct)
+        xs, w = gauss_rule(-1.0, 1.0, max(160, 2 * n_terms))
+        coeffs = (np.arange(n_terms) + 0.5) * project(_legendre_columns(n_terms, xs), w, sample(f, xs))
+        return SeriesExpansion(kind, coeffs.tolist(), lambda x: contract(_legendre_columns(n_terms, x), coeffs))
     raise ValueError("kind must be 'fourier_bessel' or 'legendre'")
 
 

@@ -17,7 +17,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from ._quad import adaptive_simpson, erfcx, fixed_gauss, gauss_rule, gauss_sum, sample
+import numpy as np
+
+from ._quad import adaptive_simpson, erfcx, fixed_gauss, gauss_rule, sample
+from ._series import contract, project
 from .intervals import UniformBasis, _project, uniform_basis
 from .sturm import BoundaryCondition
 
@@ -255,7 +258,7 @@ class HeatModalSolution:
         lam_last = self.basis.modes[-1].lam
         return math.exp(-lam_last * self.medium.a2 * t)
 
-    def __call__(self, x: float, t: float) -> float:
+    def __call__(self, x, t: float):
         a2 = self.medium.a2
         if self.truncation_factor(t) > 1e-14:
             warnings.warn(
@@ -263,13 +266,11 @@ class HeatModalSolution:
                 f"an unresolved mode envelope of size {self.truncation_factor(t):.2e}",
                 stacklevel=2,
             )
-        total = 0.0
-        for j, mode in enumerate(self.basis.modes):
-            amp = self.coefficients[j] * math.exp(-mode.lam * a2 * t)
-            if self._source_coeffs is not None:
-                fn = self._source_coeffs[j]
-                amp += _forced_amplitude(fn, mode.lam * a2, t)
-            total += amp * mode.shape(x)
+        rates = np.array(self.basis.eigenvalues) * a2
+        amps = np.array(self.coefficients) * np.exp(-rates * t)
+        if self._source_coeffs is not None:
+            amps += [_forced_amplitude(fn, rate, t) for fn, rate in zip(self._source_coeffs, rates.tolist())]
+        total = contract(self.basis._shapes(x), amps)
         if self.medium.absorption > 0.0:
             total *= math.exp(-self.medium.absorption * t)
         return total
@@ -308,10 +309,10 @@ def heat_interval_modes(
     source_coeffs = None
     if source is not None:
         # mode shapes are sampled once; each f_n(tau) samples only the source
-        xs, _ = gauss_rule(0.0, l, 128)
+        xs, w = gauss_rule(0.0, l, 128)
         source_coeffs = [
-            (lambda tau, m=sample(mode.shape, xs): gauss_sum(sample(lambda x: source(x, tau), xs) * m, 0.0, l))
-            for mode in basis.modes
+            (lambda tau, m=m: float(project(m, w, sample(lambda x: source(x, tau), xs))))
+            for m in basis._shapes(xs).T
         ]
     return HeatModalSolution(basis, medium, coeffs, source_coeffs)
 

@@ -15,9 +15,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from ._quad import gauss_rule, gauss_sum, sample
+import numpy as np
+
+from ._quad import gauss_rule, sample
 from ._rootfind import refine_root
-from ._vec import xp
+from ._series import outer, project
+from ._vec import as_arg, xp
 from .sturm import BoundaryCondition
 
 __all__ = ["UniformMode", "UniformBasis", "uniform_basis", "robin_xi_roots", "robin_norm_constant"]
@@ -49,7 +52,10 @@ class UniformBasis:
         self.l = float(l)
         self.left = left
         self.right = right
-        self.modes: list[UniformMode] = _build_modes(self.l, left, right, n_modes)
+        xi, c = _roots_and_norms(self.l, left, right, n_modes)
+        self.modes: list[UniformMode] = [_mode(i, self.l, left, x, cc) for i, (x, cc) in enumerate(zip(xi, c))]
+        self._k = np.array(xi) / self.l
+        self._c = np.array(c)
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -57,6 +63,16 @@ class UniformBasis:
     @property
     def eigenvalues(self) -> list[float]:
         return [m.lam for m in self.modes]
+
+    def _shapes(self, x):
+        """Phi(x): every normalized mode at x (a float or an array), modes
+        along the last axis; the closed form of ``_mode`` per column."""
+        kx = outer(as_arg(x), self._k)
+        if self.left.dirichlet:
+            return self._c * np.sin(kx)
+        # h1/k; k = 0 only for the constant mode, where h1 = 0
+        g = self.left.h / np.where(self._k > 0.0, self._k, 1.0)
+        return self._c * (np.cos(kx) + g * np.sin(kx))
 
 
 def uniform_basis(l: float, left: BoundaryCondition, right: BoundaryCondition, n_modes: int) -> UniformBasis:
@@ -155,26 +171,24 @@ def _mode(index: int, l: float, left: BoundaryCondition, xi: float, c: float) ->
     return UniformMode(index, xi, k**2, shape, dshape, is_zero_mode=xi == 0.0)
 
 
-def _build_modes(l: float, left: BoundaryCondition, right: BoundaryCondition, n_modes: int) -> list[UniformMode]:
+def _roots_and_norms(l: float, left: BoundaryCondition, right: BoundaryCondition, n_modes: int):
+    """Roots xi_n and norm constants c_n of the first n_modes modes."""
     etas = (_eta(left, l), _eta(right, l))
     robin = _has_robin(*etas)
-    modes = []
-    for i, xi in enumerate(_phase_roots(*etas, range(1, n_modes + 1))):
-        if not robin:
-            # sin(2 xi) = 0 at these roots, so the norm is exactly sqrt(2/l)
-            c = 1.0 / math.sqrt(l) if xi == 0.0 else math.sqrt(2.0 / l)
-        elif left.dirichlet:
-            c = _norm_constant(l, xi, 0.0, 1.0)
-        else:
-            c = robin_norm_constant(l, left.h, xi)
-        modes.append(_mode(i, l, left, xi, c))
-    return modes
+    xi = _phase_roots(*etas, range(1, n_modes + 1))
+    if not robin:
+        # sin(2 xi) = 0 at these roots, so the norm is exactly sqrt(2/l)
+        c = [1.0 / math.sqrt(l) if x == 0.0 else math.sqrt(2.0 / l) for x in xi]
+    elif left.dirichlet:
+        c = [_norm_constant(l, x, 0.0, 1.0) for x in xi]
+    else:
+        c = [robin_norm_constant(l, left.h, x) for x in xi]
+    return xi, c
 
 
 def _project(basis: UniformBasis, func: Callable[[float], float] | None) -> list[float]:
     """Coefficients <func, X_n> on the 256-point Gauss rule (zeros for None)."""
     if func is None:
         return [0.0] * len(basis)
-    xs, _ = gauss_rule(0.0, basis.l, 256)
-    data = sample(func, xs)
-    return [gauss_sum(data * sample(mode.shape, xs), 0.0, basis.l) for mode in basis.modes]
+    xs, w = gauss_rule(0.0, basis.l, 256)
+    return project(basis._shapes(xs), w, sample(func, xs)).tolist()

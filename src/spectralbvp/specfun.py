@@ -19,6 +19,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable
 
+import numpy as np
+
 from ._quad import adaptive_simpson
 from ._rootfind import nth_root_from_scan
 from ._vec import any_, as_arg, full, inside, piecewise, where, xp as _xp
@@ -590,15 +592,17 @@ def _sph_j_upward(x, xp, o: _SphOrder):
 
 
 def _sph_y(x, xp, o: _SphOrder):
-    """Upward recurrence from the closed forms of y_0 and y_1."""
-    c = xp.cos(x)
-    y0 = -c / x
-    if o.n == 0:
-        return y0
-    ym1, ym = y0, -c / x / x - xp.sin(x) / x
-    for k in o.up:
-        ym1, ym = ym, k / x * ym - ym1
-    return ym
+    """Upward recurrence from the closed forms of y_0 and y_1 (x > 0).  Where
+    y_n < -DBL_MAX it overflows to -inf and then meets inf - inf: that NaN
+    reads as -inf, and numpy's warnings about it are off."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = xp.cos(x)
+        ym = -c / x
+        if o.n:
+            ym1, ym = ym, -c / x / x - xp.sin(x) / x
+            for k in o.up:
+                ym1, ym = ym, k / x * ym - ym1
+    return where(ym != ym, -math.inf, ym)
 
 
 def spherical_bessel(kind: str, n: int, x):
@@ -701,6 +705,18 @@ def _legendre_p(n: int, x):
     if n == 0:
         return full(x, 1.0)
     return _raise_degree(1.0, x, (_LEGENDRE.get((0, n)) or _legendre_table(0, n))[1])
+
+
+def _legendre_columns(n_terms: int, x) -> np.ndarray:
+    """P_0 .. P_{n_terms-1} at x (a float or an array on [-1, 1]), degrees
+    last: the recurrence of ``legendre`` kept at every degree."""
+    x = as_arg(x)
+    if not inside(x, -1.0, 1.0):
+        raise ValueError("P_n evaluated only on [-1, 1]")
+    cols = [full(x, 1.0), x][:n_terms]
+    for k in range(1, n_terms - 1):
+        cols.append(((2 * k + 1) * x * cols[k] - k * cols[k - 1]) / (k + 1))
+    return np.stack(cols, axis=-1)
 
 
 def legendre_norm2(n: int) -> float:

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from ._quad import adaptive_simpson
+from ._series import contract, oscillator
 from .intervals import UniformBasis, _project, uniform_basis
 from .sturm import BoundaryCondition
 
@@ -210,29 +211,14 @@ class ModeLaw:
         return ModeRegime.APERIODIC
 
     def q(self, t: float) -> float:
-        s, ds = _impulse(self.omega, self.eta, t)
-        return self.a_coef * (ds + 2.0 * self.eta * s) + self.b_coef * s
+        return self._state(t)[0]
 
     def qdot(self, t: float) -> float:
-        s, ds = _impulse(self.omega, self.eta, t)
-        return -self.a_coef * self.omega**2 * s + self.b_coef * ds
+        return self._state(t)[1]
 
-
-def _impulse(omega: float, eta: float, t: float) -> tuple[float, float]:
-    """Impulse response S(t) of q'' + 2 eta q' + omega^2 q = 0 (S(0) = 0,
-    S'(0) = 1) and its derivative S'(t).  A coordinate with q(0) = a and
-    q'(0) = b is a (S' + 2 eta S) + b S; with omega = eta = 0 (drift) S = t."""
-    disc = omega * omega - eta * eta
-    e = math.exp(-eta * t)
-    if disc > 0.0:
-        om = math.sqrt(disc) if eta else omega
-        s, c = math.sin(om * t) / om, math.cos(om * t)
-    elif disc == 0.0:
-        s, c = t, 1.0
-    else:
-        om = math.sqrt(-disc)
-        s, c = math.sinh(om * t) / om, math.cosh(om * t)
-    return e * s, e * (c - eta * s)
+    def _state(self, t: float) -> tuple[float, float]:
+        q, dq = oscillator(np.array([self.omega]), self.a_coef, self.b_coef, self.eta, t)
+        return float(q[0]), float(dq[0])
 
 
 class ModalSolution:
@@ -247,6 +233,7 @@ class ModalSolution:
         self.laws = laws
         self.medium = medium
         self.compatible_data = compatible
+        self._laws = np.array([(law.omega, law.a_coef, law.b_coef, law.eta) for law in laws]).reshape(-1, 4).T
 
     @property
     def truncation(self) -> int:
@@ -256,23 +243,24 @@ class ModalSolution:
     def frequencies(self) -> list[float]:
         return [law.omega for law in self.laws]
 
-    def __call__(self, x: float, t: float) -> float:
-        return sum(law.q(t) * mode.shape(x) for law, mode in zip(self.laws, self.basis.modes))
+    def __call__(self, x, t: float):
+        return contract(self.basis._shapes(x), oscillator(*self._laws, t)[0])
 
-    def velocity(self, x: float, t: float) -> float:
-        return sum(law.qdot(t) * mode.shape(x) for law, mode in zip(self.laws, self.basis.modes))
+    def velocity(self, x, t: float):
+        return contract(self.basis._shapes(x), oscillator(*self._laws, t)[1])
 
     def mode_energy(self, n: int, t: float) -> float:
         """Energy of the n-th mode (n >= 1) per unit density."""
         law = self.laws[n - 1]
-        q, dq = law.q(t), law.qdot(t)
+        q, dq = law._state(t)
         return 0.5 * self.medium.rho * (dq * dq + law.omega**2 * q * q)
 
     def energy(self, t: float) -> float:
-        return sum(self.mode_energy(n, t) for n in range(1, self.truncation + 1))
+        q, dq = oscillator(*self._laws, t)
+        return float(np.sum(0.5 * self.medium.rho * (dq * dq + self._laws[0] ** 2 * q * q)))
 
     def kinetic_energy(self, t: float) -> float:
-        return sum(0.5 * self.medium.rho * law.qdot(t) ** 2 for law in self.laws)
+        return float(np.sum(0.5 * self.medium.rho * oscillator(*self._laws, t)[1] ** 2))
 
     def tail_bound(self) -> float:
         """Crude bound on the discarded tail: |a_n| + |b_n|/omega_n is
@@ -458,8 +446,5 @@ def time_green_string(
         raise ValueError("time must be >= 0")
     left, right = bc
     basis = uniform_basis(medium.l, left, right, n_modes)
-    total = 0.0
-    for mode in basis.modes:
-        factor, _ = _impulse(medium.a * math.sqrt(mode.lam), medium.eta, t)
-        total += factor * mode.shape(x) * mode.shape(xp)
-    return total / medium.rho
+    s, _ = oscillator(medium.a * np.sqrt(basis.eigenvalues), 0.0, 1.0, medium.eta, t)
+    return contract(basis._shapes(x) * basis._shapes(xp), s) / medium.rho

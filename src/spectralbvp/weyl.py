@@ -74,10 +74,6 @@ class CountingFunction:
         self.a = float(a)
         self.lambda_max = float(lambda_max)
 
-    def _radius2(self, lam: float, side: float) -> float:
-        # j^2 threshold along a side of length `side`
-        return lam * side**2 / (math.pi**2 * self.a**2)
-
     def count(self, lam: float) -> int:
         if lam > self.lambda_max:
             raise ValueError(f"count requested above lambda_max = {self.lambda_max}")

@@ -249,14 +249,15 @@ def test_sample_calls_each_two_dimensional_mode_once():
 
 
 def test_axisym_cooling_evaluates_shapes_per_mode(monkeypatch):
-    """Each (n, k) term costs one array call of j_n, one closed-form norm and
-    one point value, not a 192-point norm rule."""
+    """Each angular order n costs one array call of j_n over the grid and all
+    its radial roots, one for the closed-form norms and one for the point
+    values, not one call per (n, k) term or a 192-point norm rule."""
     counted, calls = _counted(specfun.spherical_bessel)
     monkeypatch.setattr(geomnd, "spherical_bessel", counted)
     spec = BallSpec(radius=1.3, a2=0.7)
     n_modes = 3
     ball_solution(spec, "axisym_cooling", lambda r, th: 1.0 + 0.0 * r, n_modes, (0.4, 1.1), 0.05)
-    assert calls[0] == 3 * n_modes * n_modes
+    assert calls[0] == 3 * n_modes
 
 
 def test_radial_norm_closed_form_matches_quadrature():

@@ -133,6 +133,35 @@ def test_heat_interval_metadata(tmp_path):
     assert all(-1e-9 <= u <= 1.0 for u in table.columns["u"])
 
 
+# the parameters each kind requires; every other parameter takes its default
+REQUIRED = {
+    "beam.buckling": "param.bc = clamped_clamped",
+    "beam.roots": "param.bc = clamped_free",
+    "brachistochrone.fit": "param.l = 2.0\nparam.h = 1.0",
+    "heat.interval": "param.t = 0.05",
+    "weyl.count": "param.lam = 200.0",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_kind_writes_plain_numbers(tmp_path, fmt):
+    """Every cell of every kind is a plain int or float: a numpy scalar
+    would print as np.float64(...) in CSV."""
+    for kind in REGISTRY:
+        spec = write_spec(tmp_path, f"schema_version = 1\nkind = {kind}\n{REQUIRED.get(kind, '')}\n")
+        out = tmp_path / f"out.{fmt}"
+        run(spec, str(out), [], fmt)
+        text = out.read_text()
+        if fmt == "json":
+            cells = [v for col in json.loads(text)["columns"].values() for v in col]
+            assert cells and all(type(v) in (int, float) for v in cells), kind
+        else:
+            rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")][1:]
+            assert rows, kind
+            for cell in (c for row in rows for c in row):
+                float(cell)  # raises on np.float64(...)
+
+
 def test_weyl_count_kind(tmp_path):
     lam = math.pi**2 * 50.5**2
     spec = f"schema_version = 1\nkind = weyl.count\nparam.lam = {lam}\nparam.samples = 4\n"

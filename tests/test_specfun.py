@@ -2,6 +2,7 @@
 orthogonality identities, and the zero tables."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,21 @@ def test_spherical_recurrence_and_half_integer_link():
 def test_spherical_y_domain():
     with pytest.raises(ValueError):
         specfun.spherical_bessel("y", 0, 0.0)
+
+
+def test_spherical_y_overflows_to_signed_infinity():
+    """y_n(x) ~ -(2n-1)!!/x^{n+1} lies below -DBL_MAX at tiny x: -inf there,
+    and y_n(-x) = (-1)^{n+1} y_n(x), for floats and arrays alike and with
+    no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, x in ((0, 5e-324), (1, 1e-310), (2, 5e-324), (3, 1e-310), (40, 1e-8)):
+            for sign in (1.0, -1.0):
+                want = -math.inf if sign > 0.0 or n % 2 else math.inf
+                assert specfun.spherical_bessel("y", n, sign * x) == want
+            got = specfun.spherical_bessel("y", n, np.array([x, -x, 1.5]))
+            assert got[0] == -math.inf and got[1] == (-math.inf if n % 2 else math.inf)
+            assert got[2] == specfun.spherical_bessel("y", n, 1.5)
 
 
 # ----------------------------------------------------------------------
