@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._vec import xp
+
 __all__ = ["project", "contract", "oscillator", "outer"]
 
 
@@ -28,30 +30,45 @@ def outer(x, k):
     return np.multiply.outer(x, k) if isinstance(k, np.ndarray) else x * k
 
 
-def oscillator(omega: np.ndarray, a, b, eta, t: float) -> tuple[np.ndarray, np.ndarray]:
+def _oscillating(om, eta, t, f):
+    e = f.exp(-eta * t)
+    return e * (f.sin(om * t) / om), e * f.cos(om * t)
+
+
+def _aperiodic(om, eta, t, f):
+    # e^{-eta t} sinh(w t) and cosh(w t) as e^{(w - eta) t} (1 -+ e^{-2 w t})/2
+    half = 0.5 * f.exp((om - eta) * t)
+    return -half * f.expm1(-2.0 * om * t) / om, half * (1.0 + f.exp(-2.0 * om * t))
+
+
+def _critical(om, eta, t, f):
+    e = f.exp(-eta * t)
+    return e * t, e
+
+
+def oscillator(omega, a, b, eta, t: float):
     """q(t) and q'(t) of q'' + 2 eta q' + omega^2 q = 0 with q(0) = a and
-    q'(0) = b, per element of omega (eta a float or one rate per element).
+    q'(0) = b: Python floats for a float omega, else one per element of
+    omega (eta a float or one rate per element).
 
     With the impulse response S (S(0) = 0, S'(0) = 1), q = a (S' + 2 eta S)
     + b S.  Each element takes its own regime: oscillatory where omega >
-    eta, aperiodic where omega < eta, S = t where they are equal (critical
-    damping, and the drift of an undamped zero mode).  The aperiodic
-    e^{-eta t} sinh(w t) and cosh(w t) are e^{(w - eta) t} (1 -+ e^{-2 w t})/2,
-    finite wherever the answer is.
+    eta, aperiodic where omega < eta (finite wherever the answer is), S = t
+    where they are equal (critical damping, and the drift of an undamped
+    zero mode).  A float picks its kernel; an array runs each kernel once
+    on the elements it owns (as ``_vec.piecewise``).
     """
-    eta = np.broadcast_to(eta, omega.shape)
     disc = omega * omega - eta * eta
-    om = np.sqrt(np.abs(disc))
-    e = np.exp(-eta * t)
-    s, c = e * t, e.copy()
-    sel = disc > 0.0
-    w = om[sel]
-    s[sel] = e[sel] * np.sin(w * t) / w
-    c[sel] = e[sel] * np.cos(w * t)
-    sel = disc < 0.0
-    w = om[sel]
-    half = 0.5 * np.exp((w - eta[sel]) * t)
-    s[sel] = -half * np.expm1(-2.0 * w * t) / w
-    c[sel] = half * (1.0 + np.exp(-2.0 * w * t))
+    f = xp(disc)
+    om = f.sqrt(abs(disc))
+    if f is np:
+        eta = np.broadcast_to(eta, disc.shape)
+        s, c = np.empty(disc.shape), np.empty(disc.shape)
+        pos, neg = disc > 0.0, disc < 0.0
+        for kernel, sel in ((_oscillating, pos), (_aperiodic, neg), (_critical, ~(pos | neg))):
+            s[sel], c[sel] = kernel(om[sel], eta[sel], t, f)
+    else:
+        kernel = _oscillating if disc > 0.0 else _aperiodic if disc < 0.0 else _critical
+        s, c = kernel(om, eta, t, f)
     ds = c - eta * s
     return a * (ds + 2.0 * eta * s) + b * s, -a * omega**2 * s + b * ds

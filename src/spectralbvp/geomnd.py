@@ -153,10 +153,16 @@ class DiskMembrane:
 
 
 def _disk_radial(spec: DiskMembrane, m: int, k: int):
-    """Normalized radial factor chi_mk(r) with int_0^R r chi^2 dr = 1."""
     alpha = bessel_zero(ZeroFamily.BESSEL_J, m, k)
-    scale = math.sqrt(2.0) / (spec.radius * abs(bessel_j_prime(m, alpha)))
-    return alpha, (lambda r, a=alpha, s=scale, m=m: s * bessel_j(m, a * r / spec.radius))
+    return alpha, _bessel_family(spec.radius, m, alpha)[1]
+
+
+def _bessel_family(radius: float, m: int, alpha):
+    """Scale s = sqrt(2) / (R |J_m'(alpha)|) and the normalized radial factor
+    chi(r) = s J_m(alpha r/R), int_0^R r chi^2 dr = 1, for one zero alpha of
+    J_m (chi keeps r's shape) or an array of zeros (one column each)."""
+    scale = math.sqrt(2.0) / (radius * abs(bessel_j_prime(m, alpha)))
+    return scale, (lambda r: scale * bessel_j(m, outer(as_arg(r), alpha) / radius))
 
 
 def disk_membrane_modes(spec: DiskMembrane, m: int, k: int, parity: str = "cos"):
@@ -196,9 +202,10 @@ def disk_axisym_solution(
     radial modes; an optional force surface density F(r, t) adds the
     sin-convolution response of each mode.
     """
-    alphas, phi = _disk_family(spec, n_modes)
-    a = np.array(disk_axisym_coefficients(spec, u0, n_modes)) if u0 is not None else 0.0
-    b = np.array(disk_axisym_coefficients(spec, v0, n_modes)) if v0 is not None else 0.0
+    alphas = _j_zeros(0, n_modes)
+    _, phi = _bessel_family(spec.radius, 0, alphas)
+    coefs = _disk_projector(spec, phi)
+    a, b = (0.0 if f is None else coefs(f) for f in (u0, v0))
     omega = alphas * spec.a / spec.radius
     q = oscillator(omega, a, b, 0.0, t)[0]
     if force is not None:
@@ -215,17 +222,14 @@ def disk_axisym_coefficients(
     spec: DiskMembrane, u0: Callable[[float], float], n_modes: int
 ) -> list[float]:
     """Projections of u0(r) on the normalized axisymmetric radial modes."""
-    _, phi = _disk_family(spec, n_modes)
+    return _disk_projector(spec, _bessel_family(spec.radius, 0, _j_zeros(0, n_modes))[1])(u0).tolist()
+
+
+def _disk_projector(spec: DiskMembrane, phi):
+    """f -> r-weighted projections of f(r) on the modes phi, sampled once on the 192-point Gauss rule."""
     rr, w = gauss_rule(0.0, spec.radius, 192)
-    return project(phi(rr), w * rr, sample(u0, rr)).tolist()
-
-
-def _disk_family(spec: DiskMembrane, n_modes: int):
-    """Roots alpha_k and Phi(r) of the first n_modes normalized axisymmetric
-    radial modes sqrt(2) J_0(alpha_k r/R) / (R |J_0'(alpha_k)|)."""
-    alphas = _j_zeros(0, n_modes)
-    scale = math.sqrt(2.0) / (spec.radius * np.abs(bessel_j_prime(0, alphas)))
-    return alphas, (lambda r: scale * bessel_j(0, outer(r, alphas) / spec.radius))
+    at_nodes = phi(rr)
+    return lambda f: project(at_nodes, w * rr, sample(f, rr))
 
 
 def _j_zeros(m: int, count: int) -> np.ndarray:
@@ -274,7 +278,7 @@ def cylinder_cooling(
     if not half_infinite and not -height / 2.0 <= z <= height / 2.0:
         raise ValueError("axial coordinate outside the cylinder")
     alphas = _j_zeros(0, n_radial)
-    rad_norm = 2.0 / (radius**2 * bessel_j_prime(0, alphas) ** 2)
+    _, chi = _bessel_family(radius, 0, alphas)
     rad_rate = (alphas / radius) ** 2
     # axial modes sqrt(2/H) sin(n pi s/H) in s = z + H/2
     if takes_z:
@@ -284,11 +288,11 @@ def cylinder_cooling(
         rr, wr = gauss_rule(0.0, radius, 96)
         zz, wz = gauss_rule(-height / 2.0, height / 2.0, 96)
         by_r = project(axial._shapes(zz + height / 2.0), wz, sample(t0, rr, zz))
-        coef = rad_norm * project(bessel_j(0, outer(rr, alphas) / radius), wr * rr, by_r.T)
+        coef = project(chi(rr), wr * rr, by_r.T)
         ax_here, ax_rate = axial._shapes(z + height / 2.0), np.array(axial.eigenvalues)
     else:
         rr, wr = gauss_rule(0.0, radius, 192)
-        radial = rad_norm * project(bessel_j(0, outer(rr, alphas) / radius), wr * rr, sample(t0, rr))
+        radial = project(chi(rr), wr * rr, sample(t0, rr))
         if half_infinite:
             coef, ax_here, ax_rate = radial[None, :], np.ones(1), np.zeros(1)
         else:
@@ -299,7 +303,7 @@ def cylinder_cooling(
             coef = np.multiply.outer(2.0 * math.sqrt(2.0 * height) / (math.pi * nn), radial)
             ax_here, ax_rate = axial._shapes(z + height / 2.0)[::2], np.array(axial.eigenvalues[::2])
     decay = np.exp(-np.add.outer(ax_rate, rad_rate) * a2 * t)
-    return contract(ax_here, (coef * decay) @ bessel_j(0, alphas * r / radius))
+    return contract(ax_here, (coef * decay) @ chi(r))
 
 
 def _arity_two(f) -> bool:
@@ -506,12 +510,10 @@ def expand_series(
     sum c_n P_n(x).
     """
     if kind == "fourier_bessel":
-        alphas = _j_zeros(m, n_terms)
+        scale, phi = _bessel_family(radius, m, _j_zeros(m, n_terms))
         rs, w = gauss_rule(0.0, radius, 256)
-        norms = 2.0 / (radius**2 * bessel_j_prime(m, alphas) ** 2)
-        coeffs = norms * project(bessel_j(m, outer(rs, alphas) / radius), w * rs, sample(f, rs))
-        reconstruct = lambda r: contract(bessel_j(m, outer(r, alphas) / radius), coeffs)
-        return SeriesExpansion(kind, coeffs.tolist(), reconstruct)
+        a = project(phi(rs), w * rs, sample(f, rs))
+        return SeriesExpansion(kind, (scale * a).tolist(), lambda r: contract(phi(r), a))
     if kind == "legendre":
         xs, w = gauss_rule(-1.0, 1.0, max(160, 2 * n_terms))
         coeffs = (np.arange(n_terms) + 0.5) * project(_legendre_columns(n_terms, xs), w, sample(f, xs))

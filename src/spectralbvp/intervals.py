@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from ._quad import gauss_rule, sample
 from ._rootfind import refine_root
 from ._series import outer, project
-from ._vec import as_arg, xp
+from ._vec import as_arg, where, xp
 from .sturm import BoundaryCondition
 
 __all__ = ["UniformMode", "UniformBasis", "uniform_basis", "robin_xi_roots", "robin_norm_constant"]
@@ -53,9 +54,12 @@ class UniformBasis:
         self.left = left
         self.right = right
         xi, c = _roots_and_norms(self.l, left, right, n_modes)
-        self.modes: list[UniformMode] = [_mode(i, self.l, left, x, cc) for i, (x, cc) in enumerate(zip(xi, c))]
         self._k = np.array(xi) / self.l
         self._c = np.array(c)
+        self.modes: list[UniformMode] = [
+            UniformMode(i, x, k**2, partial(_family, left, k, cc), partial(_family, left, k, cc, prime=True), x == 0.0)
+            for i, (x, k, cc) in enumerate(zip(xi, self._k.tolist(), c))
+        ]
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -66,13 +70,8 @@ class UniformBasis:
 
     def _shapes(self, x):
         """Phi(x): every normalized mode at x (a float or an array), modes
-        along the last axis; the closed form of ``_mode`` per column."""
-        kx = outer(as_arg(x), self._k)
-        if self.left.dirichlet:
-            return self._c * np.sin(kx)
-        # h1/k; k = 0 only for the constant mode, where h1 = 0
-        g = self.left.h / np.where(self._k > 0.0, self._k, 1.0)
-        return self._c * (np.cos(kx) + g * np.sin(kx))
+        along the last axis."""
+        return _family(self.left, self._k, self._c, as_arg(x))
 
 
 def uniform_basis(l: float, left: BoundaryCondition, right: BoundaryCondition, n_modes: int) -> UniformBasis:
@@ -146,29 +145,19 @@ def robin_norm_constant(l: float, h1: float, xi: float) -> float:
 # Modes
 # ----------------------------------------------------------------------
 
-def _mode(index: int, l: float, left: BoundaryCondition, xi: float, c: float) -> UniformMode:
-    """The mode c sin(kx) (Dirichlet left end) or c (cos kx + (h1/k) sin kx);
-    shapes accept a float or an array (see ``_vec``)."""
-    k = xi / l
+def _family(left: BoundaryCondition, k, c, x, prime: bool = False):
+    """The modes c sin(kx) (Dirichlet left end) or c (cos kx + (h1/k) sin kx),
+    or their x-derivatives, at x (a float or an array): one wavenumber k
+    keeps x's shape, an array of them (norms c alike) adds one column per
+    mode.  k = 0 only for the constant mode, where h1 = 0."""
+    kx = outer(x, k)
+    f = xp(kx)
     if left.dirichlet:
-        def shape(x):
-            return c * xp(x).sin(k * x)
-
-        def dshape(x):
-            return c * (k * xp(x).cos(k * x))
-    else:
-        h1 = left.h
-        g = h1 / k if h1 else 0.0  # k = 0 only for the constant mode, where h1 = 0
-
-        def shape(x):
-            f = xp(x)
-            return c * (f.cos(k * x) + g * f.sin(k * x))
-
-        def dshape(x):
-            f = xp(x)
-            return c * (-k * f.sin(k * x) + h1 * f.cos(k * x))
-
-    return UniformMode(index, xi, k**2, shape, dshape, is_zero_mode=xi == 0.0)
+        return c * (k * f.cos(kx)) if prime else c * f.sin(kx)
+    h1 = left.h
+    if prime:
+        return c * (-k * f.sin(kx) + h1 * f.cos(kx))
+    return c * (f.cos(kx) + h1 / where(k > 0.0, k, 1.0) * f.sin(kx))
 
 
 def _roots_and_norms(l: float, left: BoundaryCondition, right: BoundaryCondition, n_modes: int):

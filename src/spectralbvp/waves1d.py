@@ -211,14 +211,10 @@ class ModeLaw:
         return ModeRegime.APERIODIC
 
     def q(self, t: float) -> float:
-        return self._state(t)[0]
+        return oscillator(self.omega, self.a_coef, self.b_coef, self.eta, t)[0]
 
     def qdot(self, t: float) -> float:
-        return self._state(t)[1]
-
-    def _state(self, t: float) -> tuple[float, float]:
-        q, dq = oscillator(np.array([self.omega]), self.a_coef, self.b_coef, self.eta, t)
-        return float(q[0]), float(dq[0])
+        return oscillator(self.omega, self.a_coef, self.b_coef, self.eta, t)[1]
 
 
 class ModalSolution:
@@ -252,7 +248,7 @@ class ModalSolution:
     def mode_energy(self, n: int, t: float) -> float:
         """Energy of the n-th mode (n >= 1) per unit density."""
         law = self.laws[n - 1]
-        q, dq = law._state(t)
+        q, dq = law.q(t), law.qdot(t)
         return 0.5 * self.medium.rho * (dq * dq + law.omega**2 * q * q)
 
     def energy(self, t: float) -> float:

@@ -45,6 +45,7 @@ from spectralbvp import (
     time_green_string,
 )
 from spectralbvp._quad import adaptive_simpson, gauss_rule, gauss_sum, sample
+from spectralbvp._series import oscillator
 from spectralbvp.beams import BeamBC
 from spectralbvp.geomnd import _disk_radial, disk_axisym_coefficients
 from spectralbvp.specfun import (
@@ -252,6 +253,23 @@ def test_strongly_damped_mode_stays_finite():
         dq = half * ((w - eta) * a0 + (b0 + eta * a0) * (1.0 - eta / w))
         assert abs(law.q(t) - q) <= 1e-12 * abs(q)
         assert abs(law.qdot(t) - dq) <= 1e-12 * (abs(dq) + eta * abs(q))
+
+
+def test_mode_law_is_the_float_path_of_the_array_law():
+    """ModeLaw.q and qdot run the oscillator the solutions run on arrays,
+    on floats: Python floats equal to the array values of the same
+    coordinates within rounding, in every regime."""
+    omega = [0.0, 1.0, 2.0, 2.0, 3.0, 0.0]
+    eta = [0.0, 0.0, 0.5, 2.0, 4.0, 1.5]
+    a, b = 0.7, -1.3
+    laws = [ModeLaw(w, a, b, e) for w, e in zip(omega, eta)]
+    assert {law.regime for law in laws} == set(ModeRegime)
+    for t in (0.0, 0.4, 2.5):
+        q_arr, dq_arr = oscillator(np.array(omega), a, b, np.array(eta), t)
+        for law, q, dq in zip(laws, q_arr.tolist(), dq_arr.tolist()):
+            assert type(law.q(t)) is float and type(law.qdot(t)) is float
+            assert math.isclose(law.q(t), q, rel_tol=1e-14, abs_tol=1e-15)
+            assert math.isclose(law.qdot(t), dq, rel_tol=1e-14, abs_tol=1e-15)
 
 
 @SETTINGS
