@@ -1,9 +1,11 @@
 """Numerical integration helpers shared across the package.
 
 Adaptive Simpson is the workhorse for one-dimensional integrals of
-evaluation-callable integrands; Gauss-Legendre panels are used where the
-integrand is smooth and the cost of adaptivity is not warranted (tensorized
-quadrature over rectangles, spheres, disks).
+evaluation-callable integrands, float- or array-valued: the forced
+amplitudes of a modal series are one array integral, sampling their source
+once per node.  Non-finite values raise ``ValueError``.  Gauss-Legendre
+panels are used where the integrand is smooth and the cost of adaptivity is
+not warranted (tensorized quadrature over rectangles, spheres, disks).
 
 Projections of initial data on a family of modes sample the data once per
 rule with ``sample`` and reuse the samples for every mode: a one-dimensional
@@ -18,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._vec import any_
+
 __all__ = [
     "adaptive_simpson",
     "gauss_legendre_nodes",
@@ -30,15 +34,22 @@ __all__ = [
 ]
 
 
+def _finite(f, x):
+    v = f(x)  # a NaN or inf would defeat the stop test and bisect to full depth
+    if not (np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)):
+        raise ValueError(f"integrand is not finite at x = {x!r}")
+    return v
+
+
 def _simpson_step(f, a, fa, b, fb, m, fm, whole, tol, depth):
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
+    flm = _finite(f, lm)
+    frm = _finite(f, rm)
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
+    if depth <= 0 or not any_(abs(delta) > 15.0 * tol):
         return left + right + delta / 15.0
     return _simpson_step(f, a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1) + _simpson_step(
         f, m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1
@@ -55,7 +66,8 @@ def adaptive_simpson(
     """Integrate f over [a, b] to the requested absolute tolerance.
 
     Classic adaptive Simpson with Richardson correction; recursion stops when
-    the local error estimate is below the (bisected) tolerance budget.
+    the local error estimate is below the (bisected) tolerance budget, for
+    every component of an array-valued f.  Non-finite f raises ValueError.
     """
     if a == b:
         return 0.0
@@ -66,13 +78,13 @@ def adaptive_simpson(
     # Seed with two panels so an unlucky symmetric integrand does not
     # terminate on a spurious zero estimate.
     m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole_l = (m - a) / 6.0 * (fa + 4.0 * f(0.5 * (a + m)) + fm)
-    whole_r = (b - m) / 6.0 * (fm + 4.0 * f(0.5 * (m + b)) + fb)
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
-    total = _simpson_step(f, a, fa, m, fm, lm, f(lm), whole_l, 0.5 * tol, max_depth) + _simpson_step(
-        f, m, fm, b, fb, rm, f(rm), whole_r, 0.5 * tol, max_depth
+    fa, flm, fm, frm, fb = (_finite(f, x) for x in (a, lm, m, rm, b))
+    whole_l = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    whole_r = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    total = _simpson_step(f, a, fa, m, fm, lm, flm, whole_l, 0.5 * tol, max_depth) + _simpson_step(
+        f, m, fm, b, fb, rm, frm, whole_r, 0.5 * tol, max_depth
     )
     return sign * total
 

@@ -111,30 +111,11 @@ def _sigma(bc: BeamBC, mu):
     return 1.0 + emu * num / den, num / (2.0 * den)
 
 
-def _mode_raw(bc: BeamBC, mu, z):
-    """Dimensionless shape at z = mu x / l, z in [0, mu] (a float or an
-    array), unnormalized; for an array of roots mu, z has a column each.
-
-    The textbook combinations (cosh -+ cos) - sigma (sinh -+ sin) are
-    rearranged so every exponentially large piece is multiplied by its
-    exponentially small partner before evaluation:
-    cosh z - sigma sinh z = e^{-z}(1+sigma)/2 - (delta e^mu/2) e^{z-mu}.
-    """
-    f = xp(z)
-    if bc == BeamBC.PINNED_PINNED:
-        return f.sin(z)
-    sigma, delta_scaled = _sigma(bc, mu)
-    hyper = 0.5 * f.exp(-z) * (1.0 + sigma) - delta_scaled * f.exp(z - mu)
-    trig = sigma * f.sin(z) - f.cos(z)
-    # free_free pairs cosh with +cos, the clamped pairs with -cos
-    return hyper - trig if bc == BeamBC.FREE_FREE else hyper + trig
-
-
 def _mode_norm(bc: BeamBC, mu: float, n: int | None = None) -> float:
     """sqrt(int_0^1 X(mu s)^2 ds) of the raw dimensionless shape by a
     160-point Gauss rule: the quadrature reference for the endpoint identity
     of ``beam_mode_norm2_endpoint``."""
-    return math.sqrt(fixed_gauss(lambda s: _mode_raw(bc, mu, mu * s) ** 2, 0.0, 1.0, n=160))
+    return math.sqrt(fixed_gauss(lambda s: _mode_derivatives(bc, mu, mu * s)[0] ** 2, 0.0, 1.0, n=160))
 
 
 def _shapes(bc: BeamBC, mu, l: float, x):
@@ -143,7 +124,7 @@ def _shapes(bc: BeamBC, mu, l: float, x):
     x = as_arg(x)
     if not inside(x, 0.0, l):
         raise ValueError("x must lie in [0, l]")
-    return _mode_raw(bc, mu, outer(x, mu) / l) / (xp(mu).sqrt(_norm2(bc, mu)) * math.sqrt(l))
+    return _mode_derivatives(bc, mu, outer(x, mu) / l)[0] / (xp(mu).sqrt(_norm2(bc, mu)) * math.sqrt(l))
 
 
 def beam_mode(bc_pair: BeamBC | str, n: int, x, l: float = 1.0):
@@ -156,22 +137,30 @@ def beam_mode(bc_pair: BeamBC | str, n: int, x, l: float = 1.0):
 
 
 def _mode_derivatives(bc: BeamBC, mu, z):
-    """Value and first three z-derivatives of the raw shape, analytic.
+    """Value and first three z-derivatives of the raw (unnormalized)
+    dimensionless shape at z = mu x / l, z in [0, mu] (a float or an array);
+    for an array of roots mu, z has a column each.
 
-    The hyperbolic part H = cosh - sigma sinh obeys H'' = H, and the trig
-    part flips sign under two derivatives, so all four values come from the
-    same stable exponential regrouping used by ``_mode_raw``.
+    The textbook combinations (cosh -+ cos) - sigma (sinh -+ sin) are
+    rearranged so every exponentially large piece is multiplied by its
+    exponentially small partner before evaluation:
+    cosh z - sigma sinh z = e^{-z}(1+sigma)/2 - (delta e^mu/2) e^{z-mu}.
+    This hyperbolic part H obeys H'' = H, and the trig part flips sign under
+    two derivatives, so all four values come from one evaluation of
+    sin z, cos z and the two exponentials.
     """
     f = xp(z)
+    sin, cos = f.sin(z), f.cos(z)
     if bc == BeamBC.PINNED_PINNED:
-        return f.sin(z), f.cos(z), -f.sin(z), -f.cos(z)
+        return sin, cos, -sin, -cos
     sigma, delta_scaled = _sigma(bc, mu)
     ep = f.exp(z - mu)
     em = f.exp(-z)
     h_val = 0.5 * em * (1.0 + sigma) - delta_scaled * ep
     h_der = -0.5 * em * (1.0 + sigma) - delta_scaled * ep
-    t_val = -f.cos(z) + sigma * f.sin(z)
-    t_der = f.sin(z) + sigma * f.cos(z)
+    t_val = -cos + sigma * sin
+    t_der = sin + sigma * cos
+    # free_free pairs cosh with +cos, the clamped pairs with -cos
     if bc == BeamBC.FREE_FREE:
         t_val, t_der = -t_val, -t_der
     return h_val + t_val, h_der + t_der, h_val - t_val, h_der - t_der

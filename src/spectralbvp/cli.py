@@ -433,6 +433,14 @@ def _atomic_write(path: str, content: str) -> None:
 
 def run(spec_path: str, out_path: str | None, overrides: list[str], fmt: str | None) -> ResultTable:
     """Execute a problem file and return (and optionally write) its table."""
+    table, rendered = _execute(spec_path, overrides, fmt)
+    if out_path is not None:
+        _atomic_write(out_path, rendered)
+    return table
+
+
+def _execute(spec_path: str, overrides: list[str], fmt: str | None) -> tuple[ResultTable, str]:
+    """A problem file's table, rendered in fmt or else its output.format."""
     with open(spec_path, encoding="utf-8") as fh:
         tree = parse_problem_file(fh.read())
     for item in overrides:
@@ -454,10 +462,7 @@ def run(spec_path: str, out_path: str | None, overrides: list[str], fmt: str | N
     metadata.setdefault("solver_version", __version__)
     table = ResultTable(columns=columns, metadata=metadata)
     table.validate()
-    rendered = render_csv(table) if outputs["format"] == "csv" else render_json(table)
-    if out_path is not None:
-        _atomic_write(out_path, rendered)
-    return table
+    return table, render_csv(table) if outputs["format"] == "csv" else render_json(table)
 
 
 def list_problems(stream=None) -> list[str]:
@@ -493,7 +498,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write("error: --spec or --list required\n")
         return EXIT_VALIDATION
     try:
-        table = run(args.spec, args.out, args.overrides, args.format)
+        _, rendered = _execute(args.spec, args.overrides, args.format)
+        if args.out is not None:
+            _atomic_write(args.out, rendered)
     except ValidationError as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return EXIT_VALIDATION
@@ -501,8 +508,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"solver error: {exc}\n")
         return EXIT_SOLVER
     if args.out is None:
-        fmt = args.format or "csv"
-        sys.stdout.write(render_csv(table) if fmt == "csv" else render_json(table))
+        sys.stdout.write(rendered)
     elif not args.quiet:
         sys.stdout.write(f"wrote {args.out}\n")
     return 0

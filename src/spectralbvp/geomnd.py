@@ -200,7 +200,8 @@ def disk_axisym_solution(
 
     Coefficients are r-weighted projections of the data on the normalized
     radial modes; an optional force surface density F(r, t) adds the
-    sin-convolution response of each mode.
+    sin-convolution response of every mode, one array-valued time integral
+    that samples F once per tau node.
     """
     alphas = _j_zeros(0, n_modes)
     _, phi = _bessel_family(spec.radius, 0, alphas)
@@ -210,11 +211,10 @@ def disk_axisym_solution(
     q = oscillator(omega, a, b, 0.0, t)[0]
     if force is not None:
         rf, wf = gauss_rule(0.0, spec.radius, 96)
-        load = lambda tau, chi: float(project(chi, wf * rf, sample(lambda x: force(x, tau), rf)))
-        q = q + [
-            adaptive_simpson(lambda tau: math.sin(w * (t - tau)) * load(tau, chi), 0.0, t, tol=1e-9) / (w * spec.rho)
-            for chi, w in zip(phi(rf).T, omega.tolist())
-        ]
+        at_rf = phi(rf)
+        load = lambda tau: project(at_rf, wf * rf, sample(lambda x: force(x, tau), rf))
+        forced = adaptive_simpson(lambda tau: np.sin(omega * (t - tau)) * load(tau), 0.0, t, tol=1e-9)
+        q = q + forced / (omega * spec.rho)
     return contract(phi(r), q)
 
 
@@ -444,7 +444,8 @@ def ball_solution(
 
 def _ball_steady_sources(spec: BallSpec, q: float, r: float, conductivity: float) -> float:
     """Steady temperature with uniform sources, from the radial flux balance:
-    kappa r^2 u'(r) = -q r^3/3, integrated inward from the surface."""
+    kappa r^2 u'(r) = -q r^3/3, integrated inward from the surface to
+    u(r) = u(R) + q (R^2 - r^2)/(6 kappa)."""
     if spec.bc == BallBC.DIRICHLET:
         surface = 0.0
     elif spec.bc == BallBC.ROBIN:
@@ -452,8 +453,7 @@ def _ball_steady_sources(spec: BallSpec, q: float, r: float, conductivity: float
         surface = q * spec.radius / (3.0 * conductivity * spec.h)
     else:
         raise ValueError("steady state with uniform sources needs a dissipating surface")
-    flux = lambda s: -q * s / (3.0 * conductivity)  # u'(s)
-    return surface - adaptive_simpson(flux, r, spec.radius, tol=1e-12)
+    return surface + q * (spec.radius**2 - r * r) / (6.0 * conductivity)
 
 
 def _ball_radial_norm(n: int, alpha: float, big_r: float) -> float:

@@ -114,20 +114,27 @@ def heat_line_eval(
     the tail error is below sup|u0| times that constant.  With a first-order
     sink the whole solution is multiplied by exp(-q t).
     """
+    a2 = medium.a2
+    return _heat_potential(lambda xp, s: gauss_kernel(x - xp, a2, s), lambda w: x - w, medium, x, t, u0, source)
+
+
+def _heat_potential(kernel, lower, medium: HeatMedium, x: float, t: float, u0, source) -> float:
+    """int G(x, x'; t) u0(x') dx' + int_0^t int G(x, x'; t - tau) f(x', tau)
+    dx' dtau, times e^{-q t}, for the point response ``kernel(x', s)`` at x
+    after time s.  The window after time s is [lower(w), x + w] with
+    w = 8 sqrt(4 a2 s)."""
     if t <= 0.0:
         raise ValueError("evaluation requires t > 0")
     a2 = medium.a2
     w = 8.0 * math.sqrt(4.0 * a2 * t)
-    val = adaptive_simpson(lambda xp: gauss_kernel(x - xp, a2, t) * u0(xp), x - w, x + w, tol=1e-11)
+    val = adaptive_simpson(lambda xp: kernel(xp, t) * u0(xp), lower(w), x + w, tol=1e-11)
     if source is not None:
         def layer(tau: float) -> float:
             dt = t - tau
             if dt <= 0.0:
                 return 0.0
             ww = 8.0 * math.sqrt(4.0 * a2 * dt)
-            return adaptive_simpson(
-                lambda xp: gauss_kernel(x - xp, a2, dt) * source(xp, tau), x - ww, x + ww, tol=1e-10
-            )
+            return adaptive_simpson(lambda xp: kernel(xp, dt) * source(xp, tau), lower(ww), x + ww, tol=1e-10)
 
         val += adaptive_simpson(layer, 0.0, t, tol=1e-9)
     if medium.absorption > 0.0:
@@ -191,31 +198,9 @@ def heat_halfline_eval(
 ) -> float:
     """Temperature on the half-line from initial data u0 with the Robin end
     condition of parameter h (0 = insulated, inf = clamped at zero)."""
-    if t <= 0.0:
-        raise ValueError("evaluation requires t > 0")
-    a2 = medium.a2
-    w = 8.0 * math.sqrt(4.0 * a2 * t)
-    hi = x + w
-    val = adaptive_simpson(
-        lambda xp: heat_halfline_kernel(h, medium, x, xp, t) * u0(xp), 0.0, hi, tol=1e-11
+    return _heat_potential(
+        lambda xp, s: heat_halfline_kernel(h, medium, x, xp, s), lambda w: 0.0, medium, x, t, u0, source
     )
-    if source is not None:
-        def layer(tau: float) -> float:
-            dt = t - tau
-            if dt <= 0.0:
-                return 0.0
-            ww = x + 8.0 * math.sqrt(4.0 * a2 * dt)
-            return adaptive_simpson(
-                lambda xp: heat_halfline_kernel(h, medium, x, xp, dt) * source(xp, tau),
-                0.0,
-                ww,
-                tol=1e-10,
-            )
-
-        val += adaptive_simpson(layer, 0.0, t, tol=1e-9)
-    if medium.absorption > 0.0:
-        val *= math.exp(-medium.absorption * t)
-    return val
 
 
 # ----------------------------------------------------------------------
@@ -226,6 +211,10 @@ class HeatModalSolution:
     """Relaxing eigenfunction expansion v(x, t) = sum a_n e^{-lam_n a2 t} X_n(x)
     plus the forced amplitudes when a source is supplied.
 
+    ``source_coeffs`` maps tau to the source projections f_n(tau) of every
+    mode; the forced amplitudes int_0^t e^{-lam_n a2 (t - tau)} f_n(tau) dtau
+    are one array integral, sampling the source once per tau node.
+
     ``relaxation_times`` lists tau_n = 1/(a2 lam_n) per retained mode (inf
     for a zero mode).
     """
@@ -235,7 +224,7 @@ class HeatModalSolution:
         basis: UniformBasis,
         medium: HeatMedium,
         coefficients: list[float],
-        source_coeffs: list[Callable[[float], float]] | None = None,
+        source_coeffs: Callable[[float], np.ndarray] | None = None,
     ):
         self.basis = basis
         self.medium = medium
@@ -269,7 +258,8 @@ class HeatModalSolution:
         rates = np.array(self.basis.eigenvalues) * a2
         amps = np.array(self.coefficients) * np.exp(-rates * t)
         if self._source_coeffs is not None:
-            amps += [_forced_amplitude(fn, rate, t) for fn, rate in zip(self._source_coeffs, rates.tolist())]
+            forced = lambda tau: np.exp(-rates * (t - tau)) * self._source_coeffs(tau)
+            amps += adaptive_simpson(forced, 0.0, t, tol=1e-11)
         total = contract(self.basis._shapes(x), amps)
         if self.medium.absorption > 0.0:
             total *= math.exp(-self.medium.absorption * t)
@@ -279,14 +269,6 @@ class HeatModalSolution:
         """Spatial average over [0, l]."""
         l = self.basis.l
         return fixed_gauss(lambda x: self(x, t), 0.0, l, n=96) / l
-
-
-def _forced_amplitude(f_n: Callable[[float], float], rate: float, t: float) -> float:
-    """theta_n(t) = e^{-rate t} int_0^t e^{rate tau} f_n(tau) d tau, computed
-    against the shifted exponential to stay bounded for large rate*t."""
-    if t == 0.0:
-        return 0.0
-    return adaptive_simpson(lambda tau: math.exp(-rate * (t - tau)) * f_n(tau), 0.0, t, tol=1e-11)
 
 
 def heat_interval_modes(
@@ -306,15 +288,13 @@ def heat_interval_modes(
     left, right = bc
     basis = uniform_basis(l, left, right, n_modes)
     coeffs = _project(basis, u0)
-    source_coeffs = None
+    load = None
     if source is not None:
-        # mode shapes are sampled once; each f_n(tau) samples only the source
+        # mode shapes are sampled once; each tau samples only the source
         xs, w = gauss_rule(0.0, l, 128)
-        source_coeffs = [
-            (lambda tau, m=m: float(project(m, w, sample(lambda x: source(x, tau), xs))))
-            for m in basis._shapes(xs).T
-        ]
-    return HeatModalSolution(basis, medium, coeffs, source_coeffs)
+        phi = basis._shapes(xs)
+        load = lambda tau: project(phi, w, sample(lambda x: source(x, tau), xs))
+    return HeatModalSolution(basis, medium, coeffs, load)
 
 
 # ----------------------------------------------------------------------

@@ -460,6 +460,15 @@ def _scan_start_step(family: ZeroFamily, order: int) -> tuple[float, float]:
 _ZERO_CACHE: dict[tuple, ZeroTable] = {}
 
 
+def _extend_roots(f, roots: list[float], count: int, start: float, step: float, ftol: float) -> None:
+    """Extend the ascending roots of f to ``count`` by a sign-change scan from
+    start (or past the last root), each refined by Brent's method to ftol."""
+    scan_from = roots[-1] + 1e-9 if roots else start
+    while len(roots) < count:
+        roots.append(nth_root_from_scan(f, scan_from, step, 1, ftol=ftol))
+        scan_from = roots[-1] + 0.25 * step
+
+
 def zero_table(
     family: ZeroFamily | str,
     order: int = 0,
@@ -476,13 +485,9 @@ def zero_table(
     cached = _ZERO_CACHE.get(key)
     if cached is not None and len(cached.roots) >= count:
         return cached
-    f = _characteristic(family, order, param)
     start, step = _scan_start_step(family, order)
-    roots: list[float] = list(cached.roots) if cached is not None else []
-    scan_from = roots[-1] + 1e-9 if roots else start
-    while len(roots) < count:
-        roots.append(nth_root_from_scan(f, scan_from, step, 1, ftol=1e-15))
-        scan_from = roots[-1] + 0.25 * step
+    roots = list(cached.roots) if cached is not None else []
+    _extend_roots(_characteristic(family, order, param), roots, count, start, step, ftol=1e-15)
     table = ZeroTable(family=family, order=order, roots=tuple(roots), tol=1e-10, param=param)
     _ZERO_CACHE[key] = table
     return table
@@ -639,10 +644,7 @@ def spherical_bessel_zero(n: int, k: int) -> float:
     roots = _SPH_ZERO_CACHE.setdefault(n, [])
     if len(roots) < k:
         f = lambda x: spherical_bessel("j", n, x)
-        scan_from = roots[-1] + 1e-9 if roots else max(1e-6, 0.5 * n)
-        while len(roots) < k:
-            roots.append(nth_root_from_scan(f, scan_from, math.pi / 8.0, 1, ftol=1e-13))
-            scan_from = roots[-1] + math.pi / 32.0
+        _extend_roots(f, roots, k, max(1e-6, 0.5 * n), math.pi / 8.0, ftol=1e-13)
     return roots[k - 1]
 
 

@@ -103,6 +103,15 @@ def test_json_format(tmp_path):
     assert len(payload["columns"]["mu"]) == 3
 
 
+def test_stdout_honours_file_format(tmp_path, capsys):
+    spec = write_spec(tmp_path, BEAM_SPEC + "output.format = json\n")
+    assert main(["--spec", spec]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["columns"]["mu"]) == 3
+    assert main(["--spec", spec, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-4] == "n,mu,omega"
+
+
 def test_validation_failures(tmp_path):
     cases = [
         ("kind = beam.roots\nparam.bc = clamped_clamped\n", "schema_version"),

@@ -223,6 +223,21 @@ def test_forced_interval_steady_state():
         assert sol(x, 6.0) == pytest.approx(want, rel=1e-4, abs=1e-8)
 
 
+def test_forced_interval_samples_source_once_per_time_node():
+    """All 40 forced amplitudes share one time quadrature: the source is
+    sampled once per tau node (one vectorised call over the projection
+    grid), not once per mode and node."""
+    taus = []
+
+    def source(x, tau):
+        taus.append(tau)
+        return np.cos(2.0 * x) * (1.0 + tau)
+
+    sol = heat_interval_modes((DIRICHLET, DIRICHLET), None, MED, 1.0, 40, source=source)
+    sol(0.4, 1.0)
+    assert taus and len(taus) == len(set(taus))
+
+
 def test_robin_interval_uses_robin_basis():
     bc = (BoundaryCondition.robin(1.0), BoundaryCondition.robin(1.0))
     sol = heat_interval_modes(bc, lambda x: 1.0, MED, 1.0, 8)

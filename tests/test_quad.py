@@ -36,6 +36,33 @@ def test_adaptive_simpson_kinked_integrand():
     assert got == pytest.approx(0.5 * 0.3**2 + 0.5 * 0.7**2, abs=1e-10)
 
 
+def test_adaptive_simpson_vector_integrand():
+    # int_0^1 e^{-r (1 - tau)} dtau = (1 - e^{-r})/r, component by component
+    rates = np.array([0.0, 1.0, 1e4])
+    tol = 1e-11
+    got = adaptive_simpson(lambda tau: np.exp(-rates * (1.0 - tau)), 0.0, 1.0, tol=tol)
+    want = [1.0, -math.expm1(-1.0), -math.expm1(-1e4) / 1e4]
+    assert isinstance(got, np.ndarray) and got.shape == (3,)
+    assert all(abs(g - w) <= tol for g, w in zip(got.tolist(), want))
+    assert type(adaptive_simpson(math.exp, 0.0, 1.0)) is float
+
+
+def test_adaptive_simpson_rejects_non_finite_integrand():
+    calls = [0]
+
+    def nan_past(x):
+        calls[0] += 1
+        if calls[0] > 10_000:
+            raise RuntimeError("integrand sampled without end")
+        return math.nan if x > 0.7 else x
+
+    with pytest.raises(ValueError, match="not finite"):
+        adaptive_simpson(nan_past, 0.0, 1.0)
+    # an infinite component is caught before inf - inf can warn
+    with pytest.raises(ValueError, match="not finite"):
+        adaptive_simpson(lambda x: np.array([x, math.inf if x > 0.3 else 1.0]), 0.0, 1.0)
+
+
 def test_fixed_gauss_polynomial_exactness():
     # n-point Gauss is exact through degree 2n-1
     got = fixed_gauss(lambda x: x**7 - 2 * x**3 + 1, -1.0, 3.0, n=4)
