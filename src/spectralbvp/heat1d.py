@@ -213,7 +213,8 @@ class HeatModalSolution:
 
     ``source_coeffs`` maps tau to the source projections f_n(tau) of every
     mode; the forced amplitudes int_0^t e^{-lam_n a2 (t - tau)} f_n(tau) dtau
-    are one array integral, sampling the source once per tau node.
+    are one array integral, sampling the source once per tau node.  The
+    amplitudes of the last t are kept, so calls at one t integrate once.
 
     ``relaxation_times`` lists tau_n = 1/(a2 lam_n) per retained mode (inf
     for a zero mode).
@@ -230,6 +231,7 @@ class HeatModalSolution:
         self.medium = medium
         self.coefficients = coefficients
         self._source_coeffs = source_coeffs
+        self._forced: tuple[float, np.ndarray] | None = None
 
     @property
     def truncation(self) -> int:
@@ -258,8 +260,10 @@ class HeatModalSolution:
         rates = np.array(self.basis.eigenvalues) * a2
         amps = np.array(self.coefficients) * np.exp(-rates * t)
         if self._source_coeffs is not None:
-            forced = lambda tau: np.exp(-rates * (t - tau)) * self._source_coeffs(tau)
-            amps += adaptive_simpson(forced, 0.0, t, tol=1e-11)
+            if self._forced is None or self._forced[0] != t:
+                forced = lambda tau: np.exp(-rates * (t - tau)) * self._source_coeffs(tau)
+                self._forced = (t, adaptive_simpson(forced, 0.0, t, tol=1e-11))
+            amps += self._forced[1]
         total = contract(self.basis._shapes(x), amps)
         if self.medium.absorption > 0.0:
             total *= math.exp(-self.medium.absorption * t)

@@ -6,10 +6,14 @@ Fixed-step RK4 on the linear system for (u, p u') makes each step a 2x2
 matrix with entries quadratic in lambda, built once per problem, so a sweep
 is a product of step matrices: a pairwise tree product gives the right-end
 boundary residual, whose zeros are the eigenvalues, and a log-depth prefix
-product gives every node value.  The unwrapped angle of (S u, p u') at the
-nodes is the scaled Pruefer phase, which counts oscillations and brackets
-each eigenvalue before it is polished on the boundary residual.  A Picard
-iteration on the equivalent Volterra equation is the independent cross-check.
+product gives every node value.  Products of 16 consecutive steps, kept as
+matrix polynomials of degree 32 in lambda, stand in for the steps in scans
+and phase sweeps wherever a block turns the phase by at most about a
+radian, so those multiply 16 times fewer matrices.  The unwrapped angle of
+(S u, p u') at the nodes is the scaled Pruefer phase, which counts
+oscillations and brackets each eigenvalue before it is polished on the
+boundary residual.  A Picard iteration on the equivalent Volterra equation
+is the independent cross-check.
 """
 
 from __future__ import annotations
@@ -108,7 +112,22 @@ class SLProblem:
             raise ValueError("coefficient samples must be finite")
         if self._p.min() <= 0.0 or self._rho.min() <= 0.0 or self._q.min() < 0.0:
             raise ValueError("need p > 0, rho > 0, q >= 0 on the sampling grid")
-        self._step_coeffs = _rk4_step_coeffs(self._p, self._q, self._rho, self.h_step)
+        self._bounds = {
+            "p_min": float(self._p.min()),
+            "p_max": float(self._p.max()),
+            "q_min": float(self._q.min()),
+            "q_max": float(self._q.max()),
+            "rho_min": float(self._rho.min()),
+            "rho_max": float(self._rho.max()),
+        }
+        b = self._bounds
+        step = _rk4_step_coeffs(self._p, self._q, self._rho, self.h_step)
+        # Blocks take lambda in units of p_min/(rho_max H^2), H the block
+        # length, so their monomials stay O(1) at any interval length; they
+        # serve |lam| <= _block_lam, where H sqrt((q_max + |lam| rho_max)/p_min) <= 1.
+        unit = b["p_min"] / (b["rho_max"] * (self.h_step * 2**_BLOCK_LEVELS) ** 2)
+        self._block_lam = unit - b["q_max"] / b["rho_max"]
+        self._coeffs = {0: (step, 1.0), _BLOCK_LEVELS: (_block_coeffs(step, self.n, unit), unit)}
 
     @property
     def h_step(self) -> float:
@@ -120,19 +139,13 @@ class SLProblem:
         return self._xs_half[::2]
 
     def coefficient_bounds(self) -> dict[str, float]:
-        return {
-            "p_min": float(self._p.min()),
-            "p_max": float(self._p.max()),
-            "q_min": float(self._q.min()),
-            "q_max": float(self._q.max()),
-            "rho_min": float(self._rho.min()),
-            "rho_max": float(self._rho.max()),
-        }
+        """Minima and maxima of p, q and rho over the samples (a copy)."""
+        return dict(self._bounds)
 
     def eigenvalue_window(self, n: int) -> tuple[float, float]:
         """Two-sided estimate for the n-th eigenvalue from the constant-
         coefficient comparison problems (n >= 1)."""
-        b = self.coefficient_bounds()
+        b = self._bounds
         lo = b["p_min"] * math.pi**2 * (n - 1) ** 2 / (b["rho_max"] * self.l**2) + b["q_min"] / b["rho_max"]
         hi = b["p_max"] * math.pi**2 * n**2 / (b["rho_min"] * self.l**2) + b["q_max"] / b["rho_min"]
         return lo, hi
@@ -227,12 +240,28 @@ def _rk4_step_coeffs(p: np.ndarray, q: np.ndarray, rho: np.ndarray, h: float) ->
     return np.stack([m11, m12, m21, m22], axis=1).reshape(3, -1)
 
 
-def _step_matrices(problem: SLProblem, lams: np.ndarray) -> np.ndarray:
-    """Every step matrix at each lambda of the 1-d array lams, as an array of
-    shape (2, 2, len(lams), n): matrix axes first, steps last so that array
-    loops run along the grid."""
-    powers = np.stack([np.ones_like(lams), lams, lams * lams], axis=1)
-    return (powers @ problem._step_coeffs).reshape(len(lams), 2, 2, problem.n).transpose(1, 2, 0, 3)
+# A block is the product of 2**_BLOCK_LEVELS consecutive steps: a 2x2 matrix
+# polynomial of degree 2**(_BLOCK_LEVELS + 1) in lambda.
+_BLOCK_LEVELS = 4
+
+
+def _block_coeffs(step: np.ndarray, n: int, unit: float) -> np.ndarray:
+    """Block polynomials from the step coefficients of _rk4_step_coeffs, in
+    the variable lam/unit: shape (2**(_BLOCK_LEVELS + 1) + 1, 4 blocks), laid
+    out like the step table.  Built by doubling: each level multiplies
+    neighbouring products (later @ earlier) by convolving their coefficients.
+    Identity steps pad n to a whole number of blocks."""
+    c = (step * unit ** np.arange(3)[:, None]).reshape(3, 2, 2, n).transpose(1, 2, 0, 3)
+    pad = np.zeros((2, 2, 3, -n % 2**_BLOCK_LEVELS))
+    pad[0, 0, 0] = pad[1, 1, 0] = 1.0
+    c = np.concatenate([c, pad], axis=-1)
+    for _ in range(_BLOCK_LEVELS):
+        later, earlier = c[..., 1::2], c[..., 0::2]
+        d = c.shape[2]
+        c = np.zeros((2, 2, 2 * d - 1, later.shape[-1]))
+        for i in range(d):
+            c[:, :, i : i + d] += _compose(later[:, :, i : i + 1], earlier)
+    return c.transpose(2, 0, 1, 3).reshape(c.shape[2], -1)
 
 
 def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
@@ -241,7 +270,7 @@ def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
 
 
 def _end_transfer(m: np.ndarray) -> np.ndarray:
-    """Ordered product M_{n-1} ... M_1 M_0 of the stacked step matrices
+    """Ordered product M_{n-1} ... M_1 M_0 of the stacked matrices
     m (2, 2, ..., n) by pairwise tree reduction; an odd count is padded with
     the identity."""
     while m.shape[-1] > 1:
@@ -254,7 +283,7 @@ def _end_transfer(m: np.ndarray) -> np.ndarray:
 
 
 def _node_transfers(m: np.ndarray) -> np.ndarray:
-    """Prefix products M_k ... M_0 (k = 0 .. n-1) of the stacked step matrices,
+    """Prefix products M_k ... M_0 (k = 0 .. n-1) of the stacked matrices,
     by recursive doubling in ceil(log2 n) rounds."""
     d = 1
     while d < m.shape[-1]:
@@ -263,13 +292,32 @@ def _node_transfers(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _transfer(problem: SLProblem, lams: np.ndarray, levels: int, a, w0, nodes: bool = False):
+    """theta and p theta' from theta(0) = a, p theta'(0) = w0 at each lambda of
+    the 1-d batch lams, through factors of 2**levels steps (levels is 0 or
+    _BLOCK_LEVELS): at the right end, shape (batch,), or with nodes=True at
+    the end of every factor, shape (batch, factors).  Each factor's matrix
+    polynomial is evaluated by one matrix product with the powers of lambda,
+    and the factors are multiplied out by tree or prefix products."""
+    coeffs, unit = problem._coeffs[levels]
+    powers = np.vander(lams / unit, len(coeffs), increasing=True)
+    m = (powers @ coeffs).reshape(len(lams), 2, 2, -1).transpose(1, 2, 0, 3)
+    t = _node_transfers(m) if nodes else _end_transfer(m)
+    return t[0, 0] * a + t[0, 1] * w0, t[1, 0] * a + t[1, 1] * w0
+
+
+def _node_values(problem: SLProblem, lam: float, a: float, b: float, levels: int):
+    """theta and p theta' of the solution with theta(0) = a, theta'(0) = b at
+    node 0 and at the end of every factor of 2**levels steps."""
+    w0 = problem._p[0] * b
+    theta, w = _transfer(problem, np.array([lam]), levels, a, w0, nodes=True)
+    return np.concatenate([[a], theta[0]]), np.concatenate([[w0], w[0]])
+
+
 def _rk4_integrate(problem: SLProblem, lam: float, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 on theta' = w/p, w' = (q - lam*rho) theta, as products
-    of the step matrices."""
-    t = _node_transfers(_step_matrices(problem, np.array([lam])))[:, :, 0]
-    w0 = problem._p[0] * b
-    theta = np.concatenate([[a], t[0, 0] * a + t[0, 1] * w0])
-    w = np.concatenate([[w0], t[1, 0] * a + t[1, 1] * w0])
+    of the step matrices, at every node."""
+    theta, w = _node_values(problem, lam, a, b, 0)
     return theta, w / problem._p[::2]
 
 
@@ -347,24 +395,23 @@ def characteristic(problem: SLProblem, lam: float, method: str = "rk4") -> float
     return _end_residual(problem, sol.end_value, sol.end_derivative)
 
 
-# lambda values per batch in characteristic_many; bounds the scan's working
-# memory to a few (2, 2, batch, n) arrays
-_LAMBDA_BATCH = 4
-
-
 def characteristic_many(problem: SLProblem, lams: Sequence[float]) -> np.ndarray:
     """Vectorized characteristic over an array of lambda values, used for
-    dense scans: the step matrices of a batch of lambda are evaluated from the
-    problem's polynomial coefficients and tree-reduced together."""
+    dense scans.  Values that pass the block test go through the products of
+    16 steps in batches of 64, the rest through the step matrices in batches
+    of 4, so either working array has the size of (2, 2, 4, n)."""
     lams = np.asarray(lams, dtype=float)
     flat = lams.ravel()
     a, b = problem.left_initial_data()
     w0 = problem._p[0] * b
     out = np.empty(flat.shape)
-    for k in range(0, flat.size, _LAMBDA_BATCH):
-        t = _end_transfer(_step_matrices(problem, flat[k : k + _LAMBDA_BATCH]))
-        theta, w = t[0, 0] * a + t[0, 1] * w0, t[1, 0] * a + t[1, 1] * w0
-        out[k : k + _LAMBDA_BATCH] = _end_residual(problem, theta, w / problem._p[-1])
+    blocked = np.abs(flat) <= problem._block_lam
+    for levels, idx in ((_BLOCK_LEVELS, np.flatnonzero(blocked)), (0, np.flatnonzero(~blocked))):
+        batch = 4 << levels
+        for k in range(0, idx.size, batch):
+            part = idx[k : k + batch]
+            theta, w = _transfer(problem, flat[part], levels, a, w0)
+            out[part] = _end_residual(problem, theta, w / problem._p[-1])
     return out.reshape(lams.shape)
 
 
@@ -374,7 +421,7 @@ def _phase_scale(problem: SLProblem, lam: float) -> float:
     S ~ sqrt(lam * rho * p) makes phi' nearly constant (exactly constant for
     constant coefficients), so the phase turns at a nearly even rate between
     nodes."""
-    b = problem.coefficient_bounds()
+    b = problem._bounds
     pm = math.sqrt(b["p_min"] * b["p_max"])
     rm = math.sqrt(b["rho_min"] * b["rho_max"])
     return math.sqrt(max(lam, 1.0) * pm * rm)
@@ -392,10 +439,15 @@ _MAX_STEP_PHASE = 1.0
 
 
 def _phase(problem: SLProblem, lam: float, scale: float) -> np.ndarray:
-    """Scaled Pruefer phase phi at the nodes: the unwrapped angle of (S u, p u')
-    for the left-normalized u, so phi(0) carries the left boundary condition
-    and interior zeros of u sit exactly at multiples of pi."""
-    b = problem.coefficient_bounds()
+    """Scaled Pruefer phase phi: the unwrapped angle of (S u, p u') for the
+    left-normalized u, so phi(0) carries the left boundary condition and
+    interior zeros of u sit exactly at multiples of pi.
+
+    The angle is unwrapped at the block ends when lam passes the block test
+    (a block then turns the phase no further than one step at the
+    ResolutionError bound does), else at every node; the end value is the
+    same either way."""
+    b = problem._bounds
     step_phase = problem.h_step * math.sqrt(max(lam, 0.0) * b["rho_max"] / b["p_min"])
     if step_phase > _MAX_STEP_PHASE:
         raise ResolutionError(
@@ -403,8 +455,9 @@ def _phase(problem: SLProblem, lam: float, scale: float) -> np.ndarray:
             f"h*sqrt(lam*rho_max/p_min) = {step_phase:.3f} > {_MAX_STEP_PHASE}"
         )
     a, b0 = problem.left_initial_data()
-    theta, derivs = _rk4_integrate(problem, lam, a, b0)
-    return np.unwrap(np.arctan2(scale * theta, problem._p[::2] * derivs))
+    levels = _BLOCK_LEVELS if abs(lam) <= problem._block_lam else 0
+    theta, w = _node_values(problem, lam, a, b0, levels)
+    return np.unwrap(np.arctan2(scale * theta, w))
 
 
 def node_count(problem: SLProblem, lam: float) -> int:

@@ -238,6 +238,25 @@ def test_forced_interval_samples_source_once_per_time_node():
     assert taus and len(taus) == len(set(taus))
 
 
+def test_forced_amplitudes_reused_at_one_time():
+    """Single-point calls at one t share one Duhamel integral: three of them
+    sample the source once per tau node in total, and a new t integrates
+    again."""
+    taus = []
+
+    def source(x, tau):
+        taus.append(tau)
+        return np.cos(2.0 * x) * (1.0 + tau)
+
+    sol = heat_interval_modes((DIRICHLET, DIRICHLET), None, MED, 1.0, 40, source=source)
+    values = [sol(x, 1.0) for x in (0.2, 0.4, 0.7)]
+    assert taus and len(taus) == len(set(taus))
+    assert values == pytest.approx(sol(np.array([0.2, 0.4, 0.7]), 1.0), rel=1e-14)
+    once = len(taus)
+    sol(0.4, 0.5)
+    assert len(taus) > once
+
+
 def test_robin_interval_uses_robin_basis():
     bc = (BoundaryCondition.robin(1.0), BoundaryCondition.robin(1.0))
     sol = heat_interval_modes(bc, lambda x: 1.0, MED, 1.0, 8)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spectralbvp import sturm
 from spectralbvp._quad import composite_simpson
 from spectralbvp._rootfind import refine_root, scan_brackets
 from spectralbvp.sturm import (
@@ -102,6 +103,14 @@ def test_theta_picard_matches_rk4():
         assert a.end_derivative == pytest.approx(b.end_derivative, rel=1e-8, abs=1e-10)
 
 
+def test_coefficient_bounds_are_a_copy():
+    prob = SLProblem(lambda x: 1.0 + x, lambda x: x, ONE, 1.0, NEUMANN, NEUMANN, grid_size=64)
+    bnd = prob.coefficient_bounds()
+    assert bnd == {"p_min": 1.0, "p_max": 2.0, "q_min": 0.0, "q_max": 1.0, "rho_min": 1.0, "rho_max": 1.0}
+    bnd["p_min"] = -1.0
+    assert prob.coefficient_bounds()["p_min"] == 1.0
+
+
 def test_theta_growth_bound():
     # |theta| <= (|a| + (pM/pm)|b| l) cosh(sqrt((|lam| rhoM + qM)/pm) x)
     p = lambda x: 1.0 + 0.5 * x
@@ -160,6 +169,75 @@ def test_propagator_matches_step_loop():
                 m_ref = vals[-1] if right.dirichlet else ders[-1] + right.h * vals[-1]
                 assert abs(characteristic(prob, lam) - m_ref) <= tol
                 assert abs(m_many - m_ref) <= tol
+
+
+BLOCK_COEFFS = {
+    # variable coefficients like the benchmark's, and a stiffness ratio
+    # p_max/p_min = 49 with rho_max/rho_min = 1.5 (kappa near 50)
+    "mild": (
+        lambda x: 1.0 + 0.4 * math.sin(2.0 * x + 0.3),
+        lambda x: 0.3 * (1.0 + math.sin(3.0 * x)),
+        lambda x: 1.0 + 0.5 * math.cos(1.5 * x) ** 2,
+    ),
+    "kappa50": (
+        lambda x: 1.0 + 48.0 * x * x,
+        lambda x: 0.2 * x,
+        lambda x: 1.0 + 0.5 * math.sin(2.0 * x),
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", [16, 18, 30, 64, 4096])
+@pytest.mark.parametrize("coeffs", sorted(BLOCK_COEFFS))
+def test_blocked_propagator_matches_step_path(grid, coeffs):
+    """Up to the block bound the scans and the phase run on products of 16
+    steps (identity-padded when 16 does not divide the grid); they agree with
+    the per-step node values of solve_theta to 1e-12 of the solution's size."""
+    p, q, rho = BLOCK_COEFFS[coeffs]
+    for ends in END_PAIRS:
+        left = DIRICHLET if ends[0] else BoundaryCondition.robin(0.8)
+        right = DIRICHLET if ends[1] else BoundaryCondition.robin(1.7)
+        prob = SLProblem(p, q, rho, 1.0, left, right, grid_size=grid)
+        top = prob._block_lam
+        assert top > 0.0
+        lams = top * np.array([-1.0, -0.3, -1e-3, 0.0, 1e-3, 0.05, 0.2, 0.45, 0.7, 0.9, 1.0])
+        many = characteristic_many(prob, lams)
+        a, b = prob.left_initial_data()
+        for lam, m_many in zip(lams, many):
+            sol = solve_theta(prob, float(lam), a, b)
+            w = prob._p[::2] * sol.derivs
+            scale = max(1.0, np.abs(sol.values).max(), np.abs(w).max())
+            m_ref = sol.values[-1] if right.dirichlet else sol.derivs[-1] + right.h * sol.values[-1]
+            assert abs(m_many - m_ref) <= 1e-12 * scale
+            assert abs(characteristic(prob, float(lam)) - m_ref) <= 1e-12 * scale
+            s = sturm._phase_scale(prob, float(lam))
+            phi_ref = np.unwrap(np.arctan2(s * sol.values, w))[-1]
+            assert abs(sturm._phase(prob, float(lam), s)[-1] - phi_ref) <= 1e-12 * max(1.0, abs(phi_ref))
+
+
+def test_block_bound_selects_the_path(monkeypatch):
+    """A lambda at the block bound goes through the blocks; the next float
+    above it through the step matrices, in the scan and in the phase."""
+    p, q, rho = BLOCK_COEFFS["mild"]
+    prob = SLProblem(p, q, rho, 1.0, BoundaryCondition.robin(0.8), DIRICHLET, grid_size=4096)
+    top = prob._block_lam
+    above = math.nextafter(top, math.inf)
+    bnd = prob.coefficient_bounds()
+    assert 16 * prob.h_step * math.sqrt((bnd["q_max"] + top * bnd["rho_max"]) / bnd["p_min"]) == pytest.approx(1.0, rel=1e-15)
+    levels = []
+    transfer = sturm._transfer
+
+    def spy(problem, lams, lv, *args, **kwargs):
+        levels.append((lv, list(lams)))
+        return transfer(problem, lams, lv, *args, **kwargs)
+
+    monkeypatch.setattr(sturm, "_transfer", spy)
+    characteristic_many(prob, [above, top])
+    assert sorted(levels) == [(0, [above]), (sturm._BLOCK_LEVELS, [top])]
+    levels.clear()
+    node_count(prob, top)
+    node_count(prob, above)
+    assert levels == [(sturm._BLOCK_LEVELS, [top]), (0, [above])]
 
 
 def constant_coefficient_solution(pc, qc, rc, lam, a, b, x):
@@ -290,6 +368,34 @@ def test_node_count_rejects_underresolved_lambda():
     assert node_count(prob, (19.5 * math.pi) ** 2) == 19
     with pytest.raises(ResolutionError):
         node_count(prob, 64.5**2)
+
+
+def test_resolution_error_fires_at_its_stated_bound():
+    """h sqrt(lam rho_max/p_min) = 1 is the last resolved lambda, for
+    node_count and for the highest lambda eigen_solve's search evaluates."""
+    p = lambda x: 1.0 + 0.5 * x
+    rho = lambda x: 1.0 + 0.3 * x
+    prob = SLProblem(p, ZERO, rho, 1.0, DIRICHLET, NEUMANN, grid_size=64)
+    bnd = prob.coefficient_bounds()
+    edge = bnd["p_min"] / (prob.h_step**2 * bnd["rho_max"])
+    assert node_count(prob, edge * (1.0 - 1e-9) ** 2) >= 0
+    with pytest.raises(ResolutionError):
+        node_count(prob, edge * (1.0 + 1e-9) ** 2)
+    # eigen_solve's search reaches the top of the widened window,
+    # hi (1 + 1e-3) + 1e-6 with hi = pi^2 n^2 + q for p = rho = l = 1; a
+    # constant q puts that top on either side of the bound while mode 5
+    # stays well resolved
+    n, grid = 5, 64
+    for side, ok in ((-1.0, True), (1.0, False)):
+        top = (grid * (1.0 + side * 1e-9)) ** 2
+        qc = (top - 1e-6) / 1.001 - (n * math.pi) ** 2
+        stiff = SLProblem(ONE, lambda x: qc, ONE, 1.0, DIRICHLET, DIRICHLET, grid_size=grid)
+        if ok:
+            lam = eigen_solve(stiff, n).eigenvalues[-1]
+            assert lam == pytest.approx((n * math.pi) ** 2 + qc, rel=1e-5)
+        else:
+            with pytest.raises(ResolutionError):
+                eigen_solve(stiff, n)
 
 
 def test_node_count_monotone():
