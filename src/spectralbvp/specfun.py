@@ -13,11 +13,11 @@ zero tables are immutable once built and safe to share between threads.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from typing import Callable
 
 import numpy as np
 
@@ -60,6 +60,7 @@ class SeriesEval:
 
 _EULER_GAMMA = 0.5772156649015328606
 _EPS = 2.220446049250313e-16
+_SUBNORMAL = 2.225073858507201e-308  # the largest subnormal float
 # J_0, J_1, N_0 and N_1 use their power series up to this argument and the
 # Hankel asymptotics beyond it; J_m (m >= 2) uses its series up to max(12, m).
 _SERIES_X = 12.0
@@ -110,6 +111,8 @@ class _BesselOrder:
     __slots__ = ("m", "reach", "big_y", "coeffs", "lead", "steps")
 
     def __init__(self, m: int):
+        if m < 0:
+            raise ValueError("order must be a non-negative integer")
         self.m = m
         reach = max(int(_SERIES_X), m)
         self.reach = float(reach)
@@ -127,14 +130,7 @@ class _BesselOrder:
         self.steps = _floats(2, 2 * m, 2)
 
 
-_BESSEL_ORDERS: dict[int, _BesselOrder] = {}
-
-
-def _order(m: int) -> _BesselOrder:
-    if m < 0:
-        raise ValueError("order must be a non-negative integer")
-    got = _BESSEL_ORDERS[m] = _BesselOrder(m)
-    return got
+_order = cache(_BesselOrder)
 
 
 def _j_series(x, xp, o: _BesselOrder):
@@ -146,9 +142,7 @@ def _j_series(x, xp, o: _BesselOrder):
     return lead * _horner(o.coeffs, half * half / o.big_y)
 
 
-_HANKEL: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
-
-
+@cache
 def _hankel_table(m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Coefficients of the Hankel amplitudes (A&S 9.2.9-10) of order m:
     P = sum_k (-1)^k a_2k z^k and Q = t sum_k (-1)^k a_2k+1 z^k with
@@ -157,27 +151,24 @@ def _hankel_table(m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     The series is asymptotic, so it is cut at its smallest term at x = 12,
     where the regime starts; at larger x every kept term is smaller still.
     """
-    got = _HANKEL.get(m)
-    if got is None:
-        num, den = 1, 1
-        a = [1.0]
-        for j in range(1, 80):
-            num *= 4 * m * m - (2 * j - 1) ** 2
-            den *= j
-            if j > 2 and abs(num / den) >= abs(a[-1]) * 8.0 * _SERIES_X:
-                break
-            a.append(num / den)
-        p = tuple(reversed([(-1.0) ** k * v for k, v in enumerate(a[0::2])]))
-        q = tuple(reversed([(-1.0) ** k * v for k, v in enumerate(a[1::2])]))
-        got = _HANKEL[m] = (p, q)
-    return got
+    num, den = 1, 1
+    a = [1.0]
+    for j in range(1, 80):
+        num *= 4 * m * m - (2 * j - 1) ** 2
+        den *= j
+        if j > 2 and abs(num / den) >= abs(a[-1]) * 8.0 * _SERIES_X:
+            break
+        a.append(num / den)
+    p = tuple(reversed([(-1.0) ** k * v for k, v in enumerate(a[0::2])]))
+    q = tuple(reversed([(-1.0) ** k * v for k, v in enumerate(a[1::2])]))
+    return p, q
 
 
 def _hankel(x, xp, m: int):
     """J_m(x) and N_m(x) for m in (0, 1) and x > 12 from the amplitudes:
     sqrt(2/(pi x)) (P cos chi - Q sin chi) and sqrt(2/(pi x)) (P sin chi +
     Q cos chi), chi = x - pi/4 - m pi/2."""
-    pc, qc = _HANKEL.get(m) or _hankel_table(m)
+    pc, qc = _hankel_table(m)
     t = 1.0 / (8.0 * x)
     z = t * t
     p = _horner(pc, z)
@@ -188,27 +179,34 @@ def _hankel(x, xp, m: int):
     return amp * (p * c - q * s), amp * (p * s + q * c)
 
 
-def _upward(f0, f1, x, o: _BesselOrder):
-    """Order m from orders 0 and 1 by f_{k+1} = (2k/x) f_k - f_{k-1}."""
+def _upward(f0, f1, x, o):
+    """Order o.m from orders 0 and 1 by f_{k+1} = (c_k/x) f_k - f_{k-1}, the
+    factors c_k in ``o.steps`` (2k for J and N, 2k+1 for j and y)."""
     if o.m == 0:
         return f0
-    for k2 in o.steps:
-        f0, f1 = f1, k2 / x * f1 - f0
+    for c in o.steps:
+        f0, f1 = f1, c / x * f1 - f0
     return f1
 
 
+def _growing(f0, f1, x, o):
+    """``_upward`` for the growing N_m and y_n, negative where large: past
+    -DBL_MAX it overflows to -inf, then meets inf - inf; that NaN is -inf."""
+    v = _upward(f0, f1, x, o)
+    return where(v != v, -math.inf, v)
+
+
+def _quiet(x):
+    """No numpy warnings for an array x whose infinities are answers."""
+    return nullcontext() if type(x) is float else np.errstate(over="ignore", invalid="ignore")
+
+
 def _j_hankel(x, xp, o: _BesselOrder):
-    """Large-argument regime of J_0 and J_1."""
-    return _hankel(x, xp, o.m)[0]
-
-
-def _j_recurrence(x, xp, o: _BesselOrder):
-    """J_m for m >= 2 and x > max(12, m): upward recurrence from the
-    asymptotic J_0, J_1, stable because m < x."""
+    """x > max(12, m): J_0 and J_1 from their asymptotics, higher orders by
+    the upward recurrence from those, stable because m < x."""
+    if o.m < 2:
+        return _hankel(x, xp, o.m)[0]
     return _upward(_hankel(x, xp, 0)[0], _hankel(x, xp, 1)[0], x, o)
-
-
-_J_KERNELS = ((_j_series, _j_hankel), (_j_series, _j_recurrence))
 
 
 def _finite(x):
@@ -232,10 +230,10 @@ def bessel_j(m: int, x):
     m < x) for higher orders at large argument.  Non-finite x raises
     ValueError.
     """
-    o = _BESSEL_ORDERS.get(m) or _order(m)
+    o = _order(m)
     x = _finite(x)
     ax = abs(x)
-    v = piecewise(ax, (o.reach,), _J_KERNELS[m > 1], o)
+    v = piecewise(ax, (o.reach,), (_j_series, _j_hankel), o)
     return where(x < 0.0, -v, v) if m % 2 else v
 
 
@@ -284,7 +282,7 @@ def bessel_j_eval(m: int, x) -> SeriesEval:
     """
     x = as_arg(x)
     value = bessel_j(m, x)
-    o = _BESSEL_ORDERS.get(m) or _order(m)
+    o = _order(m)
     bound = piecewise(abs(x), (0.0, o.reach), (_zero_bound, _j_series_bound, _j_asymptotic_bound), o)
     return SeriesEval(x, m, value, bound)
 
@@ -294,8 +292,6 @@ def bessel_j_prime(m: int, x):
     which needs no division by x."""
     if m == 0:
         return -bessel_j(1, x)
-    if m < 0:
-        raise ValueError("order must be a non-negative integer")
     return 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
 
 
@@ -322,23 +318,30 @@ def _n_series_table() -> tuple[float, tuple[float, ...], tuple[float, ...]]:
     return 0.25 * reach * reach, tuple(reversed(c0)), tuple(reversed(c1))
 
 
+def _n_subnormal(x, xp, o: _BesselOrder):
+    """Subnormal x, where the series terms past J_0 = 1 underflow: N_0 =
+    (2/pi)(log(x/2) + gamma), N_1 = -2/(pi x), then upward to order m."""
+    n0 = 2.0 / math.pi * (xp.log(x) - math.log(2.0) + _EULER_GAMMA)
+    return _growing(n0, -2.0 / math.pi / x, x, o)
+
+
 def _n_series(x, xp, o: _BesselOrder):
     """N_0 from its logarithmic series and N_1 = -N_0' from the series
-    differentiated term by term, 0 < x <= 12, then upward to order m."""
+    differentiated term by term, normal x <= 12, then upward to order m."""
     big_y, c0, c1 = _n_series_table()
-    j0 = _j_series(x, xp, _BESSEL_ORDERS.get(0) or _order(0))
-    j1 = _j_series(x, xp, _BESSEL_ORDERS.get(1) or _order(1))
+    j0 = _j_series(x, xp, _order(0))
+    j1 = _j_series(x, xp, _order(1))
     half = 0.5 * x
     w = half * half / big_y
     log_term = xp.log(half) + _EULER_GAMMA
     n0 = 2.0 / math.pi * (j0 * log_term - w * _horner(c0, w))
     dsum = 2.0 / x * (w * _horner(c1, w))
     n1 = -(2.0 / math.pi * (-j1 * log_term + j0 / x - dsum))
-    return _upward(n0, n1, x, o)
+    return _growing(n0, n1, x, o)
 
 
 def _n_hankel(x, xp, o: _BesselOrder):
-    return _upward(_hankel(x, xp, 0)[1], _hankel(x, xp, 1)[1], x, o)
+    return _growing(_hankel(x, xp, 0)[1], _hankel(x, xp, 1)[1], x, o)
 
 
 def bessel_n(m: int, x):
@@ -348,21 +351,23 @@ def bessel_n(m: int, x):
     N_0 comes from its logarithmic series (asymptotic beyond x = 12), N_1
     from the differentiated series, and higher orders from the upward
     recurrence N_{m+1} = -N_{m-1} + (2m/x) N_m, which is stable because N
-    is the growing solution.
+    is the growing solution.  Where N_m lies below -DBL_MAX the value is -inf.
     """
-    o = _BESSEL_ORDERS.get(m) or _order(m)
+    o = _order(m)
     x = _finite(x)
     if any_(x <= 0.0):
         raise ValueError("Neumann function requires x > 0 (logarithmic singularity at 0)")
-    return piecewise(x, (_SERIES_X,), (_n_series, _n_hankel), o)
+    with _quiet(x):
+        return piecewise(x, (_SUBNORMAL, _SERIES_X), (_n_subnormal, _n_series, _n_hankel), o)
 
 
 def bessel_n_prime(m: int, x):
-    """Derivative N_m'(x) via N_0' = -N_1 and the standard relation."""
-    if m == 0:
-        return -bessel_n(1, x)
+    """Derivative N_m'(x) = -N_{m+1} + (m/x) N_m.  Where N_m' lies above
+    DBL_MAX the relation meets inf - inf, and the value is +inf."""
     x = as_arg(x)
-    return -bessel_n(m + 1, x) + m / x * bessel_n(m, x)
+    with _quiet(x):
+        v = -bessel_n(m + 1, x) + m / x * bessel_n(m, x)
+    return where(v != v, math.inf, v)
 
 
 # ----------------------------------------------------------------------
@@ -421,52 +426,41 @@ def _radial_tan_fn(g: float) -> float:
     return math.sin(g) - g * math.cos(g)
 
 
-def _characteristic(family: ZeroFamily, order: int, param: float | None) -> Callable[[float], float]:
-    if family == ZeroFamily.BESSEL_J:
-        return lambda x: bessel_j(order, x)
-    if family == ZeroFamily.BESSEL_J_PRIME:
-        return lambda x: bessel_j_prime(order, x)
-    if family == ZeroFamily.BEAM_CC:
-        return _beam_cc_fn
-    if family == ZeroFamily.BEAM_CF:
-        return _beam_cf_fn
-    if family == ZeroFamily.BEAM_CP:
-        return _beam_cp_fn
-    if family == ZeroFamily.RADIAL_TAN:
-        return _radial_tan_fn
-    if family == ZeroFamily.RADIAL_ROBIN:
-        if param is None:
-            raise ValueError("radial_robin family needs the Robin constant h*R as param")
-        c = param - 1.0  # equation: g cos g + (hR - 1) sin g = 0
-        return lambda g: g * math.cos(g) + c * math.sin(g)
-    raise ValueError(f"unknown family {family!r}")
+def _radial_robin_fn(order: int, param: float | None):
+    if param is None:
+        raise ValueError("radial_robin family needs the Robin constant h*R as param")
+    c = param - 1.0  # equation: g cos g + (hR - 1) sin g = 0
+    return lambda g: g * math.cos(g) + c * math.sin(g)
 
 
-def _scan_start_step(family: ZeroFamily, order: int) -> tuple[float, float]:
-    if family == ZeroFamily.BESSEL_J:
-        # J_m > 0 on (0, first zero); first zero > m, spacing eventually ~ pi
-        return (1e-9 if order == 0 else 0.5 * order), math.pi / 8.0
-    if family == ZeroFamily.BESSEL_J_PRIME:
-        return max(1e-6, 0.4 * order), math.pi / 8.0
-    if family in (ZeroFamily.BEAM_CC, ZeroFamily.BEAM_CF, ZeroFamily.BEAM_CP):
-        # cos +- sech and sin*cosh - cos*sinh vanish to high order at 0;
-        # start past the degenerate origin
-        return 0.3, math.pi / 8.0
-    if family in (ZeroFamily.RADIAL_TAN, ZeroFamily.RADIAL_ROBIN):
-        return 1e-6, math.pi / 8.0
-    raise ValueError(f"unknown family {family!r}")
+# Each family: its characteristic built from (order, param), and the scan
+# start max(lo, slope * order).  J_m > 0 on (0, first zero) and that zero
+# exceeds m; cos +- sech and sin*cosh - cos*sinh vanish to high order at 0,
+# so the beam scans start past the degenerate origin.
+_FAMILIES = {
+    ZeroFamily.BESSEL_J: (lambda m, _: lambda x: bessel_j(m, x), 1e-9, 0.5),
+    ZeroFamily.BESSEL_J_PRIME: (lambda m, _: lambda x: bessel_j_prime(m, x), 1e-6, 0.4),
+    ZeroFamily.BEAM_CC: (lambda m, _: _beam_cc_fn, 0.3, 0.0),
+    ZeroFamily.BEAM_CF: (lambda m, _: _beam_cf_fn, 0.3, 0.0),
+    ZeroFamily.BEAM_CP: (lambda m, _: _beam_cp_fn, 0.3, 0.0),
+    ZeroFamily.RADIAL_TAN: (lambda m, _: _radial_tan_fn, 1e-6, 0.0),
+    ZeroFamily.RADIAL_ROBIN: (_radial_robin_fn, 1e-6, 0.0),
+}
 
+# The sign-change scan step, an eighth of the root spacing pi that every
+# family approaches.
+_SCAN_STEP = math.pi / 8.0
 
 _ZERO_CACHE: dict[tuple, ZeroTable] = {}
 
 
-def _extend_roots(f, roots: list[float], count: int, start: float, step: float, ftol: float) -> None:
+def _extend_roots(f, roots: list[float], count: int, start: float, ftol: float) -> None:
     """Extend the ascending roots of f to ``count`` by a sign-change scan from
     start (or past the last root), each refined by Brent's method to ftol."""
     scan_from = roots[-1] + 1e-9 if roots else start
     while len(roots) < count:
-        roots.append(nth_root_from_scan(f, scan_from, step, 1, ftol=ftol))
-        scan_from = roots[-1] + 0.25 * step
+        roots.append(nth_root_from_scan(f, scan_from, _SCAN_STEP, 1, ftol=ftol))
+        scan_from = roots[-1] + 0.25 * _SCAN_STEP
 
 
 def zero_table(
@@ -485,9 +479,9 @@ def zero_table(
     cached = _ZERO_CACHE.get(key)
     if cached is not None and len(cached.roots) >= count:
         return cached
-    start, step = _scan_start_step(family, order)
+    characteristic, lo, slope = _FAMILIES[family]
     roots = list(cached.roots) if cached is not None else []
-    _extend_roots(_characteristic(family, order, param), roots, count, start, step, ftol=1e-15)
+    _extend_roots(characteristic(order, param), roots, count, max(lo, slope * order), ftol=1e-15)
     table = ZeroTable(family=family, order=order, roots=tuple(roots), tol=1e-10, param=param)
     _ZERO_CACHE[key] = table
     return table
@@ -505,34 +499,32 @@ def bessel_zero(family: ZeroFamily | str, order: int, k: int, param: float | Non
 # ----------------------------------------------------------------------
 
 class _SphOrder:
-    """Constants of j_n and y_n for one order n.
+    """Constants of j_n and y_n for one order m = n.
 
-    j_n is taken in |x| from 0, the power series on (0, 0.5) for n <= 40,
-    the downward recurrence on the rest of (0, n) and the upward recurrence
-    on [max(0.5, n), inf): ``edges`` and ``kernels`` in the form of
-    ``piecewise``.  ``up`` and ``down`` hold the factors 2k+1 of the two
-    recurrences; the downward one starts at k = ``start``.
+    j_n is taken in |x| from its power series on [0, 0.5), the downward
+    recurrence on the rest of (0, n) and the upward recurrence on
+    [max(0.5, n), inf): ``edges`` splits ``_SPH_J_KERNELS`` in the form of
+    ``piecewise``.  ``steps`` holds the factors 2k+1 of the upward
+    recurrence (k = 1..n-1, as ``_upward`` reads them) and ``down`` those of
+    the downward one, from k = ``start``.
     """
 
-    __slots__ = ("n", "edges", "kernels", "up", "down", "start", "dfact", "series")
+    __slots__ = ("m", "edges", "steps", "down", "start", "dfact", "series")
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError("order must be non-negative")
-        self.n = n
+        self.m = n
         below_half = math.nextafter(0.5, 0.0)
-        self.edges = (0.0, below_half, max(below_half, math.nextafter(n, 0.0)))
-        small = _sph_j_small if n <= 40 else _sph_j_downward
-        self.kernels = (_sph_j_at_zero, small, _sph_j_downward, _sph_j_upward)
-        self.up = _floats(3, 2 * n + 1, 2)
+        self.edges = (below_half, max(below_half, math.nextafter(n, 0.0)))
+        self.steps = _floats(3, 2 * n + 1, 2)
         self.start = n + int(2.0 * math.sqrt(max(n, 10))) + 20
         self.down = _floats(2 * self.start + 1, 1, -2)
         # series j_n(x) = x^n/(2n+1)!! * sum_s c_s v^s, v = x^2/2, with
         # c_s = (-1)^s / (s! prod_{i<=s} (2n+2i+1)), cut where its terms at
-        # |x| = 0.5 fall below 1e-18
-        self.dfact = 1.0
-        for i in range(1, 2 * n + 2, 2):
-            self.dfact *= i
+        # |x| = 0.5 fall below 1e-18 ((2n+1)!! is inf past n ~ 150, where
+        # x^n/(2n+1)!! is 0 anyway)
+        self.dfact = math.prod(range(1, 2 * n + 2, 2), start=1.0)
         den = 1
         coeffs = [1.0]
         for s in range(1, 40):
@@ -543,22 +535,13 @@ class _SphOrder:
         self.series = tuple(reversed(coeffs))
 
 
-_SPH_ORDERS: dict[int, _SphOrder] = {}
-
-
-def _sph_order(n: int) -> _SphOrder:
-    got = _SPH_ORDERS[n] = _SphOrder(n)
-    return got
-
-
-def _sph_j_at_zero(x, xp, o: _SphOrder):
-    return (1.0 if o.n == 0 else 0.0) + 0.0 * x
+_sph_order = cache(_SphOrder)
 
 
 def _sph_j_small(x, xp, o: _SphOrder):
-    """Series regime, |x| < 0.5 and n <= 40."""
+    """Series regime, |x| < 0.5."""
     lead = 1.0
-    for _ in range(o.n):
+    for _ in range(o.m):
         lead = lead * x
     return lead / o.dfact * _horner(o.series, 0.5 * x * x)
 
@@ -571,7 +554,7 @@ def _sph_j_downward(x, xp, o: _SphOrder):
     jp1 = 0.0
     j = 1e-290
     target = 0.0
-    at_n = 2.0 * o.n + 3.0
+    at_n = 2.0 * o.m + 3.0
     for c in o.down:  # c = 2k + 1, k = start .. 1
         jp1, j = j, c / x * j - jp1
         if c == at_n:  # j is now the recurred j_n
@@ -587,49 +570,40 @@ def _sph_j_downward(x, xp, o: _SphOrder):
 def _sph_j_upward(x, xp, o: _SphOrder):
     """Upward recurrence from the closed forms of j_0 and j_1, for x >= n."""
     s = xp.sin(x)
-    j0 = s / x
-    if o.n == 0:
-        return j0
-    jm1, jm = j0, s / (x * x) - xp.cos(x) / x
-    for c in o.up:
-        jm1, jm = jm, c / x * jm - jm1
-    return jm
+    return _upward(s / x, s / (x * x) - xp.cos(x) / x, x, o)
+
+
+_SPH_J_KERNELS = (_sph_j_small, _sph_j_downward, _sph_j_upward)
 
 
 def _sph_y(x, xp, o: _SphOrder):
-    """Upward recurrence from the closed forms of y_0 and y_1 (x > 0).  Where
-    y_n < -DBL_MAX it overflows to -inf and then meets inf - inf: that NaN
-    reads as -inf, and numpy's warnings about it are off."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = xp.cos(x)
-        ym = -c / x
-        if o.n:
-            ym1, ym = ym, -c / x / x - xp.sin(x) / x
-            for k in o.up:
-                ym1, ym = ym, k / x * ym - ym1
-    return where(ym != ym, -math.inf, ym)
+    """Upward recurrence from the closed forms of y_0 and y_1 (x > 0)."""
+    c = xp.cos(x)
+    return _growing(-c / x, -c / x / x - xp.sin(x) / x, x, o)
 
 
 def spherical_bessel(kind: str, n: int, x):
     """Spherical Bessel functions j_n(x) and y_n(x) for integer n >= 0 and x
     a float or an array.
 
-    j_n near 0 (|x| < 0.5, n <= 40) comes from its power series, and
-    otherwise from the three-term recurrence: upward from the closed forms
-    of j_0, j_1 when x >= n, downward (normalized by j_0) when n > x.  y_n
-    always recurs upward from y_0, y_1.  Non-finite x raises ValueError.
+    j_n near 0 (|x| < 0.5) comes from its power series, and otherwise from
+    the three-term recurrence: upward from the closed forms of j_0, j_1 when
+    x >= n, downward (normalized by j_0) when n > x.  y_n always recurs
+    upward from y_0, y_1, and is -inf where it lies below -DBL_MAX.
+    Non-finite x raises ValueError.
     """
-    o = _SPH_ORDERS.get(n) or _sph_order(n)
+    o = _sph_order(n)
     x = _finite(x)
     ax = abs(x)
     if kind == "j":
-        v = piecewise(ax, o.edges, o.kernels, o)
+        v = piecewise(ax, o.edges, _SPH_J_KERNELS, o)
         return where(x < 0.0, -v, v) if n % 2 else v
     if kind == "y":
         if any_(x == 0.0):
             raise ValueError("y_n is singular at x = 0")
         # y_n(-x) = (-1)^{n+1} y_n(x)
-        v = _sph_y(ax, _xp(ax), o)
+        with _quiet(ax):
+            v = _sph_y(ax, _xp(ax), o)
         return v if n % 2 else where(x < 0.0, -v, v)
     raise ValueError("kind must be 'j' or 'y'")
 
@@ -642,9 +616,7 @@ def spherical_bessel_zero(n: int, k: int) -> float:
     if k < 1:
         raise ValueError("root index must be >= 1")
     roots = _SPH_ZERO_CACHE.setdefault(n, [])
-    if len(roots) < k:
-        f = lambda x: spherical_bessel("j", n, x)
-        _extend_roots(f, roots, k, max(1e-6, 0.5 * n), math.pi / 8.0, ftol=1e-13)
+    _extend_roots(lambda x: spherical_bessel("j", n, x), roots, k, max(1e-6, 0.5 * n), ftol=1e-13)
     return roots[k - 1]
 
 
@@ -681,18 +653,12 @@ def legendre(kind: str, n: int, x):
     raise ValueError("kind must be 'P' or 'Q'")
 
 
-_LEGENDRE: dict[tuple[int, int], tuple[float, tuple[tuple[float, float, float], ...]]] = {}
-
-
+@cache
 def _legendre_table(m: int, n: int) -> tuple[float, tuple[tuple[float, float, float], ...]]:
     """(2m-1)!! and the factors (2k+1, k+m, k-m+1) of the degree recurrence
     P_{k+1}^m = ((2k+1) x P_k^m - (k+m) P_{k-1}^m)/(k-m+1), k = m .. n-1."""
-    dfact = 1.0
-    for i in range(1, 2 * m, 2):
-        dfact *= i
     steps = tuple((float(2 * k + 1), float(k + m), float(k - m + 1)) for k in range(m, n))
-    got = _LEGENDRE[m, n] = (dfact, steps)
-    return got
+    return math.prod(range(1, 2 * m, 2), start=1.0), steps
 
 
 def _raise_degree(pk, x, steps):
@@ -706,7 +672,7 @@ def _raise_degree(pk, x, steps):
 def _legendre_p(n: int, x):
     if n == 0:
         return full(x, 1.0)
-    return _raise_degree(1.0, x, (_LEGENDRE.get((0, n)) or _legendre_table(0, n))[1])
+    return _raise_degree(1.0, x, _legendre_table(0, n)[1])
 
 
 def _legendre_columns(n_terms: int, x) -> np.ndarray:
@@ -744,7 +710,7 @@ def assoc_legendre(n: int, m: int, x):
         return full(x, 0.0)
     if m == 0:
         return _legendre_p(n, x)
-    dfact, steps = _LEGENDRE.get((m, n)) or _legendre_table(m, n)
+    dfact, steps = _legendre_table(m, n)
     # (1-x^2)^{m/2} by products, so floats and arrays round alike
     s2 = 1.0 - x * x  # >= 0 for |x| <= 1
     pmm = dfact

@@ -89,37 +89,21 @@ def extend(base: Callable[[float], float], mode: ExtensionMode | str, l: float) 
     """Total function on the line with the parities and period of the mode,
     agreeing with ``base`` on [0, l]."""
     mode = ExtensionMode(mode)
-    if mode == ExtensionMode.ODD0_ODD_L:
+    odd0 = mode != ExtensionMode.EVEN0_EVEN_L  # odd about the origin
+    odd_l = mode == ExtensionMode.ODD0_ODD_L  # odd about l
+    period = 2.0 * l if odd0 == odd_l else 4.0 * l
 
-        def f(x: float) -> float:
-            y = math.fmod(x, 2.0 * l)
-            if y < 0.0:
-                y += 2.0 * l
-            return base(y) if y <= l else -base(2.0 * l - y)
-
-    elif mode == ExtensionMode.EVEN0_EVEN_L:
-
-        def f(x: float) -> float:
-            y = math.fmod(x, 2.0 * l)
-            if y < 0.0:
-                y += 2.0 * l
-            return base(y) if y <= l else base(2.0 * l - y)
-
-    else:  # ODD0_EVEN_L
-
-        def f(x: float) -> float:
-            y = math.fmod(x, 4.0 * l)
-            if y < 0.0:
-                y += 4.0 * l
-            if y <= l:
-                return base(y)
-            if y <= 2.0 * l:
-                return base(2.0 * l - y)
-            # odd about the origin with period 4l
-            y = 4.0 * l - y
-            if y <= l:
-                return -base(y)
-            return -base(2.0 * l - y)
+    def f(x: float) -> float:
+        y = math.fmod(x, period)
+        if y < 0.0:
+            y += period
+        flip = False
+        if y > 0.5 * period:  # reflect about the origin, one period on
+            y, flip = period - y, odd0
+        if y > l:  # reflect about l
+            y, flip = 2.0 * l - y, flip != odd_l
+        v = base(y)
+        return -v if flip else v
 
     return f
 

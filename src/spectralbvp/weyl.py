@@ -1,8 +1,8 @@
 """Eigenvalue counting for product domains and its leading asymptotics.
 
 The counting function of the square/rectangle/cube with Dirichlet or Neumann
-walls is an exact lattice-point count (one index loop with a closed-form
-inner count); the smooth estimate is the volume term
+walls is an exact lattice-point count (one walk over the leading axes with
+a closed-form count along the last); the smooth estimate is the volume term
 V lam^{n/2} / ((4 pi a^2)^{n/2} Gamma(1 + n/2)); and the electron-gas
 threshold energy follows from filling that count with two particles per
 state.
@@ -73,94 +73,50 @@ class CountingFunction:
         self.bc = WallBC(bc)
         self.a = float(a)
         self.lambda_max = float(lambda_max)
+        self._start = 0 if self.bc == WallBC.NEUMANN else 1
+        self._pref = math.pi**2 * self.a**2
 
     def count(self, lam: float) -> int:
         if lam > self.lambda_max:
             raise ValueError(f"count requested above lambda_max = {self.lambda_max}")
         if lam <= 0.0:
             return 0
-        start = 0 if self.bc == WallBC.NEUMANN else 1
-        sides = self.domain.sides
-        if len(sides) == 2:
-            return self._count_2d(lam, sides, start)
-        return self._count_3d(lam, sides, start)
+        *leading, last = self.domain.sides
+        return sum(self._axis_count(lam - self._pref * s, last) for s in self._walk(lam, leading))
 
-    def _axis_count(self, budget: float, side: float, start: int) -> int:
+    def _axis_count(self, budget: float, side: float) -> int:
         """#{k >= start : pi^2 a^2 k^2 / side^2 < budget} with a 1e-9
         relative guard band against ties on the open boundary."""
         if budget <= 0.0:
             return 0
         k_lim = math.sqrt(budget) * side / (math.pi * self.a)
         k_max = int(math.floor(k_lim - 1e-9 * max(1.0, k_lim)))
-        return max(0, k_max - start + 1)
+        return max(0, k_max - self._start + 1)
 
-    def _count_2d(self, lam: float, sides, start: int) -> int:
-        l1, l2 = sides
-        total = 0
-        j = start
-        while True:
-            mu = math.pi**2 * self.a**2 * j * j / l1**2
-            if mu >= lam:
-                break
-            total += self._axis_count(lam - mu, l2, start)
+    def _walk(self, lam: float, sides, s: float = 0.0):
+        """Each sum s + j^2/l_1^2 + ... over the indices of ``sides`` whose
+        eigenvalue part pi^2 a^2 (sum) stays below lam; sums are built left
+        to right, as ``eigenvalues`` completes them with the last axis."""
+        if not sides:
+            yield s
+            return
+        j = self._start
+        while self._pref * (t := s + j * j / sides[0] ** 2) < lam:
+            yield from self._walk(lam, sides[1:], t)
             j += 1
-        return total
-
-    def _count_3d(self, lam: float, sides, start: int) -> int:
-        l1, l2, l3 = sides
-        total = 0
-        j = start
-        while True:
-            mu = math.pi**2 * self.a**2 * j * j / l1**2
-            if mu >= lam:
-                break
-            k = start
-            while True:
-                nu = mu + math.pi**2 * self.a**2 * k * k / l2**2
-                if nu >= lam:
-                    break
-                total += self._axis_count(lam - nu, l3, start)
-                k += 1
-            j += 1
-        return total
 
     def eigenvalues(self, lam_max: float) -> list[tuple[float, int]]:
         """Sorted distinct eigenvalues below lam_max with multiplicities."""
         if lam_max > self.lambda_max:
             raise ValueError(f"enumeration requested above lambda_max = {self.lambda_max}")
-        start = 0 if self.bc == WallBC.NEUMANN else 1
         acc: dict[float, int] = {}
-        sides = self.domain.sides
-        pref = math.pi**2 * self.a**2
-        if len(sides) == 2:
-            l1, l2 = sides
-            j = start
-            while pref * j * j / l1**2 < lam_max:
-                k = start
-                while True:
-                    lam = pref * (j * j / l1**2 + k * k / l2**2)
-                    if lam >= lam_max:
-                        break
-                    key = round(lam, 9)
-                    acc[key] = acc.get(key, 0) + 1
-                    k += 1
-                j += 1
-        else:
-            l1, l2, l3 = sides
-            j = start
-            while pref * j * j / l1**2 < lam_max:
-                k = start
-                while pref * (j * j / l1**2 + k * k / l2**2) < lam_max:
-                    i = start
-                    while True:
-                        lam = pref * (j * j / l1**2 + k * k / l2**2 + i * i / l3**2)
-                        if lam >= lam_max:
-                            break
-                        key = round(lam, 9)
-                        acc[key] = acc.get(key, 0) + 1
-                        i += 1
-                    k += 1
-                j += 1
+        *leading, last = self.domain.sides
+        for s in self._walk(lam_max, leading):
+            k = self._start
+            while (lam := self._pref * (s + k * k / last**2)) < lam_max:
+                key = round(lam, 9)
+                acc[key] = acc.get(key, 0) + 1
+                k += 1
         return sorted(acc.items())
 
     def heat_trace(self, t: float, lam_max: float) -> float:

@@ -4,6 +4,7 @@ scipy.special within the stated bounds; ``_quad.sample`` evaluates each
 package mode shape once per grid."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,67 @@ def test_legendre_array_paths(case):
         got = assert_matches_scalars(lambda x: specfun.legendre("Q", n, x), inner)
         want = np.array([_legendre_q_reference(n, x) for x in inner.tolist()])
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+
+
+TINY = [5e-324, 1e-320, 1e-310, 5e-309, 1e-308, 2.225073858507201e-308, 2.2250738585072014e-308]
+HALF = [math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)]
+
+
+@st.composite
+def high_order_and_points(draw):
+    """An order up to 200 and points from the subnormals, 1e-300 .. 1e-5,
+    0.5 and its neighbouring floats, +-m and uniform draws, either sign."""
+    order = draw(st.integers(min_value=0, max_value=200))
+    point = st.one_of(
+        st.sampled_from(TINY + HALF + [float(order)]),
+        st.floats(min_value=5e-324, max_value=TINY[-1]),
+        st.floats(min_value=-300.0, max_value=-5.0).map(lambda e: 10.0**e),
+        st.floats(min_value=0.0, max_value=250.0),
+    )
+    xs = draw(st.lists(st.tuples(point, st.booleans()), min_size=1, max_size=24))
+    return order, np.array([-x if neg else x for x, neg in xs])
+
+
+def _n_prime_reference(m, x):
+    """N_m' = -N_{m+1} + (m/x) N_m from scipy's integer-order yn (yv and yvp
+    are NaN or -inf at subnormal x); where it meets inf - inf, the +inf of
+    -N_{m+1} dominates."""
+    v = -special.yn(m + 1, x) + m / x * special.yn(m, x)
+    return np.where(np.isnan(v), -special.yn(m + 1, x), v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(high_order_and_points())
+def test_bessel_families_finite_at_every_order(case):
+    """Every order up to 200, from subnormal to large x: no NaN and no numpy
+    warning, arrays equal their per-element scalars, every infinity has the
+    sign that scipy gives and every zero returned is a zero of scipy (J_m
+    accuracy near x = m for m >~ 35 is not asserted here)."""
+    m, xs = case
+    nonzero = xs[xs != 0.0]
+    positive = np.abs(nonzero)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cases = [
+            (lambda x: specfun.bessel_j(m, x), xs, special.jv(m, xs)),
+            (lambda x: specfun.bessel_n(m, x), positive, special.yn(m, positive)),
+            (lambda x: specfun.bessel_n_prime(m, x), positive, _n_prime_reference(m, positive)),
+            (lambda x: specfun.spherical_bessel("j", m, x), xs, special.spherical_jn(m, xs)),
+            (lambda x: specfun.spherical_bessel("y", m, x), nonzero, special.spherical_yn(m, nonzero)),
+        ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, x, want in cases:
+            if not x.size:
+                continue
+            got = assert_matches_scalars(fn, x)
+            assert not np.isnan(got).any(), (x, got)
+            known = ~np.isnan(want)  # scipy's spherical_jn is NaN at subnormal x
+            x, got, want = x[known], got[known], want[known]
+            inf = np.isinf(got) | np.isinf(want)
+            assert np.array_equal(np.sign(got[inf]), np.sign(want[inf])), (x[inf], got[inf], want[inf])
+            # scipy underflows to 0 early (jv(128, 0.5) is 0, not 2.2e-293)
+            assert np.all(want[got == 0.0] == 0.0), (x, got, want)
 
 
 def test_array_shapes_and_domain_checks():
