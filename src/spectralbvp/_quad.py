@@ -131,8 +131,7 @@ def sample(f, *axes: np.ndarray) -> np.ndarray:
             return vals
     except (TypeError, ValueError):
         pass
-    points = zip(*(g.ravel().tolist() for g in grids))
-    return np.array([f(*p) for p in points], dtype=float).reshape(shape)
+    return np.array(list(map(f, *(g.ravel().tolist() for g in grids))), dtype=float).reshape(shape)
 
 
 def fixed_gauss(f, a: float, b: float, n: int = 64) -> float:

@@ -6,19 +6,21 @@ Fixed-step RK4 on the linear system for (u, p u') makes each step a 2x2
 matrix with entries quadratic in lambda, built once per problem, so a sweep
 is a product of step matrices: a pairwise tree product gives the right-end
 boundary residual, whose zeros are the eigenvalues, and a log-depth prefix
-product gives every node value.  Products of 16 consecutive steps, kept as
-matrix polynomials of degree 32 in lambda, stand in for the steps in scans
-and phase sweeps wherever a block turns the phase by at most about a
-radian, so those multiply 16 times fewer matrices.  The unwrapped angle of
-(S u, p u') at the nodes is the scaled Pruefer phase, which counts
-oscillations and brackets each eigenvalue before it is polished on the
-boundary residual.  A Picard iteration on the equivalent Volterra equation
-is the independent cross-check.
+product gives every node value.  Products of 16 to 256 consecutive steps,
+kept as matrix polynomials in lambda truncated by an a-priori tail bound,
+stand in for the steps in scans and phase sweeps: each lambda goes through
+the longest block that turns the phase by at most about a radian, so those
+multiply up to 256 times fewer matrices.  The angle of (S u, p u'),
+continued by its wrapped differences, is the scaled Pruefer phase, which
+counts oscillations and brackets each eigenvalue before it is polished on
+the boundary residual.  A Picard iteration on the equivalent Volterra
+equation is the independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -120,14 +122,12 @@ class SLProblem:
             "rho_min": float(self._rho.min()),
             "rho_max": float(self._rho.max()),
         }
-        b = self._bounds
         step = _rk4_step_coeffs(self._p, self._q, self._rho, self.h_step)
-        # Blocks take lambda in units of p_min/(rho_max H^2), H the block
-        # length, so their monomials stay O(1) at any interval length; they
-        # serve |lam| <= _block_lam, where H sqrt((q_max + |lam| rho_max)/p_min) <= 1.
-        unit = b["p_min"] / (b["rho_max"] * (self.h_step * 2**_BLOCK_LEVELS) ** 2)
-        self._block_lam = unit - b["q_max"] / b["rho_max"]
-        self._coeffs = {0: (step, 1.0), _BLOCK_LEVELS: (_block_coeffs(step, self.n, unit), unit)}
+        self._coeffs = {0: (step, 1.0, ()), **_block_tables(step, self.n, self._bounds, self.h_step)}
+        # (level, largest |lam| it admits), coarsest first: a level serves
+        # 2**L h sqrt((q_max + |lam| rho_max)/p_min) <= 1
+        qr = self._bounds["q_max"] / self._bounds["rho_max"]
+        self._block_lams = tuple((lv, self._coeffs[lv][1] - qr) for lv in sorted(self._coeffs, reverse=True) if lv)
 
     @property
     def h_step(self) -> float:
@@ -240,28 +240,76 @@ def _rk4_step_coeffs(p: np.ndarray, q: np.ndarray, rho: np.ndarray, h: float) ->
     return np.stack([m11, m12, m21, m22], axis=1).reshape(3, -1)
 
 
-# A block is the product of 2**_BLOCK_LEVELS consecutive steps: a 2x2 matrix
-# polynomial of degree 2**(_BLOCK_LEVELS + 1) in lambda.
-_BLOCK_LEVELS = 4
+# A level-L block is the product of 2**L consecutive steps, a 2x2 matrix
+# polynomial in lambda; each lambda goes through the coarsest level whose
+# block bound admits it.
+_BLOCK_LEVELS = range(4, 9)
+# A trailing degree is dropped where its term is at most this share of its
+# entry's size.
+_TAIL = 2.0**-60
 
 
-def _block_coeffs(step: np.ndarray, n: int, unit: float) -> np.ndarray:
-    """Block polynomials from the step coefficients of _rk4_step_coeffs, in
-    the variable lam/unit: shape (2**(_BLOCK_LEVELS + 1) + 1, 4 blocks), laid
-    out like the step table.  Built by doubling: each level multiplies
-    neighbouring products (later @ earlier) by convolving their coefficients.
-    Identity steps pad n to a whole number of blocks."""
-    c = (step * unit ** np.arange(3)[:, None]).reshape(3, 2, 2, n).transpose(1, 2, 0, 3)
-    pad = np.zeros((2, 2, 3, -n % 2**_BLOCK_LEVELS))
-    pad[0, 0, 0] = pad[1, 1, 0] = 1.0
-    c = np.concatenate([c, pad], axis=-1)
-    for _ in range(_BLOCK_LEVELS):
-        later, earlier = c[..., 1::2], c[..., 0::2]
-        d = c.shape[2]
-        c = np.zeros((2, 2, 2 * d - 1, later.shape[-1]))
-        for i in range(d):
-            c[:, :, i : i + d] += _compose(later[:, :, i : i + 1], earlier)
-    return c.transpose(2, 0, 1, 3).reshape(c.shape[2], -1)
+def _block_tables(step: np.ndarray, n: int, bounds: dict[str, float], h: float) -> dict:
+    """Block polynomials, from the step coefficients of _rk4_step_coeffs, for
+    every level of _BLOCK_LEVELS whose block fits the grid and admits some
+    lambda: {L: (table, unit, cuts)}.
+
+    A level's table, laid out like the step table (degrees, 4 blocks), is in
+    the variable lam/unit with unit = p_min/(rho_max (2**L h)**2), so its
+    coefficients stay O(1) at any interval length; the level admits
+    |lam| <= unit - q_max/rho_max.
+    Built by doubling from the steps: each level multiplies neighbouring
+    products (later @ earlier; an identity block pads an odd count), moves
+    to its own unit and drops the degrees that _truncate allows where the
+    level is used: |lam| < unit for a stored level, and for a finer one the
+    range of the finest stored level."""
+    unit = bounds["p_min"] / (bounds["rho_max"] * h * h)
+    qr = bounds["q_max"] / bounds["rho_max"]
+    top = max((lv for lv in _BLOCK_LEVELS if 2**lv <= n and unit / 4**lv >= qr), default=0)
+    c, s = step.reshape(3, 2, 2, n), unit / 4  # the steps are in lam itself
+    tables = {}
+    for level in range(1, top + 1):
+        if c.shape[-1] % 2:
+            eye = np.zeros(c.shape[:-1] + (1,))
+            eye[0, 0, 0] = eye[0, 1, 1] = 1.0
+            c = np.concatenate([c, eye], axis=-1)
+        c, cuts = _truncate(_double(c, s), 4.0 ** min(0, level - _BLOCK_LEVELS[0]))
+        s = 0.25
+        if level >= _BLOCK_LEVELS[0]:
+            tables[level] = (c.reshape(len(c), -1), unit / 4**level, cuts)
+    return tables
+
+
+def _double(c: np.ndarray, s: float) -> np.ndarray:
+    """Products later @ earlier of neighbouring matrix polynomials c
+    (degrees, 2, 2, blocks) in z, as polynomials in z/s, one degree of the
+    later factor at a time."""
+    d = len(c)
+    scale = s ** np.arange(d)[:, None, None, None]  # z**k = s**k (z/s)**k
+    later, earlier = c[..., 1::2] * scale, c[..., 0::2] * scale
+    out = np.zeros((2 * d - 1,) + later.shape[1:])
+    part = np.empty_like(earlier)
+    for a in range(d):
+        out[a : a + d] += np.einsum("ijn,bjkn->bikn", later[a], earlier, out=part)
+    return out
+
+
+def _truncate(c: np.ndarray, r: float) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Block polynomials c (degrees, 2, 2, blocks) in a variable z cut to
+    their last degree that matters at |z| <= r <= 1, and the cuts for a
+    smaller |z|.
+
+    Per entry, the term of degree k >= 2 is negligible at |z| <= r when
+    max_blocks |c_k| r**(k-1) <= _TAIL min_blocks max(|c_0|, |c_1|).
+    cuts[k - 2] is the r above which degree k or a higher one is not
+    negligible, so 2 + bisect_left(cuts, r) degrees serve |z| <= r."""
+    size = np.maximum(np.abs(c[0]), np.abs(c[1])).min(axis=-1)
+    ratio = (np.maximum(c.max(axis=-1), -c.min(axis=-1)) / size).reshape(len(c), 4).max(axis=1)[2:]
+    # a degree that is zero in every block is never needed
+    reach = (_TAIL / np.maximum(ratio, 1e-300)) ** (1.0 / np.arange(1, ratio.size + 1))
+    keep = np.flatnonzero(reach < r)
+    cuts = np.minimum.accumulate(reach[: keep[-1] + 1 if keep.size else 0][::-1])[::-1]
+    return c[: 2 + cuts.size], tuple(cuts.tolist())
 
 
 def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
@@ -292,25 +340,35 @@ def _node_transfers(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _transfer(problem: SLProblem, lams: np.ndarray, levels: int, a, w0, nodes: bool = False):
+def _level(problem: SLProblem, lam: float) -> int:
+    """The coarsest block level that admits lam, or 0 (the steps)."""
+    return next((lv for lv, top in problem._block_lams if abs(lam) <= top), 0)
+
+
+def _transfer(problem: SLProblem, lams: np.ndarray, level: int, a, w0, nodes: bool = False):
     """theta and p theta' from theta(0) = a, p theta'(0) = w0 at each lambda of
-    the 1-d batch lams, through factors of 2**levels steps (levels is 0 or
-    _BLOCK_LEVELS): at the right end, shape (batch,), or with nodes=True at
-    the end of every factor, shape (batch, factors).  Each factor's matrix
-    polynomial is evaluated by one matrix product with the powers of lambda,
-    and the factors are multiplied out by tree or prefix products."""
-    coeffs, unit = problem._coeffs[levels]
-    powers = np.vander(lams / unit, len(coeffs), increasing=True)
+    the 1-d batch lams, through factors of 2**level steps (level is 0 or one
+    of _BLOCK_LEVELS that admits every lambda of the batch): at the right
+    end, shape (batch,), or with nodes=True at the end of every factor, shape
+    (batch, factors).  Each factor's matrix polynomial, cut to the degrees
+    the batch's largest |lambda| needs, is evaluated by one matrix product
+    with the powers of lambda, and the factors are multiplied out by tree or
+    prefix products."""
+    coeffs, unit, cuts = problem._coeffs[level]
+    z = lams / unit
+    if cuts:
+        coeffs = coeffs[: 2 + bisect_left(cuts, float(np.abs(z).max()))]
+    powers = np.vander(z, len(coeffs), increasing=True)
     m = (powers @ coeffs).reshape(len(lams), 2, 2, -1).transpose(1, 2, 0, 3)
     t = _node_transfers(m) if nodes else _end_transfer(m)
     return t[0, 0] * a + t[0, 1] * w0, t[1, 0] * a + t[1, 1] * w0
 
 
-def _node_values(problem: SLProblem, lam: float, a: float, b: float, levels: int):
+def _node_values(problem: SLProblem, lam: float, a: float, b: float, level: int):
     """theta and p theta' of the solution with theta(0) = a, theta'(0) = b at
-    node 0 and at the end of every factor of 2**levels steps."""
+    node 0 and at the end of every factor of 2**level steps."""
     w0 = problem._p[0] * b
-    theta, w = _transfer(problem, np.array([lam]), levels, a, w0, nodes=True)
+    theta, w = _transfer(problem, np.array([lam]), level, a, w0, nodes=True)
     return np.concatenate([[a], theta[0]]), np.concatenate([[w0], w[0]])
 
 
@@ -389,7 +447,9 @@ def characteristic(problem: SLProblem, lam: float, method: str = "rk4") -> float
     if method == "rk4":
         if not math.isfinite(lam):
             raise ValueError("lambda must be finite")
-        return float(characteristic_many(problem, [lam])[0])
+        a, b = problem.left_initial_data()
+        theta, w = _transfer(problem, np.array([lam]), _level(problem, lam), a, problem._p[0] * b)
+        return float(_end_residual(problem, theta[0], w[0] / problem._p[-1]))
     a, b = problem.left_initial_data()
     sol = solve_theta(problem, lam, a, b, method=method)
     return _end_residual(problem, sol.end_value, sol.end_derivative)
@@ -397,20 +457,23 @@ def characteristic(problem: SLProblem, lam: float, method: str = "rk4") -> float
 
 def characteristic_many(problem: SLProblem, lams: Sequence[float]) -> np.ndarray:
     """Vectorized characteristic over an array of lambda values, used for
-    dense scans.  Values that pass the block test go through the products of
-    16 steps in batches of 64, the rest through the step matrices in batches
-    of 4, so either working array has the size of (2, 2, 4, n)."""
+    dense scans.  Each value goes through the coarsest block level that
+    admits it, or else the step matrices, in batches of 4 << level, so every
+    working array has the size of (2, 2, 4, n)."""
     lams = np.asarray(lams, dtype=float)
     flat = lams.ravel()
     a, b = problem.left_initial_data()
     w0 = problem._p[0] * b
     out = np.empty(flat.shape)
-    blocked = np.abs(flat) <= problem._block_lam
-    for levels, idx in ((_BLOCK_LEVELS, np.flatnonzero(blocked)), (0, np.flatnonzero(~blocked))):
-        batch = 4 << levels
+    levels = problem._block_lams
+    # index of the coarsest admitting level; len(levels) for the steps
+    pick = np.searchsorted([top for _, top in levels], np.abs(flat))
+    for i, level in enumerate([lv for lv, _ in levels] + [0]):
+        idx = np.flatnonzero(pick == i)
+        batch = 4 << level
         for k in range(0, idx.size, batch):
             part = idx[k : k + batch]
-            theta, w = _transfer(problem, flat[part], levels, a, w0)
+            theta, w = _transfer(problem, flat[part], level, a, w0)
             out[part] = _end_residual(problem, theta, w / problem._p[-1])
     return out.reshape(lams.shape)
 
@@ -438,15 +501,15 @@ class ResolutionError(RuntimeError):
 _MAX_STEP_PHASE = 1.0
 
 
-def _phase(problem: SLProblem, lam: float, scale: float) -> np.ndarray:
-    """Scaled Pruefer phase phi: the unwrapped angle of (S u, p u') for the
-    left-normalized u, so phi(0) carries the left boundary condition and
-    interior zeros of u sit exactly at multiples of pi.
+def _phase(problem: SLProblem, lam: float, scale: float) -> float:
+    """Scaled Pruefer phase phi(l): the angle of (S u, p u') for the
+    left-normalized u, continued from phi(0), which carries the left boundary
+    condition, so interior zeros of u sit exactly at multiples of pi.
 
-    The angle is unwrapped at the block ends when lam passes the block test
-    (a block then turns the phase no further than one step at the
-    ResolutionError bound does), else at every node; the end value is the
-    same either way."""
+    The angle is continued by its wrapped differences between the ends of
+    the blocks of the coarsest level that admits lam (a block then turns the
+    phase no further than one step at the ResolutionError bound does), else
+    between nodes; the end value is the same either way."""
     b = problem._bounds
     step_phase = problem.h_step * math.sqrt(max(lam, 0.0) * b["rho_max"] / b["p_min"])
     if step_phase > _MAX_STEP_PHASE:
@@ -455,9 +518,10 @@ def _phase(problem: SLProblem, lam: float, scale: float) -> np.ndarray:
             f"h*sqrt(lam*rho_max/p_min) = {step_phase:.3f} > {_MAX_STEP_PHASE}"
         )
     a, b0 = problem.left_initial_data()
-    levels = _BLOCK_LEVELS if abs(lam) <= problem._block_lam else 0
-    theta, w = _node_values(problem, lam, a, b0, levels)
-    return np.unwrap(np.arctan2(scale * theta, w))
+    theta, w = _node_values(problem, lam, a, b0, _level(problem, lam))
+    angle = np.arctan2(scale * theta, w)
+    turns = np.mod(np.diff(angle) + math.pi, 2.0 * math.pi) - math.pi
+    return float(angle[0] + turns.sum())
 
 
 def node_count(problem: SLProblem, lam: float) -> int:
@@ -465,7 +529,7 @@ def node_count(problem: SLProblem, lam: float) -> int:
     ResolutionError if the grid under-resolves lam."""
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
-    theta_end = _phase(problem, lam, _phase_scale(problem, lam))[-1]
+    theta_end = _phase(problem, lam, _phase_scale(problem, lam))
     return max(0, int(math.floor(theta_end / math.pi - 1e-10)))
 
 
@@ -565,7 +629,7 @@ def eigen_solve(problem: SLProblem, n_max: int, m_tol: float = 1e-10) -> EigenBa
         # strictly monotone in lambda across the bracket
         scale_s = _phase_scale(problem, 0.5 * (lo + hi))
         target = _phase_target(problem, n, scale_s)
-        fn = lambda lam: _phase(problem, lam, scale_s)[-1] - target
+        fn = lambda lam: _phase(problem, lam, scale_s) - target
         # phase and characteristic share one discrete solution, so their roots
         # coincide: a phase bracket narrowed to span leaves the characteristic
         # root within lam +- span

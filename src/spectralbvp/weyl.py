@@ -106,17 +106,17 @@ class CountingFunction:
             j += 1
 
     def eigenvalues(self, lam_max: float) -> list[tuple[float, int]]:
-        """Sorted distinct eigenvalues below lam_max with multiplicities."""
+        """Sorted distinct eigenvalues below lam_max with multiplicities: the
+        modes that ``count(lam_max)`` counts, guard band included, so the
+        multiplicities sum to it."""
         if lam_max > self.lambda_max:
             raise ValueError(f"enumeration requested above lambda_max = {self.lambda_max}")
         acc: dict[float, int] = {}
         *leading, last = self.domain.sides
         for s in self._walk(lam_max, leading):
-            k = self._start
-            while (lam := self._pref * (s + k * k / last**2)) < lam_max:
-                key = round(lam, 9)
+            for k in range(self._start, self._start + self._axis_count(lam_max - self._pref * s, last)):
+                key = round(self._pref * (s + k * k / last**2), 9)
                 acc[key] = acc.get(key, 0) + 1
-                k += 1
         return sorted(acc.items())
 
     def heat_trace(self, t: float, lam_max: float) -> float:

@@ -4,6 +4,7 @@ against the dimensionless Robin characteristic, and the spectral
 monotonicity/bound properties."""
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -187,43 +188,139 @@ BLOCK_COEFFS = {
 }
 
 
+END_PAIRS = [(True, True), (True, False), (False, True), (False, False)]
+
+
+def level_lams(prob):
+    """Lambdas across the range of every block level, ending at its bound."""
+    out = []
+    for _, top in prob._block_lams:
+        assert top > 0.0
+        out.extend(top * np.array([-1.0, -0.3, -1e-3, 0.0, 1e-3, 0.05, 0.2, 0.45, 0.7, 0.9, 1.0]))
+    return out
+
+
+def assert_blocked_paths_match_steps(prob, lams):
+    """characteristic, characteristic_many and the phase end value agree with
+    the per-step node values of solve_theta to 1e-12 of the solution's size."""
+    many = characteristic_many(prob, lams)
+    a, b = prob.left_initial_data()
+    for lam, m_many in zip(lams, many):
+        sol = solve_theta(prob, float(lam), a, b)
+        w = prob._p[::2] * sol.derivs
+        scale = max(1.0, np.abs(sol.values).max(), np.abs(w).max())
+        right = prob.right
+        m_ref = sol.values[-1] if right.dirichlet else sol.derivs[-1] + right.h * sol.values[-1]
+        assert abs(m_many - m_ref) <= 1e-12 * scale
+        assert abs(characteristic(prob, float(lam)) - m_ref) <= 1e-12 * scale
+        s = sturm._phase_scale(prob, float(lam))
+        phi_ref = np.unwrap(np.arctan2(s * sol.values, w))[-1]
+        assert abs(sturm._phase(prob, float(lam), s) - phi_ref) <= 1e-12 * max(1.0, abs(phi_ref))
+
+
 @pytest.mark.parametrize("grid", [16, 18, 30, 64, 4096])
 @pytest.mark.parametrize("coeffs", sorted(BLOCK_COEFFS))
 def test_blocked_propagator_matches_step_path(grid, coeffs):
-    """Up to the block bound the scans and the phase run on products of 16
-    steps (identity-padded when 16 does not divide the grid); they agree with
-    the per-step node values of solve_theta to 1e-12 of the solution's size."""
+    """Up to each block level's bound the scans and the phase run on products
+    of 2**L steps (identity-padded when 2**L does not divide the grid)."""
     p, q, rho = BLOCK_COEFFS[coeffs]
     for ends in END_PAIRS:
         left = DIRICHLET if ends[0] else BoundaryCondition.robin(0.8)
         right = DIRICHLET if ends[1] else BoundaryCondition.robin(1.7)
         prob = SLProblem(p, q, rho, 1.0, left, right, grid_size=grid)
-        top = prob._block_lam
-        assert top > 0.0
-        lams = top * np.array([-1.0, -0.3, -1e-3, 0.0, 1e-3, 0.05, 0.2, 0.45, 0.7, 0.9, 1.0])
-        many = characteristic_many(prob, lams)
-        a, b = prob.left_initial_data()
-        for lam, m_many in zip(lams, many):
-            sol = solve_theta(prob, float(lam), a, b)
-            w = prob._p[::2] * sol.derivs
-            scale = max(1.0, np.abs(sol.values).max(), np.abs(w).max())
-            m_ref = sol.values[-1] if right.dirichlet else sol.derivs[-1] + right.h * sol.values[-1]
-            assert abs(m_many - m_ref) <= 1e-12 * scale
-            assert abs(characteristic(prob, float(lam)) - m_ref) <= 1e-12 * scale
-            s = sturm._phase_scale(prob, float(lam))
-            phi_ref = np.unwrap(np.arctan2(s * sol.values, w))[-1]
-            assert abs(sturm._phase(prob, float(lam), s)[-1] - phi_ref) <= 1e-12 * max(1.0, abs(phi_ref))
+        assert_blocked_paths_match_steps(prob, level_lams(prob))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    half_grid=st.integers(min_value=8, max_value=2048),
+    ends=st.sampled_from(END_PAIRS),
+    coeffs=st.sampled_from(sorted(BLOCK_COEFFS)),
+)
+def test_every_block_level_matches_step_path(half_grid, ends, coeffs):
+    """At each level's bound, on grids of 16 to 4096 steps that need not be
+    multiples of any block."""
+    p, q, rho = BLOCK_COEFFS[coeffs]
+    left = DIRICHLET if ends[0] else BoundaryCondition.robin(0.8)
+    right = DIRICHLET if ends[1] else BoundaryCondition.robin(1.7)
+    prob = SLProblem(p, q, rho, 1.0, left, right, grid_size=2 * half_grid)
+    levels = [lv for lv, _ in prob._block_lams]
+    assert levels == [lv for lv in (8, 7, 6, 5, 4) if 2**lv <= prob.n]
+    tops = [top for _, top in prob._block_lams]
+    assert_blocked_paths_match_steps(prob, tops + [-t for t in tops])
+
+
+def test_block_levels_fit_the_grid_and_admit_some_lambda():
+    """No block is longer than the grid, and a level whose bound is negative
+    (q_max/rho_max above its unit) is not built."""
+    for grid, levels in ((16, [4]), (30, [4]), (200, [7, 6, 5, 4]), (300, [8, 7, 6, 5, 4])):
+        prob = SLProblem(ONE, ZERO, ONE, 1.0, DIRICHLET, DIRICHLET, grid_size=grid)
+        assert [lv for lv, _ in prob._block_lams] == levels
+        assert sorted(prob._coeffs) == [0] + levels[::-1]
+    # unit at level L is (4096 / 2**L)**2: a q of 5000 leaves levels 4 and 5
+    prob = SLProblem(ONE, lambda x: 5000.0, ONE, 1.0, DIRICHLET, DIRICHLET)
+    assert [lv for lv, _ in prob._block_lams] == [5, 4]
+    assert prob._block_lams[0][1] == pytest.approx(128.0**2 - 5000.0)
+    stiff = SLProblem(ONE, lambda x: 1e5, ONE, 1.0, DIRICHLET, DIRICHLET)
+    assert stiff._block_lams == ()
+    assert characteristic(stiff, 10.0) == pytest.approx(float(characteristic_many(stiff, [10.0])[0]), rel=1e-12)
+
+
+def full_block_tables(prob):
+    """Reference: the block doubling of the step table at full degree (no
+    truncation), one degree of the later block at a time."""
+    step = prob._coeffs[0][0]
+    b = prob.coefficient_bounds()
+    unit = b["p_min"] / (b["rho_max"] * prob.h_step**2)
+    c = (step * unit ** np.arange(3)[:, None]).reshape(3, 2, 2, prob.n)  # (degree, 2, 2, blocks)
+    tables = {}
+    for level in range(1, max(prob._coeffs) + 1):
+        if c.shape[-1] % 2:
+            eye = np.zeros(c.shape[:3] + (1,))
+            eye[0, 0, 0] = eye[0, 1, 1] = 1.0
+            c = np.concatenate([c, eye], axis=-1)
+        later, earlier = c[..., 1::2], c[..., 0::2]
+        d = len(c)
+        c = np.zeros((2 * d - 1,) + later.shape[1:])
+        for i in range(d):
+            c[i : i + d] += np.einsum("ijn,ajkn->aikn", later[i], earlier)
+        c *= 0.25 ** np.arange(2 * d - 1)[:, None, None, None]
+        if level in prob._coeffs:
+            tables[level] = c
+    return tables
+
+
+@pytest.mark.parametrize("coeffs", sorted(BLOCK_COEFFS))
+def test_truncated_block_tables_match_full_degree(coeffs):
+    """Each level's table, cut by the tail bound, agrees with the full-degree
+    product to 2**-50 of each entry's size, over the level's whole range of
+    lambda and, with the degrees _transfer keeps, at smaller |lambda|."""
+    p, q, rho = BLOCK_COEFFS[coeffs]
+    prob = SLProblem(p, q, rho, 1.0, DIRICHLET, DIRICHLET, grid_size=300)
+    full = full_block_tables(prob)
+    assert sorted(full) == [4, 5, 6, 7, 8]
+    for level, ref in full.items():
+        table, unit, cuts = prob._coeffs[level]
+        assert len(table) == 2 + len(cuts) < 16
+        blocks = table.reshape(len(table), 2, 2, -1)
+        top = dict(prob._block_lams)[level] / unit
+        assert 0.5 < top < 1.0
+        for r in (top, 0.5 * top, 1e-3 * top):
+            z = np.linspace(-r, r, 41)
+            want = np.polynomial.polynomial.polyval(z, ref)  # (2, 2, blocks, z)
+            kept = blocks[: 2 + bisect_left(cuts, r)]
+            got = np.polynomial.polynomial.polyval(z, kept)
+            size = np.abs(want).max(axis=(2, 3), keepdims=True)
+            assert np.all(np.abs(got - want) <= 2.0**-50 * size)
 
 
 def test_block_bound_selects_the_path(monkeypatch):
-    """A lambda at the block bound goes through the blocks; the next float
-    above it through the step matrices, in the scan and in the phase."""
+    """A lambda at a level's bound goes through that level; the next float
+    above it through the next finer level, or the step matrices above the
+    finest, in the scan, the characteristic and the phase."""
     p, q, rho = BLOCK_COEFFS["mild"]
     prob = SLProblem(p, q, rho, 1.0, BoundaryCondition.robin(0.8), DIRICHLET, grid_size=4096)
-    top = prob._block_lam
-    above = math.nextafter(top, math.inf)
     bnd = prob.coefficient_bounds()
-    assert 16 * prob.h_step * math.sqrt((bnd["q_max"] + top * bnd["rho_max"]) / bnd["p_min"]) == pytest.approx(1.0, rel=1e-15)
     levels = []
     transfer = sturm._transfer
 
@@ -232,12 +329,22 @@ def test_block_bound_selects_the_path(monkeypatch):
         return transfer(problem, lams, lv, *args, **kwargs)
 
     monkeypatch.setattr(sturm, "_transfer", spy)
-    characteristic_many(prob, [above, top])
-    assert sorted(levels) == [(0, [above]), (sturm._BLOCK_LEVELS, [top])]
-    levels.clear()
-    node_count(prob, top)
-    node_count(prob, above)
-    assert levels == [(sturm._BLOCK_LEVELS, [top]), (0, [above])]
+    assert [lv for lv, _ in prob._block_lams] == [8, 7, 6, 5, 4]
+    finer = [7, 6, 5, 4, 0]
+    for (level, top), next_level in zip(prob._block_lams, finer):
+        above = math.nextafter(top, math.inf)
+        bound = 2**level * prob.h_step * math.sqrt((bnd["q_max"] + top * bnd["rho_max"]) / bnd["p_min"])
+        assert bound == pytest.approx(1.0, rel=1e-15)
+        for lam in (top, -top):
+            levels.clear()
+            characteristic_many(prob, [above, lam])
+            assert sorted(levels) == sorted([(next_level, [above]), (level, [lam])])
+        levels.clear()
+        characteristic(prob, top)
+        characteristic(prob, above)
+        node_count(prob, top)
+        node_count(prob, above)
+        assert levels == [(level, [top]), (next_level, [above])] * 2
 
 
 def constant_coefficient_solution(pc, qc, rc, lam, a, b, x):
@@ -248,9 +355,6 @@ def constant_coefficient_solution(pc, qc, rc, lam, a, b, x):
         return a * np.cos(k * x) + b * x * np.sinc(k * x / math.pi), -a * k * np.sin(k * x) + b * np.cos(k * x), k
     k = math.sqrt(-k2)
     return a * np.cosh(k * x) + b * np.sinh(k * x) / k, a * k * np.sinh(k * x) + b * np.cosh(k * x), k
-
-
-END_PAIRS = [(True, True), (True, False), (False, True), (False, False)]
 
 
 @settings(max_examples=60, deadline=None)

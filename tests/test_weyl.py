@@ -111,6 +111,23 @@ def test_counting_function_steps_and_multiplicities():
             assert mult >= 2
 
 
+def test_eigenvalues_list_exactly_what_count_counts():
+    """The enumeration keeps count's guard band, so the multiplicities sum to
+    count(lam) at every lam, also just above an eigenvalue."""
+    cf = CountingFunction(Domain.square(1.0), WallBC.DIRICHLET, 1.0)
+    lam = 2.0 * math.pi**2 * (1.0 + 1e-11)
+    assert cf.count(lam) == 0
+    assert cf.eigenvalues(lam) == []
+    assert cf.heat_trace(0.01, lam) == 0.0
+    for domain in (Domain.square(1.3), Domain.rect(1.0, 2.0), Domain.cube(0.9)):
+        for bc in WallBC:
+            cf = CountingFunction(domain, bc, 0.7)
+            for mode, _ in cf.eigenvalues(400.0)[:25]:
+                for rel in (-1e-6, -1e-12, 0.0, 1e-12, 1e-11, 2e-9, 1e-6):
+                    lam = mode * (1.0 + rel)
+                    assert sum(m for _, m in cf.eigenvalues(lam)) == cf.count(lam)
+
+
 def test_lambda_max_guard():
     cf = CountingFunction(Domain.square(1.0), WallBC.DIRICHLET, 1.0, lambda_max=100.0)
     cf.count(99.0)
