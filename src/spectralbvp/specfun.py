@@ -1,8 +1,11 @@
-"""Special functions built from their defining series, recurrences and
-large-argument asymptotics: integer-order Bessel and Neumann functions,
-spherical Bessel functions, Legendre polynomials and functions of the second
-kind, associated Legendre functions, the integral sine, and tables of roots
-of the transcendental characteristic equations that accompany them.
+"""Special functions built from their three-term recurrences, leading
+terms, defining sums and large-argument asymptotics: integer-order Bessel
+and Neumann functions, spherical Bessel functions, Legendre polynomials and
+functions of the second kind, associated Legendre functions, the integral
+sine, and tables of roots of the transcendental characteristic equations
+that accompany them.  One downward sweep (Miller's algorithm) serves J_m,
+the seeds N_0 and N_1 and j_n below their turning points; no power series
+is summed.
 
 Every function of x accepts a float or an ndarray through one code path and
 returns a Python float for a float.  Everything here is pure and
@@ -16,7 +19,6 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -60,10 +62,13 @@ class SeriesEval:
 
 _EULER_GAMMA = 0.5772156649015328606
 _EPS = 2.220446049250313e-16
-_SUBNORMAL = 2.225073858507201e-308  # the largest subnormal float
-# J_0, J_1, N_0 and N_1 use their power series up to this argument and the
-# Hankel asymptotics beyond it; J_m (m >= 2) uses its series up to max(12, m).
-_SERIES_X = 12.0
+# J_0, J_1, N_0 and N_1 take the downward sweep up to this argument and the
+# Hankel asymptotics beyond it; J_m (m >= 2) takes the sweep up to max(12, m).
+_HANKEL_X = 12.0
+# At and below this |x| the Bessel functions take their leading terms: the
+# next term is below eps relative (for N_1, the largest, x^2 |log(x/2)|/2 of
+# the leading one), and a sweep's factors 2k/x would leave the float range.
+_TINY = 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -73,11 +78,13 @@ _SERIES_X = 12.0
 # Every function of x below accepts a float or an ndarray (see ``_vec``).
 # Each evaluation regime is one kernel ``kernel(x, xp, order)`` in plain
 # arithmetic, where ``order`` carries the constants of one order, built on
-# first use: the power series and the Hankel amplitudes are Horner sums
-# over coefficients rounded once from exact integer ratios, with a term
-# count fixed by the largest argument of the regime, and the recurrences
-# run over precomputed float factors.  A float and an array element thus go
-# through the same operations.
+# first use: the Hankel amplitudes are Horner sums over coefficients rounded
+# once from exact integer ratios, and the recurrences run over precomputed
+# float factors.  A float and an array element thus go through the same
+# operations.  The three-term recurrence runs in the direction in which the
+# wanted solution grows: ``_upward`` from orders 0 and 1 for N, y, and J or
+# j past their turning point; ``_downward`` (Miller's algorithm) towards
+# order 0 for J and j below it.
 
 def _floats(start: int, stop: int, step: int = 1) -> tuple[float, ...]:
     return tuple(float(k) for k in range(start, stop, step))
@@ -91,55 +98,88 @@ def _horner(coeffs: tuple[float, ...], w):
     return p
 
 
-def _negligible(term: float, biggest: float, s: int) -> bool:
-    """Series cut: a term past the third that has fallen to 1e-17 of the
-    largest one is the last one kept."""
-    return s > 2 and abs(term) <= 1e-17 * biggest
+class _Order:
+    """Constants of one order m of J_m and N_m (odd = 0) or of j_m and y_m
+    (odd = 1), whose recurrences have the factors c_k = 2k + odd.
 
-
-class _BesselOrder:
-    """Constants of J_m and N_m for one order m.
-
-    ``reach`` ends the series regime of J_m.  The series is
-    J_m(x) = (x/2)^m/m! * sum_s c_s w^s with w = (x/2)^2 / Y,
-    Y = reach^2/4 and c_s = (-Y)^s m!/(s!(s+m)!), cut where its terms at
-    w = 1 fall below 1e-17 of the largest.  ``lead`` holds the factors
-    1..m of (x/2)^m/m! and ``steps`` the factors 2k of the upward recurrence
-    f_{k+1} = (2k/x) f_k - f_{k-1}, k = 1..m-1.
+    ``lead`` holds c_1..c_m, so that the leading term near 0 is x^m/prod
+    (lead): (x/2)^m/m! or x^m/(2m+1)!!.  ``steps`` holds c_1..c_{m-1}, the
+    factors of the upward recurrence f_{k+1} = (c_k/x) f_k - f_{k-1} as
+    ``_upward`` reads them.  ``edges`` splits J_m or j_m in |x| into the
+    leading term, the downward sweep and the upward regime, in the form of
+    ``piecewise``: the sweep of J_m ends at max(12, m), where the Hankel
+    asymptotics take over, and that of j_m just below m.
     """
 
-    __slots__ = ("m", "reach", "big_y", "coeffs", "lead", "steps")
+    __slots__ = ("m", "edges", "lead", "steps")
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, odd: int):
         if m < 0:
             raise ValueError("order must be a non-negative integer")
         self.m = m
-        reach = max(int(_SERIES_X), m)
-        self.reach = float(reach)
-        self.big_y = 0.25 * reach * reach
-        num, den = 1, 1
-        terms = [1.0]
-        for s in range(1, 400):
-            num *= -reach * reach
-            den *= 4 * s * (s + m)
-            terms.append(num / den)
-            if _negligible(terms[-1], max(map(abs, terms)), s):
-                break
-        self.coeffs = tuple(reversed(terms))
-        self.lead = _floats(1, m + 1)
-        self.steps = _floats(2, 2 * m, 2)
+        self.lead = _floats(2 + odd, 2 * m + 1 + odd, 2)
+        self.steps = self.lead[:-1]
+        end = float(max(_HANKEL_X, m)) if odd == 0 else math.nextafter(m, 0.0)
+        self.edges = (_TINY, max(_TINY, end))
 
 
-_order = cache(_BesselOrder)
+_order = cache(_Order)
 
 
-def _j_series(x, xp, o: _BesselOrder):
-    """Power-series regime, |x| <= max(12, m)."""
-    half = 0.5 * x
+def _start(big, xp):
+    """Start order 2 ceil((M + 16 + sqrt(40 M))/2) of a downward sweep that
+    serves orders and arguments up to M (a float or an array)."""
+    return 2.0 * xp.ceil(0.5 * (big + 16.0 + xp.sqrt(40.0 * big)))
+
+
+@cache
+def _down_factors(top: int, odd: int) -> tuple[float, ...]:
+    """The factors c_k = 2k + odd of the downward recurrence, k = top .. 1."""
+    return _floats(2 * top + odd, odd, -2)
+
+
+def _downward(x, m: int, odd: int) -> list:
+    """Miller's sweep f_{k-1} = (c_k/x) f_k - f_{k+1}, c_k = 2k + odd, from
+    f_{top+1} = 0 and f_top = 1e-290 down to f_0, as [f_0, .., f_top].
+
+    One start order ``top`` serves the call: ``_start`` of the largest of m
+    and x (x > 0).  Below it the sweep is, to rounding, a multiple of the
+    solution that decays with the order, J_k for odd = 0 and j_k for odd = 1
+    (Gautschi, SIAM Rev. 9, 1967).  |f| grows by at most 1 + c_k/x a step:
+    where that could carry it past 1e250, every value of an element is scaled
+    by 1e-250 whenever its newest one passes that level.
+    """
+    lo, hi = (x, x) if type(x) is float else (float(x.min()), float(x.max()))
+    top = int(_start(max(float(m), hi), math))
+    cs = _down_factors(top, odd)
+    guard = top * math.log10(1.0 + cs[0] / lo) > 500.0
+    r = 1.0 / x
+    f1, f = 0.0, full(x, 1e-290)
+    fs = [f]
+    for c in cs:
+        f1, f = f, c * r * f - f1
+        fs.append(f)
+        if guard and any_(abs(f) > 1e250):
+            scale = where(abs(f) > 1e250, 1e-250, 1.0)
+            fs = [v * scale for v in fs]
+            f1, f = f1 * scale, fs[-1]
+    fs.reverse()
+    return fs
+
+
+def _leading(x, xp, o: _Order):
+    """|x| <= 1e-9: x^m/prod(lead), the leading term of J_m or j_m."""
     lead = 1.0
-    for i in o.lead:
-        lead *= half / i
-    return lead * _horner(o.coeffs, half * half / o.big_y)
+    for c in o.lead:
+        lead *= x / c
+    return lead
+
+
+def _j_miller(x, xp, o: _Order):
+    """1e-9 < |x| <= max(12, m): the sweep normalised by J_0 + 2 sum_k J_2k = 1
+    (A&S 9.1.46)."""
+    f = _downward(x, o.m, 0)
+    return f[o.m] / (f[0] + 2.0 * sum(f[2::2]))
 
 
 @cache
@@ -156,7 +196,7 @@ def _hankel_table(m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     for j in range(1, 80):
         num *= 4 * m * m - (2 * j - 1) ** 2
         den *= j
-        if j > 2 and abs(num / den) >= abs(a[-1]) * 8.0 * _SERIES_X:
+        if j > 2 and abs(num / den) >= abs(a[-1]) * 8.0 * _HANKEL_X:
             break
         a.append(num / den)
     p = tuple(reversed([(-1.0) ** k * v for k, v in enumerate(a[0::2])]))
@@ -201,7 +241,7 @@ def _quiet(x):
     return nullcontext() if type(x) is float else np.errstate(over="ignore", invalid="ignore")
 
 
-def _j_hankel(x, xp, o: _BesselOrder):
+def _j_hankel(x, xp, o: _Order):
     """x > max(12, m): J_0 and J_1 from their asymptotics, higher orders by
     the upward recurrence from those, stable because m < x."""
     if o.m < 2:
@@ -223,45 +263,31 @@ def bessel_j(m: int, x):
     """Bessel function J_m(x) for integer order m >= 0 and real x (a float or
     an array).
 
-    Regime selection: the defining power series for |x| <= max(12, m), where
-    its float64 cancellation stays below ~1e-10 up to about m = 30 and grows
-    to about 1e-8 near x = m = 40; the large-argument asymptotic for orders
-    0 and 1 beyond that, and the three-term upward recurrence (stable for
-    m < x) for higher orders at large argument.  Non-finite x raises
+    Regime selection: the leading term (x/2)^m/m! for |x| <= 1e-9; Miller's
+    downward recurrence, normalised by J_0 + 2 sum_k J_2k = 1, for |x| up to
+    max(12, m); beyond that, the large-argument asymptotic for orders 0 and
+    1 and the three-term upward recurrence from them (stable for m < x) for
+    higher orders.  The sweep holds J_m to a few 1e-15 absolute at every
+    order; ``bessel_j_eval`` bounds each regime.  Non-finite x raises
     ValueError.
     """
-    o = _order(m)
+    o = _order(m, 0)
     x = _finite(x)
     ax = abs(x)
-    v = piecewise(ax, (o.reach,), (_j_series, _j_hankel), o)
+    v = piecewise(ax, o.edges, (_leading, _j_miller, _j_hankel), o)
     return where(x < 0.0, -v, v) if m % 2 else v
 
 
-def _zero_bound(x, xp, o: _BesselOrder):
-    return 0.0 * x
+def _j_sweep_bound(ax, xp, o: _Order):
+    """|J_k| <= 1, so the rounding of a sweep from order ``top`` and of its
+    normalising sum stays below top eps, with ``top`` the start order for
+    this element alone (a call's shared start is larger, and adds only
+    orders whose terms are negligible).  Also covers the leading term."""
+    big = where(ax > o.m, ax, float(o.m))
+    return _EPS * _start(big, xp)
 
 
-def _j_series_bound(ax, xp, o: _BesselOrder):
-    """Rounding-dominated error bound of the power series: eps times the
-    largest term (truncation is driven far below that)."""
-    m = o.m
-    half = 0.5 * ax
-    term = 1.0
-    for i in o.lead:
-        term *= half / i
-    biggest = term
-    y = half * half
-    # the terms rise while y > s (s + m), then fall
-    for s in range(1, 400):
-        term = term * (y / (s * (s + m)))
-        rising = term > biggest
-        if not any_(rising):
-            break
-        biggest = where(rising, term, biggest)
-    return 4.0 * _EPS * where(biggest > 1.0, biggest, 1.0)
-
-
-def _j_asymptotic_bound(ax, xp, o: _BesselOrder):
+def _j_asymptotic_bound(ax, xp, o: _Order):
     """The amplitude series, cut at its smallest term at x = 12, leaves an
     error near e^{-2x} (smaller beyond x = 12 than the rounding); the
     eps*(4 + x) piece covers the trig argument reduction of chi, and the
@@ -276,14 +302,15 @@ def bessel_j_eval(m: int, x) -> SeriesEval:
     """J_m(x) together with a conservative absolute-error bound (arrays of
     both for an array x).
 
-    Series regime: eps times the largest (cancelling) term.  Asymptotic
-    regime: the first omitted amplitude term plus rounding.  Recurrence
-    regime: the seed bounds amplified by the mild upward growth factor.
+    Sweep regime (|x| <= max(12, m)): rounding over the sweep's length.
+    Asymptotic regime: the first omitted amplitude term plus rounding.
+    Recurrence regime: the seed bounds amplified by the mild upward growth
+    factor.
     """
     x = as_arg(x)
     value = bessel_j(m, x)
-    o = _order(m)
-    bound = piecewise(abs(x), (0.0, o.reach), (_zero_bound, _j_series_bound, _j_asymptotic_bound), o)
+    o = _order(m, 0)
+    bound = piecewise(abs(x), o.edges[1:], (_j_sweep_bound, _j_asymptotic_bound), o)
     return SeriesEval(x, m, value, bound)
 
 
@@ -295,52 +322,39 @@ def bessel_j_prime(m: int, x):
     return 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
 
 
-@cache
-def _n_series_table() -> tuple[float, tuple[float, ...], tuple[float, ...]]:
-    """(Y, c0, c1) for the logarithmic series of N_0 and its derivative:
-    sum_{s>=1} (-1)^s H_s y^s/(s!)^2 = w sum_s c0_s w^s and
-    sum_{s>=1} (-1)^s s H_s y^s/(s!)^2 = w sum_s c1_s w^s, with y = (x/2)^2,
-    w = y/Y, Y = 36 the largest y of the regime and H_s the harmonic numbers.
-    """
-    reach = int(_SERIES_X)
-    h = Fraction(0)
-    fact2 = 1
-    c0, c1 = [], []
-    for s in range(1, 400):
-        h += Fraction(1, s)
-        fact2 *= s * s
-        num = (-reach * reach) ** s * h.numerator
-        den = 4**s * fact2 * h.denominator
-        c0.append(num / den)
-        c1.append(s * num / den)
-        if _negligible(c0[-1], max(map(abs, c0)), s) and _negligible(c1[-1], max(map(abs, c1)), s):
-            break
-    return 0.25 * reach * reach, tuple(reversed(c0)), tuple(reversed(c1))
-
-
-def _n_subnormal(x, xp, o: _BesselOrder):
-    """Subnormal x, where the series terms past J_0 = 1 underflow: N_0 =
-    (2/pi)(log(x/2) + gamma), N_1 = -2/(pi x), then upward to order m."""
+def _n_leading(x, xp, o: _Order):
+    """x <= 1e-9: N_0 = (2/pi)(log(x/2) + gamma) and N_1 = -2/(pi x) (log x
+    - log 2, since x/2 drops digits of a subnormal x), then upward to order
+    m."""
     n0 = 2.0 / math.pi * (xp.log(x) - math.log(2.0) + _EULER_GAMMA)
     return _growing(n0, -2.0 / math.pi / x, x, o)
 
 
-def _n_series(x, xp, o: _BesselOrder):
-    """N_0 from its logarithmic series and N_1 = -N_0' from the series
-    differentiated term by term, normal x <= 12, then upward to order m."""
-    big_y, c0, c1 = _n_series_table()
-    j0 = _j_series(x, xp, _order(0))
-    j1 = _j_series(x, xp, _order(1))
-    half = 0.5 * x
-    w = half * half / big_y
-    log_term = xp.log(half) + _EULER_GAMMA
-    n0 = 2.0 / math.pi * (j0 * log_term - w * _horner(c0, w))
-    dsum = 2.0 / x * (w * _horner(c1, w))
-    n1 = -(2.0 / math.pi * (-j1 * log_term + j0 / x - dsum))
+# Weights of the Neumann sums over a J sweep that starts at order
+# _start(12) = 50 or below: N_0 weighs J_2k by (-1)^k/k (k >= 1), and N_1
+# weighs J_1 by -1 and J_2k+1 by (-1)^(k+1) (2k+1)/(k(k+1)) (k >= 1).
+_N_TOP = int(_start(_HANKEL_X, math))
+_N0_WEIGHTS = tuple((-1.0) ** k / k for k in range(1, _N_TOP // 2 + 1))
+_N1_WEIGHTS = (-1.0,) + tuple((-1.0) ** (k + 1) * (2 * k + 1) / (k * (k + 1)) for k in range(1, _N_TOP // 2))
+
+
+def _n_miller(x, xp, o: _Order):
+    """1e-9 < x <= 12: N_0 by the Neumann sum over Miller's sweep,
+    N_0 = (2/pi)[(log(x/2) + gamma) J_0 - 2 sum_k (-1)^k J_2k/k] (A&S
+    9.1.88), and N_1 = -N_0' through J_k' = (J_{k-1} - J_{k+1})/2,
+    N_1 = (2/pi)[(log(x/2) + gamma) J_1 - J_0/x + sum_k (-1)^k (J_2k-1 -
+    J_2k+1)/k]; then upward to order m."""
+    f = _downward(x, 1, 0)
+    even = sum(w * v for w, v in zip(_N0_WEIGHTS, f[2::2]))
+    odd = sum(w * v for w, v in zip(_N1_WEIGHTS, f[1::2]))
+    scale = 2.0 / math.pi / (f[0] + 2.0 * sum(f[2::2]))
+    log_term = xp.log(0.5 * x) + _EULER_GAMMA
+    n0 = scale * (log_term * f[0] - 2.0 * even)
+    n1 = scale * (log_term * f[1] - f[0] / x + odd)
     return _growing(n0, n1, x, o)
 
 
-def _n_hankel(x, xp, o: _BesselOrder):
+def _n_hankel(x, xp, o: _Order):
     return _growing(_hankel(x, xp, 0)[1], _hankel(x, xp, 1)[1], x, o)
 
 
@@ -348,17 +362,18 @@ def bessel_n(m: int, x):
     """Neumann function N_m(x) for integer m >= 0; requires finite x > 0 (a
     float or an array).
 
-    N_0 comes from its logarithmic series (asymptotic beyond x = 12), N_1
-    from the differentiated series, and higher orders from the upward
-    recurrence N_{m+1} = -N_{m-1} + (2m/x) N_m, which is stable because N
-    is the growing solution.  Where N_m lies below -DBL_MAX the value is -inf.
+    N_0 and N_1 come from their leading terms for x <= 1e-9, from the
+    Neumann sums over the downward J sweep for x <= 12, and from the Hankel
+    asymptotics beyond; higher orders from the upward recurrence
+    N_{m+1} = -N_{m-1} + (2m/x) N_m, which is stable because N is the
+    growing solution.  Where N_m lies below -DBL_MAX the value is -inf.
     """
-    o = _order(m)
+    o = _order(m, 0)
     x = _finite(x)
     if any_(x <= 0.0):
         raise ValueError("Neumann function requires x > 0 (logarithmic singularity at 0)")
     with _quiet(x):
-        return piecewise(x, (_SUBNORMAL, _SERIES_X), (_n_subnormal, _n_series, _n_hankel), o)
+        return piecewise(x, (_TINY, _HANKEL_X), (_n_leading, _n_miller, _n_hankel), o)
 
 
 def bessel_n_prime(m: int, x):
@@ -498,85 +513,27 @@ def bessel_zero(family: ZeroFamily | str, order: int, k: int, param: float | Non
 # Spherical Bessel functions
 # ----------------------------------------------------------------------
 
-class _SphOrder:
-    """Constants of j_n and y_n for one order m = n.
-
-    j_n is taken in |x| from its power series on [0, 0.5), the downward
-    recurrence on the rest of (0, n) and the upward recurrence on
-    [max(0.5, n), inf): ``edges`` splits ``_SPH_J_KERNELS`` in the form of
-    ``piecewise``.  ``steps`` holds the factors 2k+1 of the upward
-    recurrence (k = 1..n-1, as ``_upward`` reads them) and ``down`` those of
-    the downward one, from k = ``start``.
-    """
-
-    __slots__ = ("m", "edges", "steps", "down", "start", "dfact", "series")
-
-    def __init__(self, n: int):
-        if n < 0:
-            raise ValueError("order must be non-negative")
-        self.m = n
-        below_half = math.nextafter(0.5, 0.0)
-        self.edges = (below_half, max(below_half, math.nextafter(n, 0.0)))
-        self.steps = _floats(3, 2 * n + 1, 2)
-        self.start = n + int(2.0 * math.sqrt(max(n, 10))) + 20
-        self.down = _floats(2 * self.start + 1, 1, -2)
-        # series j_n(x) = x^n/(2n+1)!! * sum_s c_s v^s, v = x^2/2, with
-        # c_s = (-1)^s / (s! prod_{i<=s} (2n+2i+1)), cut where its terms at
-        # |x| = 0.5 fall below 1e-18 ((2n+1)!! is inf past n ~ 150, where
-        # x^n/(2n+1)!! is 0 anyway)
-        self.dfact = math.prod(range(1, 2 * n + 2, 2), start=1.0)
-        den = 1
-        coeffs = [1.0]
-        for s in range(1, 40):
-            den *= -s * (2 * n + 2 * s + 1)
-            coeffs.append(1 / den)
-            if abs(coeffs[-1]) * 0.125**s < 1e-18:
-                break
-        self.series = tuple(reversed(coeffs))
+def _sph_j_miller(x, xp, o: _Order):
+    """1e-9 < |x| < n: the downward sweep scaled to the closed form of j_0
+    or of j_1, whichever is larger (they never vanish together, so neither
+    scale divides by a cancelled value)."""
+    f = _downward(x, o.m, 1)
+    j0 = xp.sin(x) / x
+    j1 = (j0 - xp.cos(x)) / x
+    first = abs(j0) >= abs(j1)
+    return f[o.m] / where(first, f[0], f[1]) * where(first, j0, j1)
 
 
-_sph_order = cache(_SphOrder)
-
-
-def _sph_j_small(x, xp, o: _SphOrder):
-    """Series regime, |x| < 0.5."""
-    lead = 1.0
-    for _ in range(o.m):
-        lead = lead * x
-    return lead / o.dfact * _horner(o.series, 0.5 * x * x)
-
-
-def _sph_j_downward(x, xp, o: _SphOrder):
-    """Downward recurrence normalized by j_0; stable for n > x."""
-    # |j| grows by at most 1 + (2k+1)/x per step: watch for overflow only
-    # where the growth over the whole run could reach the rescaling level
-    guard = any_(o.start * xp.log10(1.0 + o.down[0] / x) > 500.0)
-    jp1 = 0.0
-    j = 1e-290
-    target = 0.0
-    at_n = 2.0 * o.m + 3.0
-    for c in o.down:  # c = 2k + 1, k = start .. 1
-        jp1, j = j, c / x * j - jp1
-        if c == at_n:  # j is now the recurred j_n
-            target = j
-        if guard and any_(abs(j) > 1e250):
-            # rescale to avoid overflow
-            scale = where(abs(j) > 1e250, 1e-250, 1.0)
-            j, jp1, target = j * scale, jp1 * scale, target * scale
-    # j now holds the recurred j_0 estimate
-    return target * (xp.sin(x) / x) / j
-
-
-def _sph_j_upward(x, xp, o: _SphOrder):
+def _sph_j_upward(x, xp, o: _Order):
     """Upward recurrence from the closed forms of j_0 and j_1, for x >= n."""
     s = xp.sin(x)
     return _upward(s / x, s / (x * x) - xp.cos(x) / x, x, o)
 
 
-_SPH_J_KERNELS = (_sph_j_small, _sph_j_downward, _sph_j_upward)
+_SPH_J_KERNELS = (_leading, _sph_j_miller, _sph_j_upward)
 
 
-def _sph_y(x, xp, o: _SphOrder):
+def _sph_y(x, xp, o: _Order):
     """Upward recurrence from the closed forms of y_0 and y_1 (x > 0)."""
     c = xp.cos(x)
     return _growing(-c / x, -c / x / x - xp.sin(x) / x, x, o)
@@ -586,13 +543,13 @@ def spherical_bessel(kind: str, n: int, x):
     """Spherical Bessel functions j_n(x) and y_n(x) for integer n >= 0 and x
     a float or an array.
 
-    j_n near 0 (|x| < 0.5) comes from its power series, and otherwise from
-    the three-term recurrence: upward from the closed forms of j_0, j_1 when
-    x >= n, downward (normalized by j_0) when n > x.  y_n always recurs
-    upward from y_0, y_1, and is -inf where it lies below -DBL_MAX.
-    Non-finite x raises ValueError.
+    j_n near 0 (|x| <= 1e-9) is its leading term x^n/(2n+1)!!, and
+    otherwise comes from the three-term recurrence: upward from the closed
+    forms of j_0, j_1 when x >= n, downward (Miller's sweep, scaled to j_0
+    or j_1) when n > x.  y_n always recurs upward from y_0, y_1, and is -inf
+    where it lies below -DBL_MAX.  Non-finite x raises ValueError.
     """
-    o = _sph_order(n)
+    o = _order(n, 1)
     x = _finite(x)
     ax = abs(x)
     if kind == "j":

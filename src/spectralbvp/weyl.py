@@ -108,16 +108,25 @@ class CountingFunction:
     def eigenvalues(self, lam_max: float) -> list[tuple[float, int]]:
         """Sorted distinct eigenvalues below lam_max with multiplicities: the
         modes that ``count(lam_max)`` counts, guard band included, so the
-        multiplicities sum to it."""
+        multiplicities sum to it.  Modes whose eigenvalues agree to 1e-12
+        relative are one eigenvalue (listed at the smallest of them): index
+        sums of a degenerate eigenvalue, accumulated in different orders,
+        differ in their last bits."""
         if lam_max > self.lambda_max:
             raise ValueError(f"enumeration requested above lambda_max = {self.lambda_max}")
-        acc: dict[float, int] = {}
         *leading, last = self.domain.sides
-        for s in self._walk(lam_max, leading):
-            for k in range(self._start, self._start + self._axis_count(lam_max - self._pref * s, last)):
-                key = round(self._pref * (s + k * k / last**2), 9)
-                acc[key] = acc.get(key, 0) + 1
-        return sorted(acc.items())
+        lams = sorted(
+            self._pref * (s + k * k / last**2)
+            for s in self._walk(lam_max, leading)
+            for k in range(self._start, self._start + self._axis_count(lam_max - self._pref * s, last))
+        )
+        out: list[list] = []
+        for lam in lams:
+            if out and lam - out[-1][0] <= 1e-12 * lam:
+                out[-1][1] += 1
+            else:
+                out.append([lam, 1])
+        return [(lam, mult) for lam, mult in out]
 
     def heat_trace(self, t: float, lam_max: float) -> float:
         """sum over enumerated modes of exp(-lam t), truncated at lam_max."""

@@ -178,6 +178,17 @@ def test_weyl_count_kind(tmp_path):
     assert table.columns["ratio"][-1] == pytest.approx(1.0, abs=0.1)
 
 
+def test_bessel_zeros_high_order_prints_true_zeros(tmp_path, capsys):
+    """Order 80: the zeros of J_80 (scipy.special.jn_zeros), printed."""
+    spec = "schema_version = 1\nkind = bessel.zeros\nparam.order = 80\nparam.k_max = 2\n"
+    assert main(["--spec", write_spec(tmp_path, spec)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [l.split(",") for l in lines[lines.index("k,root") + 1 :]]
+    assert [int(k) for k, _ in rows] == [1, 2]
+    for (_, got), want in zip(rows, (88.23587860125465, 94.71197547507013)):
+        assert float(got) == pytest.approx(want, rel=1e-12)
+
+
 def test_main_exit_codes(tmp_path):
     spec = write_spec(tmp_path, BEAM_SPEC)
     assert main(["--spec", spec, "--out", str(tmp_path / "r.csv"), "--quiet"]) == 0

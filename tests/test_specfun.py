@@ -321,6 +321,30 @@ def test_bessel_j_eval_bound():
             assert ev.abs_error_bound < 1e-9
 
 
+def test_bessel_j_near_the_order():
+    """Near x = m the value is right and its bound is small at every order."""
+    ev = specfun.bessel_j_eval(80, 80.0)
+    assert ev.abs_error_bound < 1e-12
+    assert abs(ev.value - 0.1038068091131294) <= ev.abs_error_bound  # scipy.special.jv(80, 80.0)
+
+
+@pytest.mark.parametrize("m", [0, 1, 5, 20, 40, 60, 80, 100])
+def test_bessel_zeros_match_scipy(m):
+    special = pytest.importorskip("scipy.special")
+    got = [specfun.bessel_zero("bessel_j", m, k) for k in range(1, 6)]
+    assert np.allclose(got, special.jn_zeros(m, 5), rtol=1e-12, atol=0.0)
+
+
+def test_spherical_j_at_zeros_of_j0():
+    """Where j_0 = sin(x)/x vanishes the downward sweep is scaled to j_1."""
+    special = pytest.importorskip("scipy.special")
+    for n in (4, 6, 10, 20):
+        for k in range(1, n // 3 + 1):
+            x = k * math.pi
+            want = float(special.spherical_jn(n, x))
+            assert specfun.spherical_bessel("j", n, x) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
 def test_radial_family_residuals():
     for k in range(1, 6):
         g = specfun.bessel_zero("radial_tan", 0, k)

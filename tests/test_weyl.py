@@ -128,6 +128,18 @@ def test_eigenvalues_list_exactly_what_count_counts():
                     assert sum(m for _, m in cf.eigenvalues(lam)) == cf.count(lam)
 
 
+@pytest.mark.parametrize("bc", list(WallBC))
+def test_degenerate_eigenvalues_listed_once(bc):
+    """The cube's degenerate eigenvalues are reached by index sums added in
+    different orders; each is still one entry, and the multiplicities still
+    sum to count."""
+    cf = CountingFunction(Domain.cube(0.7), bc, 1.0)
+    eigs = cf.eigenvalues(2e5)
+    lams = [lam for lam, _ in eigs]
+    assert all(b - a > 1e-12 * b for a, b in zip(lams, lams[1:]))
+    assert sum(m for _, m in eigs) == cf.count(2e5)
+
+
 def test_lambda_max_guard():
     cf = CountingFunction(Domain.square(1.0), WallBC.DIRICHLET, 1.0, lambda_max=100.0)
     cf.count(99.0)
