@@ -7,10 +7,13 @@ once per node.  Non-finite values raise ``ValueError``.  Gauss-Legendre
 panels are used where the integrand is smooth and the cost of adaptivity is
 not warranted (tensorized quadrature over rectangles, spheres, disks).
 
-Projections of initial data on a family of modes sample the data once per
-rule with ``sample`` and reuse the samples for every mode: a one-dimensional
-coefficient is ``gauss_sum(data * shape, a, b)``, a two-dimensional one a
-weighted contraction of the sampled grid with the ``gauss_rule`` weights.
+Projections of initial data on a family of modes sample the data with
+``sample`` once per Gauss rung and reuse the samples for every mode: a
+one-dimensional coefficient is ``gauss_sum(data * shape, a, b)``, a
+two-dimensional one a weighted contraction of the sampled grid with the
+``gauss_rule`` weights.  ``gauss_ladder`` sizes the rules to the data: it
+refines a rung at a time up to the solver's cap and stops once two rungs
+agree, so smooth data is sampled on a fraction of the cap's grid.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "gauss_legendre_nodes",
     "gauss_rule",
     "gauss_sum",
+    "gauss_ladder",
     "sample",
     "fixed_gauss",
     "composite_simpson",
@@ -132,6 +136,48 @@ def sample(f, *axes: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     return np.array(list(map(f, *(g.ravel().tolist() for g in grids))), dtype=float).reshape(shape)
+
+
+# Rungs of gauss_ladder as divisors of the cap, coarsest first: every axis is
+# halved together, and the last rung is the cap itself.
+_RUNG_DIVISORS = (8, 4, 2, 1)
+# Two rungs agree when no coefficient moves by more than this fraction of the
+# largest |coefficient|.
+_RUNG_AGREEMENT = 1e-12
+
+
+def gauss_ladder(coeffs: Callable, cap, modes):
+    """Coefficients from the first Gauss rung that reproduces the rung before
+    it, and an estimate of their quadrature error.
+
+    ``coeffs(sizes)`` projects the data on Gauss rules of the given sizes,
+    one per axis: an int when ``cap`` is an int, a tuple shaped like ``cap``
+    otherwise.  The rungs are cap/8, cap/4, cap/2 and cap, every axis halved
+    together; a rung with fewer nodes on an axis than twice that axis's mode
+    count (``modes``, shaped like ``cap``) is skipped, the cap never.  The
+    first rung whose coefficients agree with the previous rung's to
+    ``_RUNG_AGREEMENT`` of its largest |coefficient| is returned, else the
+    cap's, which is the fixed-grid projection bit for bit.
+
+    The estimate is the largest difference between the last two rungs
+    compared, relative to the largest |coefficient| of the later one; NaN
+    when only the cap ran.
+    """
+    one = isinstance(cap, int)
+    caps, floors = ((cap,), (modes,)) if one else (tuple(cap), tuple(modes))
+    rungs = [tuple(c // d for c in caps) for d in _RUNG_DIVISORS]
+    rungs = [s for s in rungs[:-1] if all(n >= 2 * m for n, m in zip(s, floors))] + rungs[-1:]
+    prev, estimate = None, math.nan
+    for sizes in rungs:
+        cur = np.asarray(coeffs(sizes[0] if one else sizes), dtype=float)
+        if prev is not None:
+            diff = float(np.max(np.abs(cur - prev), initial=0.0))
+            scale = float(np.max(np.abs(cur), initial=0.0))
+            estimate = 0.0 if diff == 0.0 else diff / scale if scale else math.inf
+            if diff <= _RUNG_AGREEMENT * scale:
+                break
+        prev = cur
+    return cur, estimate
 
 
 def fixed_gauss(f, a: float, b: float, n: int = 64) -> float:

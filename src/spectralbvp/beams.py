@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quad import fixed_gauss, gauss_rule, sample
+from ._quad import fixed_gauss, gauss_ladder, gauss_rule, sample
 from ._rootfind import refine_root
 from ._series import contract, oscillator, outer, project
 from ._vec import as_arg, inside, xp
@@ -198,10 +198,13 @@ def beam_response(
     u0 and velocity v0, truncated at n_modes."""
     bc, l, c = spectrum.bc_pair, spectrum.l, spectrum.c
     mus = np.array(beam_char_roots(bc, n_modes))
-    xs, w = gauss_rule(0.0, l, 192)
-    phi = _shapes(bc, mus, l, xs)
-    a = project(phi, w, sample(u0, xs)) if u0 is not None else 0.0
-    b = project(phi, w, sample(v0, xs)) if v0 is not None else 0.0
+
+    def coeffs(n):
+        xs, w = gauss_rule(0.0, l, n)
+        phi = _shapes(bc, mus, l, xs)
+        return [np.zeros(n_modes) if f is None else project(phi, w, sample(f, xs)) for f in (u0, v0)]
+
+    a, b = gauss_ladder(coeffs, 192, n_modes)[0]
     return contract(_shapes(bc, mus, l, x), oscillator(c * mus * mus / (l * l), a, b, 0.0, t)[0])
 
 

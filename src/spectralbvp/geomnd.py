@@ -14,7 +14,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from ._quad import adaptive_simpson, fixed_gauss, gauss_rule, sample
+from ._quad import adaptive_simpson, fixed_gauss, gauss_ladder, gauss_rule, sample
 from ._series import contract, oscillator, outer, project
 from ._vec import as_arg, full, piecewise, xp
 from .intervals import uniform_basis
@@ -282,13 +282,17 @@ def cylinder_cooling(
     rad_rate = (alphas / radius) ** 2
     # axial modes sqrt(2/H) sin(n pi s/H) in s = z + H/2
     if takes_z:
-        # T0(r, z) is sampled once on the 96 x 96 grid; each (n, k)
-        # coefficient is (w_r r J_0) . T . (w_z axial_n)
         axial = uniform_basis(height, DIRICHLET, DIRICHLET, n_axial)
-        rr, wr = gauss_rule(0.0, radius, 96)
-        zz, wz = gauss_rule(-height / 2.0, height / 2.0, 96)
-        by_r = project(axial._shapes(zz + height / 2.0), wz, sample(t0, rr, zz))
-        coef = project(chi(rr), wr * rr, by_r.T)
+
+        def coeffs(sizes):
+            # T0(r, z) is sampled once per rung; each (n, k) coefficient is
+            # (w_r r J_0) . T . (w_z axial_n)
+            rr, wr = gauss_rule(0.0, radius, sizes[0])
+            zz, wz = gauss_rule(-height / 2.0, height / 2.0, sizes[1])
+            by_r = project(axial._shapes(zz + height / 2.0), wz, sample(t0, rr, zz))
+            return project(chi(rr), wr * rr, by_r.T)
+
+        coef = gauss_ladder(coeffs, (96, 96), (n_radial, n_axial))[0]
         ax_here, ax_rate = axial._shapes(z + height / 2.0), np.array(axial.eigenvalues)
     else:
         rr, wr = gauss_rule(0.0, radius, 192)
@@ -423,11 +427,18 @@ def ball_solution(
         if problem == BallProblem.SOURCES and math.isinf(t):
             return _ball_steady_sources(spec, float(data), r, conductivity)
         lam, phi = _ball_modes(spec, np.array([_ball_gamma(spec, k) for k in range(1, n_modes + 1)]))
-        rr, w = gauss_rule(0.0, big_r, 256)
-        if problem == BallProblem.COOLING:
-            a = 4.0 * math.pi * project(phi(rr), w * rr * rr, sample(data, rr))
-            return contract(phi(r), a * np.exp(-lam * spec.a2 * t))
-        f = (float(data) / conductivity) * spec.a2 * 4.0 * math.pi * project(phi(rr), w, rr * rr)
+        cooling = problem == BallProblem.COOLING
+
+        def coeffs(n):
+            rr, w = gauss_rule(0.0, big_r, n)
+            if cooling:
+                return 4.0 * math.pi * project(phi(rr), w * rr * rr, sample(data, rr))
+            return project(phi(rr), w, rr * rr)
+
+        proj = gauss_ladder(coeffs, 256, n_modes)[0]
+        if cooling:
+            return contract(phi(r), proj * np.exp(-lam * spec.a2 * t))
+        f = (float(data) / conductivity) * spec.a2 * 4.0 * math.pi * proj
         rate = lam * spec.a2
         return contract(phi(r), f * (1.0 - np.exp(-rate * t)) / rate)
     if problem == BallProblem.AXISYM_COOLING:
@@ -435,9 +446,13 @@ def ball_solution(
         return _ball_axisym_cooling(spec, data, n_modes, r, theta, t)
     if problem == BallProblem.LAPLACE_DIRICHLET:
         r, theta = point
-        xs, w = gauss_rule(-1.0, 1.0, 160)
         degrees = np.arange(n_modes)
-        a = (degrees + 0.5) * project(_legendre_columns(n_modes, xs), w, sample(data, np.arccos(xs)))
+
+        def coeffs(n):
+            xs, w = gauss_rule(-1.0, 1.0, n)
+            return (degrees + 0.5) * project(_legendre_columns(n_modes, xs), w, sample(data, np.arccos(xs)))
+
+        a = gauss_ladder(coeffs, 160, n_modes)[0]
         return contract(_legendre_columns(n_modes, math.cos(theta)), a * (r / big_r) ** degrees)
     raise ValueError(f"unsupported problem kind {problem}")
 
@@ -466,19 +481,24 @@ def _ball_axisym_cooling(spec: BallSpec, t0, n_modes: int, r: float, theta: floa
     if spec.bc != BallBC.DIRICHLET:
         raise NotImplementedError("axisymmetric cooling implemented for the clamped surface")
     big_r = spec.radius
-    # T0(r, theta) is sampled once on the 128 x 96 grid; each (n, k)
-    # coefficient is (w_r r^2 j_n(alpha r/R)) . T . (w_x P_n(x)), x = cos(theta)
-    rr, wr = gauss_rule(0.0, big_r, 128)
-    xs, ws = gauss_rule(-1.0, 1.0, 96)
-    angular = project(_legendre_columns(n_modes, xs), ws, sample(t0, rr, np.arccos(xs)))
+    orders = range(n_modes)
+    alphas = [np.array([spherical_bessel_zero(n, k) for k in range(1, n_modes + 1)]) for n in orders]
+    norms = [_ball_radial_norm(n, alphas[n], big_r) * (2.0 / (2 * n + 1)) for n in orders]
+
+    def coeffs(sizes):
+        # T0(r, theta) is sampled once per rung; each (n, k) coefficient is
+        # (w_r r^2 j_n(alpha r/R)) . T . (w_x P_n(x)), x = cos(theta)
+        rr, wr = gauss_rule(0.0, big_r, sizes[0])
+        xs, ws = gauss_rule(-1.0, 1.0, sizes[1])
+        angular = project(_legendre_columns(n_modes, xs), ws, sample(t0, rr, np.arccos(xs)))
+        weights = wr * rr * rr
+        return [project(spherical_bessel("j", n, outer(rr, alphas[n]) / big_r), weights, angular[:, n]) / norms[n]
+                for n in orders]
+
+    coef = gauss_ladder(coeffs, (128, 96), (n_modes, n_modes))[0]
     p_here = _legendre_columns(n_modes, math.cos(theta))
-    phi, amps = [], []
-    for n in range(n_modes):
-        alphas = np.array([spherical_bessel_zero(n, k) for k in range(1, n_modes + 1)])
-        proj = project(spherical_bessel("j", n, outer(rr, alphas) / big_r), wr * rr * rr, angular[:, n])
-        coeff = proj / (_ball_radial_norm(n, alphas, big_r) * (2.0 / (2 * n + 1)))
-        amps.append(coeff * np.exp(-((alphas / big_r) ** 2) * spec.a2 * t))
-        phi.append(spherical_bessel("j", n, alphas * r / big_r) * p_here[n])
+    phi = [spherical_bessel("j", n, alphas[n] * r / big_r) * p_here[n] for n in orders]
+    amps = [coef[n] * np.exp(-((alphas[n] / big_r) ** 2) * spec.a2 * t) for n in orders]
     return contract(np.concatenate(phi), np.concatenate(amps))
 
 

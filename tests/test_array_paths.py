@@ -330,15 +330,25 @@ def test_sample_calls_each_two_dimensional_mode_once():
 
 
 def test_axisym_cooling_evaluates_shapes_per_mode(monkeypatch):
-    """Each angular order n costs one array call of j_n over the grid and all
-    its radial roots, one for the closed-form norms and one for the point
-    values, not one call per (n, k) term or a 192-point norm rule."""
-    counted, calls = _counted(specfun.spherical_bessel)
+    """Each angular order n costs one array call of j_n over each Gauss
+    rung's radial nodes and all its radial roots, one for the closed-form
+    norms (j_{n+1} at the roots) and one for the point values, not one call
+    per (n, k) term or a 192-point norm rule.  Constant data stops the
+    ladder at its second rung, 32 x 24."""
+    calls = []
+
+    def counted(kind, n, x):
+        calls.append((n, np.shape(x)))
+        return specfun.spherical_bessel(kind, n, x)
+
     monkeypatch.setattr(geomnd, "spherical_bessel", counted)
     spec = BallSpec(radius=1.3, a2=0.7)
     n_modes = 3
     ball_solution(spec, "axisym_cooling", lambda r, th: 1.0 + 0.0 * r, n_modes, (0.4, 1.1), 0.05)
-    assert calls[0] == 3 * n_modes
+    norms = [(n + 1, (n_modes,)) for n in range(n_modes)]
+    rungs = [(n, (n_r, n_modes)) for n_r in (16, 32) for n in range(n_modes)]
+    points = [(n, (n_modes,)) for n in range(n_modes)]
+    assert calls == norms + rungs + points
 
 
 def test_disk_axisym_builds_its_radial_family_once(monkeypatch):

@@ -11,11 +11,14 @@ from spectralbvp._quad import (
     cumulative_simpson,
     erfcx,
     fixed_gauss,
+    gauss_ladder,
     gauss_rule,
     gauss_sum,
     sample,
 )
 from spectralbvp._rootfind import nth_root_from_scan, refine_root
+from spectralbvp._series import project
+from spectralbvp.specfun import ZeroFamily, _legendre_columns, bessel_j, bessel_zero
 
 
 def test_adaptive_simpson_known_integrals():
@@ -183,3 +186,86 @@ def _cumulative_simpson_loop(values, h):
 def test_cumulative_simpson_matches_node_loop(n):
     values = np.random.default_rng(n).standard_normal(n)
     assert np.array_equal(cumulative_simpson(values, 0.37), _cumulative_simpson_loop(values, 0.37))
+
+
+# ----------------------------------------------------------------------
+# Gauss ladder
+# ----------------------------------------------------------------------
+
+def _legendre_coeffs(f, n_terms):
+    """c_n = (n + 1/2) int_{-1}^{1} f P_n on an n-point rule."""
+    degrees = np.arange(n_terms)
+
+    def coeffs(n):
+        xs, w = gauss_rule(-1.0, 1.0, n)
+        return (degrees + 0.5) * project(_legendre_columns(n_terms, xs), w, sample(f, xs))
+
+    return coeffs
+
+
+def _bessel_coeffs(f, n_terms):
+    """int_0^1 r f J_0(alpha_k r) dr on an n-point rule."""
+    alphas = np.array([bessel_zero(ZeroFamily.BESSEL_J, 0, k) for k in range(1, n_terms + 1)])
+
+    def coeffs(n):
+        rs, w = gauss_rule(0.0, 1.0, n)
+        return project(bessel_j(0, np.multiply.outer(rs, alphas)), w * rs, sample(f, rs))
+
+    return coeffs
+
+
+def _bump(x0):
+    return lambda x: np.exp(-0.5 * ((x - x0) / 0.003) ** 2)
+
+
+@pytest.mark.parametrize("builder, cap", [(_legendre_coeffs, 160), (_bessel_coeffs, 256)])
+def test_gauss_ladder_flags_a_narrow_bump(builder, cap):
+    """A Gaussian of width 0.003 is not resolved by any rung, and the
+    estimate says so; smooth data converges and says that too."""
+    _, err = gauss_ladder(builder(_bump(0.31), 8), cap, 8)
+    assert err > 1e-6
+    _, err = gauss_ladder(builder(lambda x: np.exp(x) * np.cos(3.0 * x), 8), cap, 8)
+    assert err < 1e-11
+
+
+def test_gauss_ladder_runs_the_rungs_above_the_mode_floor():
+    """Rungs halve every axis of the cap together; a rung with fewer than
+    twice an axis's mode count of nodes on that axis is skipped, the cap
+    never.  Rungs that never agree return the cap's coefficients."""
+    seen = []
+
+    def coeffs(sizes):
+        seen.append(sizes)
+        return np.array([1.0, float(len(seen))])
+
+    got, err = gauss_ladder(coeffs, (128, 96), (3, 20))
+    assert seen == [(64, 48), (128, 96)]
+    assert got.tolist() == [1.0, 2.0] and err == 0.5
+    seen.clear()
+    got, err = gauss_ladder(coeffs, 160, 200)
+    assert seen == [160] and math.isnan(err)
+    seen.clear()
+    gauss_ladder(lambda n: seen.append(n) or np.ones(3), 192, 2)
+    assert seen == [24, 48]
+
+
+def test_gauss_ladder_cap_only_is_the_fixed_rule():
+    """80 Legendre terms leave only the 160-point cap: the coefficients are
+    the fixed rule's, bit for bit, and there is no estimate."""
+    f = lambda x: np.exp(x) * np.cos(3.0 * x)
+    got, err = gauss_ladder(_legendre_coeffs(f, 80), 160, 80)
+    xs, w = gauss_rule(-1.0, 1.0, 160)
+    want = (np.arange(80) + 0.5) * project(_legendre_columns(80, xs), w, sample(f, xs))
+    assert math.isnan(err)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_gauss_ladder_stops_only_on_agreement():
+    """A Gaussian of width 0.1 needs about 80 Legendre nodes: the 40-node
+    rung is off by about 1e-11, so no rung below the cap agrees with the one
+    before it, and the answer is the cap's."""
+    f = lambda x: np.exp(-0.5 * ((x - 0.31) / 0.1) ** 2)
+    got, err = gauss_ladder(_legendre_coeffs(f, 8), 160, 8)
+    want = _legendre_coeffs(f, 8)(160)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert err < 1e-12
