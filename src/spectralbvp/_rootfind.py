@@ -8,9 +8,13 @@ reported from a sign-change bracket, and every iterate stays inside it.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Callable, Iterator
 
 __all__ = ["refine_root", "scan_brackets", "nth_root_from_scan"]
+
+# The length of a sign-change scan, in steps.
+_MAX_STEPS = 2_000_000
 
 
 def refine_root(
@@ -85,7 +89,7 @@ def scan_brackets(
     f: Callable[[float], float],
     start: float,
     step: float,
-    max_steps: int = 2_000_000,
+    max_steps: int = _MAX_STEPS,
 ) -> Iterator[tuple[float, float]]:
     """Yield consecutive sign-change brackets of f walking right from start."""
     x0 = start
@@ -110,11 +114,11 @@ def nth_root_from_scan(
     k: int,
     ftol: float = 1e-12,
 ) -> float:
-    """k-th root of f to the right of start (k >= 1), by scan + refine."""
+    """k-th root of f to the right of start (k >= 1), by scan + refine;
+    ValueError if the scan meets fewer than k sign changes in its steps."""
     if k < 1:
         raise ValueError("root index must be >= 1")
-    gen = scan_brackets(f, start, step)
-    for _ in range(k - 1):
-        next(gen)
-    a, b = next(gen)
-    return refine_root(f, a, b, ftol=ftol)
+    bracket = next(islice(scan_brackets(f, start, step), k - 1, None), None)
+    if bracket is None:
+        raise ValueError(f"scan from {start} found no sign change for root {k} in {_MAX_STEPS} steps of {step}")
+    return refine_root(f, *bracket, ftol=ftol)

@@ -63,8 +63,7 @@ def beam_char_roots(bc_pair: BeamBC | str, k_max: int) -> list[float]:
         raise ValueError("k_max must be >= 1")
     if bc == BeamBC.PINNED_PINNED:
         return [n * math.pi for n in range(1, k_max + 1)]
-    table = zero_table(_FAMILY[bc], 0, k_max)
-    return list(table.roots[:k_max])
+    return list(zero_table(_FAMILY[bc], 0, k_max).roots)
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,8 @@ class BeamSpectrum:
 
 
 def beam_spectrum(bc_pair: BeamBC | str, k_max: int, c: float = 1.0, l: float = 1.0) -> BeamSpectrum:
-    if c <= 0.0 or l <= 0.0:
-        raise ValueError("need c > 0 and l > 0")
+    if not (0.0 < c < math.inf and 0.0 < l < math.inf):
+        raise ValueError("need finite c > 0 and l > 0")
     return BeamSpectrum(BeamBC(bc_pair), tuple(beam_char_roots(bc_pair, k_max)), c=c, l=l)
 
 

@@ -32,7 +32,7 @@ from . import __version__
 from .beams import BeamBC, beam_char_roots, buckling_critical
 from .geomnd import BallBC, BallSpec, DiskMembrane, ball_radial_modes, disk_membrane_modes
 from .heat1d import HeatMedium, heat_interval_modes
-from .specfun import GIBBS_CONSTANT, ZeroFamily, bessel_zero
+from .specfun import GIBBS_CONSTANT, ZeroFamily, zero_table
 from .sturm import BoundaryCondition
 from .varsolve import brachistochrone_fit
 from .waves1d import gibbs_partial_sum
@@ -183,7 +183,7 @@ def _run_weyl_count(p: dict):
 
 
 def _run_bessel_zeros(p: dict):
-    roots = [bessel_zero(ZeroFamily(p["family"]), p["order"], k) for k in range(1, p["k_max"] + 1)]
+    roots = list(zero_table(p["family"], p["order"], p["k_max"]).roots)
     return {"k": list(range(1, len(roots) + 1)), "root": roots}, {"tolerance": 1e-10}
 
 
@@ -344,6 +344,8 @@ def _coerce(name: str, raw: str, param: Param):
             value = raw
     except ValueError:
         raise ValidationError(f"param.{name}: expected {param.type.__name__}, got {raw!r}")
+    if param.type is float and not math.isfinite(value):
+        raise ValidationError(f"param.{name}: must be finite, got {raw!r}")
     if param.choices is not None and value not in param.choices:
         raise ValidationError(f"param.{name}: must be one of {param.choices}, got {value!r}")
     if param.positive and isinstance(value, (int, float)) and value <= 0:

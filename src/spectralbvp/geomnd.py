@@ -19,14 +19,16 @@ from ._series import contract, oscillator, outer, project
 from ._vec import as_arg, full, piecewise, xp
 from .intervals import uniform_basis
 from .specfun import (
+    _SPHERICAL_J,
     ZeroFamily,
     _legendre_columns,
+    _zeros,
     assoc_legendre,
     bessel_j,
     bessel_j_prime,
     bessel_zero,
     spherical_bessel,
-    spherical_bessel_zero,
+    zero_table,
 )
 from .sturm import DIRICHLET, NEUMANN
 
@@ -68,8 +70,8 @@ class RectMembrane:
     bc_y: tuple[EdgeBC, EdgeBC] = ("fixed", "fixed")
 
     def __post_init__(self):
-        if min(self.l1, self.l2) <= 0.0 or self.a <= 0.0 or self.rho <= 0.0:
-            raise ValueError("membrane dimensions, speed and density must be positive")
+        if not all(0.0 < v < math.inf for v in (self.l1, self.l2, self.a, self.rho)):
+            raise ValueError("membrane dimensions, speed and density must be positive and finite")
 
 
 _EDGE_BC = {"fixed": DIRICHLET, "free": NEUMANN}
@@ -148,8 +150,8 @@ class DiskMembrane:
     rho: float = 1.0
 
     def __post_init__(self):
-        if self.radius <= 0.0 or self.a <= 0.0 or self.rho <= 0.0:
-            raise ValueError("radius, speed and density must be positive")
+        if not all(0.0 < v < math.inf for v in (self.radius, self.a, self.rho)):
+            raise ValueError("radius, speed and density must be positive and finite")
 
 
 def _disk_radial(spec: DiskMembrane, m: int, k: int):
@@ -234,7 +236,7 @@ def _disk_projector(spec: DiskMembrane, phi):
 
 def _j_zeros(m: int, count: int) -> np.ndarray:
     """The first count positive zeros of J_m."""
-    return np.array([bessel_zero(ZeroFamily.BESSEL_J, m, k) for k in range(1, count + 1)])
+    return np.array(zero_table(ZeroFamily.BESSEL_J, m, count).roots)
 
 
 def disk_pressure_steady_amplitude(spec: DiskMembrane, p0: float, omega: float, r: float) -> float:
@@ -340,8 +342,8 @@ class BallSpec:
     h: float = 0.0  # Robin parameter, used when bc == ROBIN
 
     def __post_init__(self):
-        if self.radius <= 0.0 or self.a2 <= 0.0:
-            raise ValueError("radius and diffusivity must be positive")
+        if not (0.0 < self.radius < math.inf and 0.0 < self.a2 < math.inf and math.isfinite(self.h)):
+            raise ValueError("radius and diffusivity must be positive and finite, and h finite")
         if self.bc == BallBC.ROBIN and self.h <= 0.0:
             raise ValueError("Robin surface condition needs h > 0")
 
@@ -482,7 +484,7 @@ def _ball_axisym_cooling(spec: BallSpec, t0, n_modes: int, r: float, theta: floa
         raise NotImplementedError("axisymmetric cooling implemented for the clamped surface")
     big_r = spec.radius
     orders = range(n_modes)
-    alphas = [np.array([spherical_bessel_zero(n, k) for k in range(1, n_modes + 1)]) for n in orders]
+    alphas = [np.array(_zeros(_SPHERICAL_J, n, n_modes)[:n_modes]) for n in orders]
     norms = [_ball_radial_norm(n, alphas[n], big_r) * (2.0 / (2 * n + 1)) for n in orders]
 
     def coeffs(sizes):

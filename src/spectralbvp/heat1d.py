@@ -53,8 +53,8 @@ class HeatMedium:
     absorption: float = 0.0
 
     def __post_init__(self):
-        if self.a2 <= 0.0 or self.absorption < 0.0:
-            raise ValueError("need a2 > 0 and absorption >= 0")
+        if not (0.0 < self.a2 < math.inf and 0.0 <= self.absorption < math.inf):
+            raise ValueError("need finite a2 > 0 and absorption >= 0")
 
 
 @dataclass(frozen=True)

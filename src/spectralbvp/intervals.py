@@ -48,8 +48,8 @@ class UniformBasis:
     """Eigenbasis of X'' + lam X = 0 on [0, l] under the given end conditions."""
 
     def __init__(self, l: float, left: BoundaryCondition, right: BoundaryCondition, n_modes: int):
-        if l <= 0.0:
-            raise ValueError("interval length must be positive")
+        if not 0.0 < l < math.inf:
+            raise ValueError("interval length must be positive and finite")
         self.l = float(l)
         self.left = left
         self.right = right

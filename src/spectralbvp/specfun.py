@@ -404,8 +404,9 @@ class ZeroTable:
     """Ascending positive roots of a characteristic equation.
 
     Instances are immutable; request more roots through ``zero_table`` which
-    returns a fresh, longer table.  ``param`` carries the real parameter of
-    parametrized families (radial_robin), and is None otherwise.
+    returns a fresh, longer table.  ``tol`` bounds |f| at every root.
+    ``param`` carries the real parameter of parametrized families
+    (radial_robin), and is None otherwise.
     """
 
     family: ZeroFamily
@@ -449,9 +450,10 @@ def _radial_robin_fn(order: int, param: float | None):
 
 
 # Each family: its characteristic built from (order, param), and the scan
-# start max(lo, slope * order).  J_m > 0 on (0, first zero) and that zero
-# exceeds m; cos +- sech and sin*cosh - cos*sinh vanish to high order at 0,
-# so the beam scans start past the degenerate origin.
+# start max(lo, slope * order).  J_m and j_m > 0 on (0, first zero) and that
+# zero exceeds m; cos +- sech and sin*cosh - cos*sinh vanish to high order at
+# 0, so the beam scans start past the degenerate origin.
+_SPHERICAL_J = "spherical_j"  # the private key of the zeros of j_n
 _FAMILIES = {
     ZeroFamily.BESSEL_J: (lambda m, _: lambda x: bessel_j(m, x), 1e-9, 0.5),
     ZeroFamily.BESSEL_J_PRIME: (lambda m, _: lambda x: bessel_j_prime(m, x), 1e-6, 0.4),
@@ -460,22 +462,33 @@ _FAMILIES = {
     ZeroFamily.BEAM_CP: (lambda m, _: _beam_cp_fn, 0.3, 0.0),
     ZeroFamily.RADIAL_TAN: (lambda m, _: _radial_tan_fn, 1e-6, 0.0),
     ZeroFamily.RADIAL_ROBIN: (_radial_robin_fn, 1e-6, 0.0),
+    _SPHERICAL_J: (lambda n, _: lambda x: spherical_bessel("j", n, x), 1e-6, 0.5),
 }
 
 # The sign-change scan step, an eighth of the root spacing pi that every
 # family approaches.
 _SCAN_STEP = math.pi / 8.0
 
-_ZERO_CACHE: dict[tuple, ZeroTable] = {}
+_ZEROS: dict[tuple, tuple[float, ...]] = {}
 
 
-def _extend_roots(f, roots: list[float], count: int, start: float, ftol: float) -> None:
-    """Extend the ascending roots of f to ``count`` by a sign-change scan from
-    start (or past the last root), each refined by Brent's method to ftol."""
-    scan_from = roots[-1] + 1e-9 if roots else start
-    while len(roots) < count:
-        roots.append(nth_root_from_scan(f, scan_from, _SCAN_STEP, 1, ftol=ftol))
-        scan_from = roots[-1] + 0.25 * _SCAN_STEP
+def _zeros(family, order: int, count: int, param: float | None = None) -> tuple[float, ...]:
+    """At least the first ``count`` roots of one family from the one store,
+    grown by the rule of ``zero_table`` into a longer copy.  Threads growing
+    one table at once compute the same roots, so any copy a race keeps is
+    a right one."""
+    if param is not None and not math.isfinite(param):
+        raise ValueError(f"param must be finite, got {param!r}")
+    key = (family, order, param)
+    roots = _ZEROS.get(key, ())
+    if len(roots) < count:
+        characteristic, lo, slope = _FAMILIES[family]
+        f, grown = characteristic(order, param), list(roots)
+        while len(grown) < count:
+            start = grown[-1] + 1e-9 if grown else max(lo, slope * order)
+            grown.append(nth_root_from_scan(f, start, _SCAN_STEP, 1, ftol=1e-15))
+        roots = _ZEROS[key] = max(_ZEROS.get(key, ()), tuple(grown), key=len)
+    return roots
 
 
 def zero_table(
@@ -486,27 +499,22 @@ def zero_table(
 ) -> ZeroTable:
     """First ``count`` positive roots of the requested family, cached.
 
-    Roots are located by a sign-change scan seeded near the origin and
-    refined by Brent's method to |f| <= 1e-10 on the scaled characteristic.
+    Root 1 is located by a sign-change scan from the family's start near the
+    origin and root k + 1 by one from root k + 1e-9; each is refined by
+    Brent's method to |f| <= 1e-15 on the scaled characteristic (or until
+    its bracket collapses to floating-point resolution).  A root is thus a
+    pure function of (family, order, param, k), whatever was asked before.
+    A non-finite param raises ValueError.
     """
     family = ZeroFamily(family)
-    key = (family, order, param)
-    cached = _ZERO_CACHE.get(key)
-    if cached is not None and len(cached.roots) >= count:
-        return cached
-    characteristic, lo, slope = _FAMILIES[family]
-    roots = list(cached.roots) if cached is not None else []
-    _extend_roots(characteristic(order, param), roots, count, max(lo, slope * order), ftol=1e-15)
-    table = ZeroTable(family=family, order=order, roots=tuple(roots), tol=1e-10, param=param)
-    _ZERO_CACHE[key] = table
-    return table
+    return ZeroTable(family, order, _zeros(family, order, count, param)[:count], param=param)
 
 
 def bessel_zero(family: ZeroFamily | str, order: int, k: int, param: float | None = None) -> float:
     """k-th positive root (k >= 1) of the requested characteristic family."""
     if k < 1:
         raise ValueError("root index must be >= 1")
-    return zero_table(family, order, k, param=param).root(k)
+    return _zeros(ZeroFamily(family), order, k, param)[k - 1]
 
 
 # ----------------------------------------------------------------------
@@ -565,16 +573,11 @@ def spherical_bessel(kind: str, n: int, x):
     raise ValueError("kind must be 'j' or 'y'")
 
 
-_SPH_ZERO_CACHE: dict[int, list[float]] = {}
-
-
 def spherical_bessel_zero(n: int, k: int) -> float:
     """k-th positive zero of j_n (equivalently of J_{n+1/2})."""
     if k < 1:
         raise ValueError("root index must be >= 1")
-    roots = _SPH_ZERO_CACHE.setdefault(n, [])
-    _extend_roots(lambda x: spherical_bessel("j", n, x), roots, k, max(1e-6, 0.5 * n), ftol=1e-13)
-    return roots[k - 1]
+    return _zeros(_SPHERICAL_J, n, k)[k - 1]
 
 
 # ----------------------------------------------------------------------

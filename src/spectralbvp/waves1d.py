@@ -50,8 +50,9 @@ class WaveMedium:
     rho: float = 1.0
 
     def __post_init__(self):
-        if self.a <= 0.0 or self.rho <= 0.0 or self.eta < 0.0 or self.l <= 0.0:
-            raise ValueError("need a > 0, rho > 0, eta >= 0, l > 0")
+        finite = 0.0 < self.a < math.inf and 0.0 < self.rho < math.inf and 0.0 <= self.eta < math.inf
+        if not (finite and self.l > 0.0):
+            raise ValueError("need finite a > 0, rho > 0, eta >= 0, and l > 0 (inf for the line)")
 
 
 def _sign(x: float) -> float:

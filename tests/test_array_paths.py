@@ -352,17 +352,17 @@ def test_axisym_cooling_evaluates_shapes_per_mode(monkeypatch):
 
 
 def test_disk_axisym_builds_its_radial_family_once(monkeypatch):
-    """One solve looks up each root once and evaluates J_0' once for all the
-    norms, and J_0 once on the projection grid (shared by u0 and v0) and
-    once at the point."""
+    """One solve reads its roots from one zero table and evaluates J_0' once
+    for all the norms, and J_0 once on the projection grid (shared by u0 and
+    v0) and once at the point."""
     counts = {}
-    for name in ("bessel_zero", "bessel_j_prime", "bessel_j"):
+    for name in ("zero_table", "bessel_j_prime", "bessel_j"):
         counts[name] = _counted(getattr(geomnd, name))
         monkeypatch.setattr(geomnd, name, counts[name][0])
     n_modes = 6
     geomnd.disk_axisym_solution(DiskMembrane(radius=1.1), lambda r: 1.21 - r * r, lambda r: 0.3 * r, n_modes, 0.4, 0.7)
     assert {name: calls[0] for name, (_, calls) in counts.items()} == {
-        "bessel_zero": n_modes,
+        "zero_table": 1,
         "bessel_j_prime": 1,
         "bessel_j": 2,
     }

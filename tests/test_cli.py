@@ -129,6 +129,23 @@ def test_validation_failures(tmp_path):
         assert needle in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "base, override",
+    [
+        ("kind = heat.interval\nparam.t = 0.2\n", "param.t=inf"),
+        ("kind = membrane.disk\n", "param.R=nan"),
+        ("kind = ball.radial\nparam.bc = robin\nparam.h = 1.0\n", "param.h=nan"),
+        ("kind = weyl.count\nparam.lam = 50.0\n", "param.lam=-inf"),
+    ],
+    ids=["heat-t-inf", "disk-R-nan", "ball-h-nan", "weyl-lam-minus-inf"],
+)
+def test_non_finite_float_param_is_a_validation_error(tmp_path, capsys, base, override):
+    spec = write_spec(tmp_path, "schema_version = 1\n" + base)
+    assert main(["--spec", spec, "--set", override]) == EXIT_VALIDATION
+    name = override.split("=")[0]
+    assert f"validation error: {name}: must be finite" in capsys.readouterr().err
+
+
 def test_heat_interval_metadata(tmp_path):
     spec = (
         "schema_version = 1\nkind = heat.interval\nparam.t = 0.2\n"

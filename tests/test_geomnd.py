@@ -6,6 +6,7 @@ import math
 import pytest
 
 from spectralbvp._quad import fixed_gauss
+from spectralbvp.beams import beam_spectrum
 from spectralbvp.geomnd import (
     BallBC,
     BallSpec,
@@ -23,6 +24,8 @@ from spectralbvp.geomnd import (
     rect_membrane_modes,
     spherical_harmonic_norm,
 )
+from spectralbvp.heat1d import HeatMedium
+from spectralbvp.intervals import UniformBasis
 from spectralbvp.specfun import (
     ZeroFamily,
     bessel_j,
@@ -32,6 +35,8 @@ from spectralbvp.specfun import (
     spherical_bessel,
     spherical_bessel_zero,
 )
+from spectralbvp.sturm import DIRICHLET
+from spectralbvp.waves1d import WaveMedium
 
 
 # ----------------------------------------------------------------------
@@ -435,3 +440,33 @@ def test_ball_cooling_positivity_window():
         for r in (0.0, 0.4, 0.95):
             v = ball_solution(spec, "cooling", lambda rr: t0c, 30, r, t)
             assert -1e-6 <= v <= t0c * (1.0 + 1e-3)
+
+
+NON_FINITE_INPUTS = {
+    "ball-radius-nan": lambda: BallSpec(radius=math.nan),
+    "ball-a2-inf": lambda: BallSpec(radius=1.0, a2=math.inf),
+    "ball-robin-h-nan": lambda: BallSpec(radius=1.0, bc=BallBC.ROBIN, h=math.nan),
+    "disk-radius-inf": lambda: DiskMembrane(radius=math.inf),
+    "disk-a-nan": lambda: DiskMembrane(radius=1.0, a=math.nan),
+    "rect-l2-nan": lambda: RectMembrane(1.0, math.nan),
+    "rect-rho-inf": lambda: RectMembrane(1.0, 1.0, rho=math.inf),
+    "heat-a2-nan": lambda: HeatMedium(a2=math.nan),
+    "heat-absorption-inf": lambda: HeatMedium(a2=1.0, absorption=math.inf),
+    "wave-a-inf": lambda: WaveMedium(a=math.inf),
+    "wave-l-nan": lambda: WaveMedium(a=1.0, l=math.nan),
+    "wave-eta-nan": lambda: WaveMedium(a=1.0, eta=math.nan),
+    "beam-c-nan": lambda: beam_spectrum("clamped_clamped", 3, c=math.nan),
+    "beam-l-inf": lambda: beam_spectrum("clamped_clamped", 3, l=math.inf),
+    "interval-l-nan": lambda: UniformBasis(math.nan, DIRICHLET, DIRICHLET, 3),
+    "interval-l-inf": lambda: UniformBasis(math.inf, DIRICHLET, DIRICHLET, 3),
+}
+
+
+@pytest.mark.parametrize("make", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS.keys())
+def test_constructors_reject_non_finite_input(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+def test_wave_medium_keeps_the_infinite_line():
+    assert WaveMedium(a=1.0).l == math.inf

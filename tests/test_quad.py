@@ -165,6 +165,11 @@ def test_refine_root_and_scan():
     assert third == pytest.approx(3 * math.pi, rel=1e-12)
 
 
+def test_exhausted_scan_says_so():
+    with pytest.raises(ValueError, match="no sign change for root 1 in 2000000 steps"):
+        nth_root_from_scan(lambda x: 1.0 + x * x, 0.0, 1.0, 1)
+
+
 def _cumulative_simpson_loop(values, h):
     """Node-by-node reference for cumulative_simpson."""
     n = len(values)

@@ -2,7 +2,11 @@
 orthogonality identities, and the zero tables."""
 
 import math
+import random
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -380,3 +384,85 @@ NON_FINITE = [math.inf, -math.inf, math.nan, np.array([1.0, np.inf]), np.array([
 def test_bessel_functions_reject_non_finite_x(fn, x):
     with pytest.raises(ValueError, match="x must be finite"):
         fn(x)
+
+
+# ----------------------------------------------------------------------
+# The one zero store: a root is a pure function of (family, order, param, k)
+# ----------------------------------------------------------------------
+
+ZERO_KEYS = [
+    (family, order, 2.7 if family is specfun.ZeroFamily.RADIAL_ROBIN else None)
+    for family in list(specfun.ZeroFamily) + [specfun._SPHERICAL_J]
+    for order in (0, 3)
+]
+
+
+def _one_root(family, order, param, k):
+    if family == specfun._SPHERICAL_J:
+        return specfun.spherical_bessel_zero(order, k)
+    return specfun.bessel_zero(family, order, k, param=param)
+
+
+@pytest.mark.parametrize(
+    "family, order, param", ZERO_KEYS, ids=[f"{getattr(f, 'value', f)}-{o}" for f, o, _ in ZERO_KEYS]
+)
+def test_zero_tables_do_not_depend_on_history(monkeypatch, family, order, param):
+    """Roots 1..25 come out bit for bit the same built in one call, one root
+    per call, or in shuffled order, each from an empty store."""
+    count = 25
+    monkeypatch.setattr(specfun, "_ZEROS", {})
+    whole = specfun._zeros(family, order, count, param)[:count]
+    monkeypatch.setattr(specfun, "_ZEROS", {})
+    one_by_one = [_one_root(family, order, param, k) for k in range(1, count + 1)]
+    monkeypatch.setattr(specfun, "_ZEROS", {})
+    ks = list(range(1, count + 1))
+    random.Random(order).shuffle(ks)
+    shuffled = dict((k, _one_root(family, order, param, k)) for k in ks)
+    assert list(whole) == one_by_one == [shuffled[k] for k in range(1, count + 1)]
+    assert all(b > a for a, b in zip(whole, whole[1:]))
+    if family != specfun._SPHERICAL_J:
+        for k in (1, 4, 13, count):
+            assert specfun.zero_table(family, order, k, param=param).roots == tuple(one_by_one[:k])
+
+
+def test_zero_tables_agree_across_threads(monkeypatch):
+    """Eight threads that grow the same tables at once each get the serial
+    roots, and every stored table stays strictly increasing."""
+    count = 12
+    requests = [(specfun._SPHERICAL_J, 3), (specfun._SPHERICAL_J, 0), (specfun.ZeroFamily.BESSEL_J, 5)]
+
+    def ask(t):
+        # threads only collect; the asserts run in the main thread
+        got = {}
+        barrier.wait(timeout=60)
+        for family, order in requests[t % 3:] + requests[: t % 3]:
+            ks = range(count, 0, -1) if t % 2 else range(1, count + 1)
+            got.update({(family, order, k): _one_root(family, order, None, k) for k in ks})
+        return got
+
+    monkeypatch.setattr(specfun, "_ZEROS", {})
+    serial = {(f, o, k): _one_root(f, o, None, k) for f, o in requests for k in range(1, count + 1)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(specfun, "_ZEROS", {})
+            barrier = threading.Barrier(8)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = [f.result(timeout=120) for f in [pool.submit(ask, t) for t in range(8)]]
+            tables = dict(specfun._ZEROS)
+            for got in results:
+                assert got == serial
+            for (family, order, _), roots in tables.items():
+                assert all(b > a for a, b in zip(roots, roots[1:]))
+                assert list(roots) == [serial[family, order, k] for k in range(1, len(roots) + 1)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("param", [math.nan, math.inf, -math.inf])
+def test_zero_tables_reject_non_finite_param(param):
+    with pytest.raises(ValueError, match="param"):
+        specfun.zero_table("radial_robin", 0, 3, param=param)
+    with pytest.raises(ValueError, match="param"):
+        specfun.bessel_zero("radial_robin", 0, 1, param=param)
