@@ -235,8 +235,8 @@ def _buckling_determinant(bc: BeamBC) -> tuple[Callable[[float], float], float, 
 def buckling_critical(bc_pair: BeamBC | str, e_mod: float, j_mom: float, l: float) -> float:
     """Smallest compressive load at which the straight equilibrium admits a
     nontrivial bent neighbor."""
-    if e_mod <= 0.0 or j_mom <= 0.0 or l <= 0.0:
-        raise ValueError("need E, J, l > 0")
+    if not all(math.isfinite(v) and v > 0.0 for v in (e_mod, j_mom, l)):
+        raise ValueError(f"need finite E, J, l > 0, got {e_mod!r}, {j_mom!r}, {l!r}")
     bc = BeamBC(bc_pair)
     g, lo, hi = _buckling_determinant(bc)
     sigma = refine_root(g, lo, hi, ftol=1e-14)

@@ -24,19 +24,13 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__
-from .beams import BeamBC, beam_char_roots, buckling_critical
-from .geomnd import BallBC, BallSpec, DiskMembrane, ball_radial_modes, disk_membrane_modes
-from .heat1d import HeatMedium, heat_interval_modes
-from .specfun import GIBBS_CONSTANT, ZeroFamily, zero_table
-from .sturm import BoundaryCondition
-from .varsolve import brachistochrone_fit
-from .waves1d import gibbs_partial_sum
-from .weyl import CountingFunction, Domain, WallBC, count_exact, weyl_estimate
+
+if TYPE_CHECKING:
+    from .sturm import BoundaryCondition
 
 __all__ = ["main", "run", "list_problems", "ValidationError", "SolverError"]
 
@@ -88,9 +82,14 @@ class ResultTable:
 
 # ----------------------------------------------------------------------
 # Problem runners
+#
+# Each runner imports its solver when it runs, so a process loads only the
+# modules of the kind it dispatches (and --list/--help load none).
 # ----------------------------------------------------------------------
 
 def _bc_from_string(s: str) -> BoundaryCondition:
+    from .sturm import BoundaryCondition
+
     if s == "dirichlet":
         return BoundaryCondition.dirichlet_bc()
     if s == "neumann":
@@ -114,6 +113,8 @@ def _run_sturm_eigen(p: dict):
 
 
 def _run_beam_roots(p: dict):
+    from .beams import beam_char_roots
+
     roots = beam_char_roots(p["bc"], p["k_max"])
     rows = {
         "n": list(range(1, len(roots) + 1)),
@@ -124,11 +125,16 @@ def _run_beam_roots(p: dict):
 
 
 def _run_beam_buckling(p: dict):
+    from .beams import buckling_critical
+
     f = buckling_critical(p["bc"], p["E"], p["J"], p["l"])
     return {"F_critical": [f]}, {"tolerance": 1e-8}
 
 
 def _run_gibbs_scan(p: dict):
+    from .specfun import GIBBS_CONSTANT
+    from .waves1d import gibbs_partial_sum
+
     ns, overshoot = [], []
     n = 8
     while n <= p["n_max"]:
@@ -144,6 +150,8 @@ def _run_gibbs_scan(p: dict):
 
 
 def _run_heat_interval(p: dict):
+    from .heat1d import HeatMedium, heat_interval_modes
+
     medium = HeatMedium(a2=p["a2"])
     bc = (_bc_from_string(p["left"]), _bc_from_string(p["right"]))
     sol = heat_interval_modes(bc, lambda x: p["T0"], medium, p["l"], p["n_modes"])
@@ -159,6 +167,8 @@ def _run_heat_interval(p: dict):
 
 
 def _run_membrane_disk(p: dict):
+    from .geomnd import DiskMembrane, disk_membrane_modes
+
     spec = DiskMembrane(radius=p["R"], a=p["a"])
     ms, ks, oms = [], [], []
     for m in range(0, p["m_max"] + 1):
@@ -171,6 +181,8 @@ def _run_membrane_disk(p: dict):
 
 
 def _run_weyl_count(p: dict):
+    from .weyl import CountingFunction, Domain, WallBC, count_exact, weyl_estimate
+
     cf = CountingFunction(Domain.square(p["l"]), WallBC(p["bc"]), p["a"])
     lams = [p["lam"] * i / p["samples"] for i in range(1, p["samples"] + 1)]
     counts = [count_exact(cf, lam) for lam in lams]
@@ -183,11 +195,15 @@ def _run_weyl_count(p: dict):
 
 
 def _run_bessel_zeros(p: dict):
+    from .specfun import zero_table
+
     roots = list(zero_table(p["family"], p["order"], p["k_max"]).roots)
     return {"k": list(range(1, len(roots) + 1)), "root": roots}, {"tolerance": 1e-10}
 
 
 def _run_ball_radial(p: dict):
+    from .geomnd import BallBC, BallSpec, ball_radial_modes
+
     spec = BallSpec(radius=p["R"], bc=BallBC(p["bc"]), a2=p["a2"], h=p["h"])
     ks, gams, lams = [], [], []
     for k in range(1, p["k_max"] + 1):
@@ -199,6 +215,8 @@ def _run_ball_radial(p: dict):
 
 
 def _run_brachistochrone(p: dict):
+    from .varsolve import brachistochrone_fit
+
     fit = brachistochrone_fit(p["l"], p["h"], gravity=p["g"])
     return (
         {"phi2": [fit.phi2], "C1": [fit.c1], "travel_time": [fit.travel_time]},
@@ -236,7 +254,7 @@ _register(
     "beam.roots",
     "characteristic roots and natural frequencies of a uniform beam",
     _run_beam_roots,
-    bc=Param(str, choices=tuple(b.value for b in BeamBC)),
+    bc=Param(str, choices=("clamped_clamped", "clamped_free", "pinned_pinned", "clamped_pinned", "free_free")),
     k_max=Param(int, required=False, default=3, positive=True),
     c=Param(float, required=False, default=1.0, positive=True),
     l=Param(float, required=False, default=1.0, positive=True),
@@ -245,7 +263,13 @@ _register(
     "bessel.zeros",
     "roots of Bessel-family characteristic equations",
     _run_bessel_zeros,
-    family=Param(str, required=False, default="bessel_j", choices=tuple(f.value for f in ZeroFamily)),
+    # every ZeroFamily but radial_robin, whose Robin constant h*R no parameter carries
+    family=Param(
+        str,
+        required=False,
+        default="bessel_j",
+        choices=("bessel_j", "bessel_j_prime", "beam_cc", "beam_cf", "beam_cp", "radial_tan"),
+    ),
     order=Param(int, required=False, default=0),
     k_max=Param(int, required=False, default=5, positive=True),
 )
@@ -420,9 +444,16 @@ def render_json(table: ResultTable) -> str:
         raise SolverError(f"non-finite value in output: {exc}")
 
 
+# Exclusive create of a fresh name, no symlink followed, owner-only mode: what
+# tempfile.mkstemp does, without importing tempfile (and shutil, random) in
+# every CLI process.  O_BINARY keeps Windows from translating newlines.
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_BINARY", 0)
+
+
 def _atomic_write(path: str, content: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spectralbvp-")
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".spectralbvp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, _TEMP_FLAGS, 0o600)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(content)

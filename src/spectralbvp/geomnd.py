@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, Literal
 
 import numpy as np
@@ -104,6 +103,10 @@ def rect_degeneracies(spec: RectMembrane, m: int, n: int, search_limit: int = 40
     the comparison is done in exact rational arithmetic, otherwise within a
     1e-12 relative floating guard.
     """
+    # imported here: fractions pulls in decimal, a few ms of start-up that
+    # no other function needs
+    from fractions import Fraction
+
     if spec.bc_x != ("fixed", "fixed") or spec.bc_y != ("fixed", "fixed"):
         raise NotImplementedError("degeneracy report covers the fully fixed rectangle")
     ratio = (spec.l2 / spec.l1) ** 2

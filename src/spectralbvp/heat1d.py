@@ -250,6 +250,8 @@ class HeatModalSolution:
         return math.exp(-lam_last * self.medium.a2 * t)
 
     def __call__(self, x, t: float):
+        if not math.isfinite(t):
+            raise ValueError(f"time must be finite, got {t!r}")
         a2 = self.medium.a2
         if self.truncation_factor(t) > 1e-14:
             warnings.warn(

@@ -161,3 +161,12 @@ def test_buckling_loads():
 def test_buckling_unsupported_pair():
     with pytest.raises(ValueError):
         buckling_critical("free_free", 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "e_mod, j_mom, l",
+    [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf)],
+)
+def test_buckling_rejects_non_finite_input(e_mod, j_mom, l):
+    with pytest.raises(ValueError, match="finite"):
+        buckling_critical("clamped_clamped", e_mod, j_mom, l)

@@ -3,6 +3,7 @@ determinism and exit codes."""
 
 import json
 import math
+import stat
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from spectralbvp.cli import (
     EXIT_VALIDATION,
     REGISTRY,
     ValidationError,
+    _atomic_write,
     list_problems,
     main,
     parse_problem_file,
@@ -244,7 +246,15 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     run(spec, str(out), [], None)
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".spectralbvp-")]
     assert leftovers == []
-    assert out.exists()
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    written = out.read_bytes()
+    # a write that fails (a lone surrogate cannot be encoded) keeps the old file
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write(str(out), "\ud800")
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write(str(tmp_path / "new.csv"), "\ud800")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "problem.txt"]
+    assert out.read_bytes() == written
 
 
 def test_solver_error_exit_code(tmp_path):
@@ -255,3 +265,68 @@ def test_solver_error_exit_code(tmp_path):
         name="solver_error.txt",
     )
     assert main(["--spec", bad]) == EXIT_SOLVER
+
+
+def test_choice_tuples_match_the_enums():
+    from spectralbvp.beams import BeamBC
+    from spectralbvp.specfun import ZeroFamily
+
+    assert REGISTRY["beam.roots"].params["bc"].choices == tuple(b.value for b in BeamBC)
+    families = tuple(f.value for f in ZeroFamily if f is not ZeroFamily.RADIAL_ROBIN)
+    assert REGISTRY["bessel.zeros"].params["family"].choices == families
+
+
+def test_radial_robin_family_is_a_validation_error(tmp_path, capsys):
+    """No parameter carries the Robin constant h*R, so the family is not offered."""
+    spec = write_spec(tmp_path, "schema_version = 1\nkind = bessel.zeros\nparam.family = radial_robin\n")
+    assert main(["--spec", spec]) == EXIT_VALIDATION
+    assert "validation error: param.family" in capsys.readouterr().err
+
+
+# The solver modules each kind loads: its own and what they import.
+KIND_SOLVERS = {
+    "ball.radial": {"geomnd", "intervals", "specfun", "sturm"},
+    "beam.buckling": {"beams", "specfun"},
+    "beam.roots": {"beams", "specfun"},
+    "bessel.zeros": {"specfun"},
+    "brachistochrone.fit": {"varsolve"},
+    "gibbs.scan": {"intervals", "specfun", "sturm", "waves1d"},
+    "heat.interval": {"heat1d", "intervals", "sturm"},
+    "membrane.disk": {"geomnd", "intervals", "specfun", "sturm"},
+    "sturm.eigen": {"intervals", "sturm"},
+    "weyl.count": {"weyl"},
+}
+SOLVERS = set().union(*KIND_SOLVERS.values())
+
+
+def _cli_imports(*args):
+    """Exit code, solver modules loaded and whether numpy was loaded by one
+    CLI call in a fresh interpreter."""
+    code = (
+        "import json, sys\n"
+        "from spectralbvp.cli import main\n"
+        "try:\n"
+        "    rc = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
+        "print(json.dumps([rc, sorted(sys.modules)]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    solvers = {m.split(".")[1] for m in modules if m.startswith("spectralbvp.")} & SOLVERS
+    return rc, solvers, "numpy" in modules
+
+
+@pytest.mark.parametrize("args", [["--list"], ["--help"]], ids=["list", "help"])
+def test_list_and_help_import_no_solver(args):
+    assert _cli_imports(*args) == (0, set(), False)
+
+
+@pytest.mark.parametrize("kind", sorted(REGISTRY))
+def test_each_kind_imports_only_its_solvers(tmp_path, kind):
+    spec = write_spec(tmp_path, f"schema_version = 1\nkind = {kind}\n{REQUIRED.get(kind, '')}\n")
+    rc, solvers, numpy = _cli_imports("--spec", spec, "--out", str(tmp_path / "out.csv"))
+    assert rc == 0
+    assert solvers == KIND_SOLVERS[kind]
+    assert numpy == (kind != "weyl.count")

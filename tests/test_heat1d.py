@@ -211,6 +211,13 @@ def test_short_time_truncation_warning():
         sol(0.5, 1e-6)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_is_rejected(t):
+    sol = heat_interval_modes((DIRICHLET, DIRICHLET), lambda x: 1.0, MED, 1.0, 8)
+    with pytest.raises(ValueError, match="finite"):
+        sol(0.5, t)
+
+
 def test_forced_interval_steady_state():
     # constant source with clamped ends relaxes to the parabolic profile
     # u(x) = f0 x(l-x)/(2 a2)
