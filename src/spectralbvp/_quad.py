@@ -94,15 +94,47 @@ def adaptive_simpson(
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Newton steps on P_n from the starting guesses of _legendre_rule: a guess is
+# off by at most 1e-2 (n = 2), and the fourth step moves no node by more than
+# 2e-15 at any n up to 400, so four steps end below rounding.
+_NEWTON_STEPS = 4
 
 
 def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], cached."""
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], cached."""
     got = _GL_CACHE.get(n)
     if got is None:
-        got = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = got
+        got = _GL_CACHE[n] = _legendre_rule(n)
     return got
+
+
+def _legendre_and_derivative(n: int, x: np.ndarray):
+    """P_n(x) by the three-term recurrence, and P_n'(x) = n (P_{n-1} - x P_n)
+    / ((1 - x)(1 + x)) for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positive roots of P_n by a fixed number of Newton steps from
+    cos(pi (k - 1/4)/(n + 1/2)), k = 1 .. n//2, the root 0 for odd n, and
+    the weights 2/((1 - x)(1 + x) P_n'(x)^2), mirrored into the whole rule:
+    O(n^2) work, every node and weight good to a few ulp."""
+    if n < 1:
+        raise ValueError("a Gauss rule needs at least one node")
+    x = np.cos(np.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _legendre_and_derivative(n, x)
+        x = x - p / dp
+    if n % 2:
+        x = np.append(x, 0.0)
+    dp = _legendre_and_derivative(n, x)[1]
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    half = n // 2
+    return np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
 
 
 def gauss_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:

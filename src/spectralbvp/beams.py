@@ -81,7 +81,12 @@ class BeamSpectrum:
         return 2 if self.bc_pair == BeamBC.FREE_FREE else 0
 
     def omega(self, n: int) -> float:
-        return self.c * self.roots[n - 1] ** 2 / self.l**2
+        return self.frequency(self.roots[n - 1])
+
+    def frequency(self, mu):
+        """c mu^2 / l^2 for a root mu (a float or an array of roots), the one
+        place where a frequency is formed from a root."""
+        return self.c * (mu * mu) / (self.l * self.l)
 
 
 def beam_spectrum(bc_pair: BeamBC | str, k_max: int, c: float = 1.0, l: float = 1.0) -> BeamSpectrum:
@@ -195,7 +200,7 @@ def beam_response(
 ) -> float:
     """Free bending vibration u(x, t) = sum q_n(t) X_n(x) from initial shape
     u0 and velocity v0, truncated at n_modes."""
-    bc, l, c = spectrum.bc_pair, spectrum.l, spectrum.c
+    bc, l = spectrum.bc_pair, spectrum.l
     mus = np.array(beam_char_roots(bc, n_modes))
 
     def coeffs(n):
@@ -204,7 +209,7 @@ def beam_response(
         return [np.zeros(n_modes) if f is None else project(phi, w, sample(f, xs)) for f in (u0, v0)]
 
     a, b = gauss_ladder(coeffs, 192, n_modes)[0]
-    return contract(_shapes(bc, mus, l, x), oscillator(c * mus * mus / (l * l), a, b, 0.0, t)[0])
+    return contract(_shapes(bc, mus, l, x), oscillator(spectrum.frequency(mus), a, b, 0.0, t)[0])
 
 
 def free_free_zero_modes(l: float = 1.0) -> tuple[Callable[[float], float], Callable[[float], float]]:

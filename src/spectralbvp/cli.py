@@ -113,14 +113,11 @@ def _run_sturm_eigen(p: dict):
 
 
 def _run_beam_roots(p: dict):
-    from .beams import beam_char_roots
+    from .beams import beam_spectrum
 
-    roots = beam_char_roots(p["bc"], p["k_max"])
-    rows = {
-        "n": list(range(1, len(roots) + 1)),
-        "mu": roots,
-        "omega": [p["c"] * mu * mu / (p["l"] ** 2) for mu in roots],
-    }
+    spectrum = beam_spectrum(p["bc"], p["k_max"], c=p["c"], l=p["l"])
+    ns = list(range(1, len(spectrum.roots) + 1))
+    rows = {"n": ns, "mu": list(spectrum.roots), "omega": [spectrum.omega(n) for n in ns]}
     return rows, {"tolerance": 1e-10}
 
 

@@ -204,14 +204,13 @@ def disk_axisym_solution(
     """Axially symmetric membrane motion u(r, t) as a truncated radial series.
 
     Coefficients are r-weighted projections of the data on the normalized
-    radial modes; an optional force surface density F(r, t) adds the
-    sin-convolution response of every mode, one array-valued time integral
-    that samples F once per tau node.
+    radial modes, u0 and v0 on the same Gauss rungs; an optional force
+    surface density F(r, t) adds the sin-convolution response of every
+    mode, one array-valued time integral that samples F once per tau node.
     """
     alphas = _j_zeros(0, n_modes)
     _, phi = _bessel_family(spec.radius, 0, alphas)
-    coefs = _disk_projector(spec, phi)
-    a, b = (0.0 if f is None else coefs(f) for f in (u0, v0))
+    a, b = _disk_projections(spec, phi, n_modes, u0, v0)
     omega = alphas * spec.a / spec.radius
     q = oscillator(omega, a, b, 0.0, t)[0]
     if force is not None:
@@ -227,14 +226,21 @@ def disk_axisym_coefficients(
     spec: DiskMembrane, u0: Callable[[float], float], n_modes: int
 ) -> list[float]:
     """Projections of u0(r) on the normalized axisymmetric radial modes."""
-    return _disk_projector(spec, _bessel_family(spec.radius, 0, _j_zeros(0, n_modes))[1])(u0).tolist()
+    phi = _bessel_family(spec.radius, 0, _j_zeros(0, n_modes))[1]
+    return _disk_projections(spec, phi, n_modes, u0)[0].tolist()
 
 
-def _disk_projector(spec: DiskMembrane, phi):
-    """f -> r-weighted projections of f(r) on the modes phi, sampled once on the 192-point Gauss rule."""
-    rr, w = gauss_rule(0.0, spec.radius, 192)
-    at_nodes = phi(rr)
-    return lambda f: project(at_nodes, w * rr, sample(f, rr))
+def _disk_projections(spec: DiskMembrane, phi, n_modes: int, *data):
+    """r-weighted projections of each f(r) in data on the n_modes modes phi
+    (zeros for None), on the Gauss ladder capped at 192 points: every rung
+    evaluates phi once for all the data."""
+
+    def coeffs(n):
+        rr, w = gauss_rule(0.0, spec.radius, n)
+        at_nodes = phi(rr)
+        return [np.zeros(n_modes) if f is None else project(at_nodes, w * rr, sample(f, rr)) for f in data]
+
+    return gauss_ladder(coeffs, 192, n_modes)[0]
 
 
 def _j_zeros(m: int, count: int) -> np.ndarray:
@@ -300,8 +306,11 @@ def cylinder_cooling(
         coef = gauss_ladder(coeffs, (96, 96), (n_radial, n_axial))[0]
         ax_here, ax_rate = axial._shapes(z + height / 2.0), np.array(axial.eigenvalues)
     else:
-        rr, wr = gauss_rule(0.0, radius, 192)
-        radial = project(chi(rr), wr * rr, sample(t0, rr))
+        def coeffs(n):
+            rr, wr = gauss_rule(0.0, radius, n)
+            return project(chi(rr), wr * rr, sample(t0, rr))
+
+        radial = gauss_ladder(coeffs, 192, n_radial)[0]
         if half_infinite:
             coef, ax_here, ax_rate = radial[None, :], np.ones(1), np.zeros(1)
         else:
@@ -513,11 +522,18 @@ def _ball_axisym_cooling(spec: BallSpec, t0, n_modes: int, r: float, theta: floa
 
 @dataclass
 class SeriesExpansion:
-    """Coefficients of an orthogonal expansion plus its reconstruction."""
+    """Coefficients of an orthogonal expansion plus its reconstruction.
+
+    ``quadrature_error`` estimates the projection's error: the largest change
+    of a coefficient between the last two Gauss rungs compared, relative to
+    the largest |coefficient| (NaN when only the cap's rule ran; see
+    ``_quad.gauss_ladder``).
+    """
 
     kind: str
     coefficients: list[float]
     reconstruct: Callable[[float], float]
+    quadrature_error: float
 
 
 def expand_series(
@@ -532,17 +548,25 @@ def expand_series(
     kind="fourier_bessel": c_k = 2/(R^2 J_m'(alpha_k)^2) int_0^R r f J_m dr,
     reconstruction sum c_k J_m(alpha_k r/R);
     kind="legendre": c_n = (n + 1/2) int_{-1}^{1} f P_n dx, reconstruction
-    sum c_n P_n(x).
+    sum c_n P_n(x).  The integrals run on the Gauss ladder, capped at 256
+    points (Fourier-Bessel) or max(160, 2 n_terms) (Legendre).
     """
     if kind == "fourier_bessel":
         scale, phi = _bessel_family(radius, m, _j_zeros(m, n_terms))
-        rs, w = gauss_rule(0.0, radius, 256)
-        a = project(phi(rs), w * rs, sample(f, rs))
-        return SeriesExpansion(kind, (scale * a).tolist(), lambda r: contract(phi(r), a))
+
+        def coeffs(n):
+            rs, w = gauss_rule(0.0, radius, n)
+            return project(phi(rs), w * rs, sample(f, rs))
+
+        a, err = gauss_ladder(coeffs, 256, n_terms)
+        return SeriesExpansion(kind, (scale * a).tolist(), lambda r: contract(phi(r), a), err)
     if kind == "legendre":
-        xs, w = gauss_rule(-1.0, 1.0, max(160, 2 * n_terms))
-        coeffs = (np.arange(n_terms) + 0.5) * project(_legendre_columns(n_terms, xs), w, sample(f, xs))
-        return SeriesExpansion(kind, coeffs.tolist(), lambda x: contract(_legendre_columns(n_terms, x), coeffs))
+        def coeffs(n):
+            xs, w = gauss_rule(-1.0, 1.0, n)
+            return (np.arange(n_terms) + 0.5) * project(_legendre_columns(n_terms, xs), w, sample(f, xs))
+
+        c, err = gauss_ladder(coeffs, max(160, 2 * n_terms), n_terms)
+        return SeriesExpansion(kind, c.tolist(), lambda x: contract(_legendre_columns(n_terms, x), c), err)
     raise ValueError("kind must be 'fourier_bessel' or 'legendre'")
 
 

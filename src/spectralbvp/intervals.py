@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quad import gauss_rule, sample
+from ._quad import gauss_ladder, gauss_rule, sample
 from ._rootfind import refine_root
 from ._series import outer, project
 from ._vec import as_arg, where, xp
@@ -176,8 +176,13 @@ def _roots_and_norms(l: float, left: BoundaryCondition, right: BoundaryCondition
 
 
 def _project(basis: UniformBasis, func: Callable[[float], float] | None) -> list[float]:
-    """Coefficients <func, X_n> on the 256-point Gauss rule (zeros for None)."""
+    """Coefficients <func, X_n> on the Gauss ladder capped at 256 points
+    (zeros for None)."""
     if func is None:
         return [0.0] * len(basis)
-    xs, w = gauss_rule(0.0, basis.l, 256)
-    return project(basis._shapes(xs), w, sample(func, xs)).tolist()
+
+    def coeffs(n):
+        xs, w = gauss_rule(0.0, basis.l, n)
+        return project(basis._shapes(xs), w, sample(func, xs))
+
+    return gauss_ladder(coeffs, 256, len(basis))[0].tolist()

@@ -63,8 +63,8 @@ class SeriesEval:
 _EULER_GAMMA = 0.5772156649015328606
 _EPS = 2.220446049250313e-16
 # J_0, J_1, N_0 and N_1 take the downward sweep up to this argument and the
-# Hankel asymptotics beyond it; J_m (m >= 2) takes the sweep up to max(12, m).
-_HANKEL_X = 12.0
+# Hankel asymptotics beyond it; J_m (m >= 2) takes the sweep up to max(20, m).
+_HANKEL_X = 20.0
 # At and below this |x| the Bessel functions take their leading terms: the
 # next term is below eps relative (for N_1, the largest, x^2 |log(x/2)|/2 of
 # the leading one), and a sweep's factors 2k/x would leave the float range.
@@ -107,7 +107,7 @@ class _Order:
     factors of the upward recurrence f_{k+1} = (c_k/x) f_k - f_{k-1} as
     ``_upward`` reads them.  ``edges`` splits J_m or j_m in |x| into the
     leading term, the downward sweep and the upward regime, in the form of
-    ``piecewise``: the sweep of J_m ends at max(12, m), where the Hankel
+    ``piecewise``: the sweep of J_m ends at max(20, m), where the Hankel
     asymptotics take over, and that of j_m just below m.
     """
 
@@ -154,10 +154,12 @@ def _downward(x, m: int, odd: int) -> list:
     cs = _down_factors(top, odd)
     guard = top * math.log10(1.0 + cs[0] / lo) > 500.0
     r = 1.0 / x
+    # every step's factor c_k/x up front: one array product per step fewer
+    steps = np.multiply.outer(cs, r) if isinstance(x, np.ndarray) else [c * r for c in cs]
     f1, f = 0.0, full(x, 1e-290)
     fs = [f]
-    for c in cs:
-        f1, f = f, c * r * f - f1
+    for cr in steps:
+        f1, f = f, cr * f - f1
         fs.append(f)
         if guard and any_(abs(f) > 1e250):
             scale = where(abs(f) > 1e250, 1e-250, 1.0)
@@ -176,7 +178,7 @@ def _leading(x, xp, o: _Order):
 
 
 def _j_miller(x, xp, o: _Order):
-    """1e-9 < |x| <= max(12, m): the sweep normalised by J_0 + 2 sum_k J_2k = 1
+    """1e-9 < |x| <= max(20, m): the sweep normalised by J_0 + 2 sum_k J_2k = 1
     (A&S 9.1.46)."""
     f = _downward(x, o.m, 0)
     return f[o.m] / (f[0] + 2.0 * sum(f[2::2]))
@@ -188,7 +190,7 @@ def _hankel_table(m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     P = sum_k (-1)^k a_2k z^k and Q = t sum_k (-1)^k a_2k+1 z^k with
     t = 1/(8x), z = t^2 and a_j = prod_{i<=j} (4m^2 - (2i-1)^2) / i.
 
-    The series is asymptotic, so it is cut at its smallest term at x = 12,
+    The series is asymptotic, so it is cut at its smallest term at x = 20,
     where the regime starts; at larger x every kept term is smaller still.
     """
     num, den = 1, 1
@@ -205,7 +207,7 @@ def _hankel_table(m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def _hankel(x, xp, m: int):
-    """J_m(x) and N_m(x) for m in (0, 1) and x > 12 from the amplitudes:
+    """J_m(x) and N_m(x) for m in (0, 1) and x > 20 from the amplitudes:
     sqrt(2/(pi x)) (P cos chi - Q sin chi) and sqrt(2/(pi x)) (P sin chi +
     Q cos chi), chi = x - pi/4 - m pi/2."""
     pc, qc = _hankel_table(m)
@@ -242,7 +244,7 @@ def _quiet(x):
 
 
 def _j_hankel(x, xp, o: _Order):
-    """x > max(12, m): J_0 and J_1 from their asymptotics, higher orders by
+    """x > max(20, m): J_0 and J_1 from their asymptotics, higher orders by
     the upward recurrence from those, stable because m < x."""
     if o.m < 2:
         return _hankel(x, xp, o.m)[0]
@@ -265,7 +267,7 @@ def bessel_j(m: int, x):
 
     Regime selection: the leading term (x/2)^m/m! for |x| <= 1e-9; Miller's
     downward recurrence, normalised by J_0 + 2 sum_k J_2k = 1, for |x| up to
-    max(12, m); beyond that, the large-argument asymptotic for orders 0 and
+    max(20, m); beyond that, the large-argument asymptotic for orders 0 and
     1 and the three-term upward recurrence from them (stable for m < x) for
     higher orders.  The sweep holds J_m to a few 1e-15 absolute at every
     order; ``bessel_j_eval`` bounds each regime.  Non-finite x raises
@@ -288,8 +290,8 @@ def _j_sweep_bound(ax, xp, o: _Order):
 
 
 def _j_asymptotic_bound(ax, xp, o: _Order):
-    """The amplitude series, cut at its smallest term at x = 12, leaves an
-    error near e^{-2x} (smaller beyond x = 12 than the rounding); the
+    """The amplitude series, cut at its smallest term at x = 20, leaves an
+    error near e^{-2x} (smaller beyond x = 20 than the rounding); the
     eps*(4 + x) piece covers the trig argument reduction of chi, and the
     upward recurrence (applied only while m < x) grows seed errors about
     linearly in the order."""
@@ -302,7 +304,7 @@ def bessel_j_eval(m: int, x) -> SeriesEval:
     """J_m(x) together with a conservative absolute-error bound (arrays of
     both for an array x).
 
-    Sweep regime (|x| <= max(12, m)): rounding over the sweep's length.
+    Sweep regime (|x| <= max(20, m)): rounding over the sweep's length.
     Asymptotic regime: the first omitted amplitude term plus rounding.
     Recurrence regime: the seed bounds amplified by the mild upward growth
     factor.
@@ -331,7 +333,7 @@ def _n_leading(x, xp, o: _Order):
 
 
 # Weights of the Neumann sums over a J sweep that starts at order
-# _start(12) = 50 or below: N_0 weighs J_2k by (-1)^k/k (k >= 1), and N_1
+# _start(20) = 66 or below: N_0 weighs J_2k by (-1)^k/k (k >= 1), and N_1
 # weighs J_1 by -1 and J_2k+1 by (-1)^(k+1) (2k+1)/(k(k+1)) (k >= 1).
 _N_TOP = int(_start(_HANKEL_X, math))
 _N0_WEIGHTS = tuple((-1.0) ** k / k for k in range(1, _N_TOP // 2 + 1))
@@ -339,7 +341,7 @@ _N1_WEIGHTS = (-1.0,) + tuple((-1.0) ** (k + 1) * (2 * k + 1) / (k * (k + 1)) fo
 
 
 def _n_miller(x, xp, o: _Order):
-    """1e-9 < x <= 12: N_0 by the Neumann sum over Miller's sweep,
+    """1e-9 < x <= 20: N_0 by the Neumann sum over Miller's sweep,
     N_0 = (2/pi)[(log(x/2) + gamma) J_0 - 2 sum_k (-1)^k J_2k/k] (A&S
     9.1.88), and N_1 = -N_0' through J_k' = (J_{k-1} - J_{k+1})/2,
     N_1 = (2/pi)[(log(x/2) + gamma) J_1 - J_0/x + sum_k (-1)^k (J_2k-1 -
@@ -363,7 +365,7 @@ def bessel_n(m: int, x):
     float or an array).
 
     N_0 and N_1 come from their leading terms for x <= 1e-9, from the
-    Neumann sums over the downward J sweep for x <= 12, and from the Hankel
+    Neumann sums over the downward J sweep for x <= 20, and from the Hankel
     asymptotics beyond; higher orders from the upward recurrence
     N_{m+1} = -N_{m-1} + (2m/x) N_m, which is stable because N is the
     growing solution.  Where N_m lies below -DBL_MAX the value is -inf.

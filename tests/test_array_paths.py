@@ -353,19 +353,29 @@ def test_axisym_cooling_evaluates_shapes_per_mode(monkeypatch):
 
 def test_disk_axisym_builds_its_radial_family_once(monkeypatch):
     """One solve reads its roots from one zero table and evaluates J_0' once
-    for all the norms, and J_0 once on the projection grid (shared by u0 and
-    v0) and once at the point."""
+    for all the norms, J_0 once per Gauss rung (shared by u0 and v0) and
+    once at the point."""
     counts = {}
-    for name in ("zero_table", "bessel_j_prime", "bessel_j"):
+    for name in ("zero_table", "bessel_j_prime"):
         counts[name] = _counted(getattr(geomnd, name))
         monkeypatch.setattr(geomnd, name, counts[name][0])
+    rungs, j0_shapes = [], []
+
+    def rule(a, b, n):
+        rungs.append(n)
+        return gauss_rule(a, b, n)
+
+    def j0(m, x):
+        j0_shapes.append(np.shape(x))
+        return specfun.bessel_j(m, x)
+
+    monkeypatch.setattr(geomnd, "gauss_rule", rule)
+    monkeypatch.setattr(geomnd, "bessel_j", j0)
     n_modes = 6
     geomnd.disk_axisym_solution(DiskMembrane(radius=1.1), lambda r: 1.21 - r * r, lambda r: 0.3 * r, n_modes, 0.4, 0.7)
-    assert {name: calls[0] for name, (_, calls) in counts.items()} == {
-        "zero_table": 1,
-        "bessel_j_prime": 1,
-        "bessel_j": 2,
-    }
+    assert {name: calls[0] for name, (_, calls) in counts.items()} == {"zero_table": 1, "bessel_j_prime": 1}
+    assert len(rungs) >= 2
+    assert j0_shapes == [(n, n_modes) for n in rungs] + [(n_modes,)]
 
 
 def test_radial_norm_closed_form_matches_quadrature():

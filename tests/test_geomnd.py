@@ -3,6 +3,7 @@ Fourier-Bessel / Legendre expansion utilities."""
 
 import math
 
+import numpy as np
 import pytest
 
 from spectralbvp._quad import fixed_gauss
@@ -420,6 +421,15 @@ def test_fourier_bessel_unit_function():
             for k, c in enumerate(exp_b.coefficients, start=1)
         )
     )
+
+
+@pytest.mark.parametrize("kind", ["fourier_bessel", "legendre"])
+def test_series_expansion_reports_its_quadrature_error(kind):
+    """A Gaussian bump of width 0.003 is resolved by no Gauss rung, and the
+    expansion's estimate says so; smooth data converges and says that too."""
+    bump = lambda x: np.exp(-0.5 * ((x - 0.31) / 0.003) ** 2)
+    assert expand_series(kind, bump, 8).quadrature_error > 1e-6
+    assert expand_series(kind, lambda x: np.exp(x) * np.cos(3.0 * x), 8).quadrature_error <= 1e-12
 
 
 def test_legendre_expansion_abs_reconstruction():

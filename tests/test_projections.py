@@ -13,12 +13,14 @@ from spectralbvp import (
     NEUMANN,
     BallSpec,
     BoundaryCondition,
+    DiskMembrane,
     HeatMedium,
     WaveMedium,
     ball_solution,
     beam_response,
     beam_spectrum,
     cylinder_cooling,
+    disk_axisym_solution,
     expand_series,
     heat_interval_modes,
     string_modes,
@@ -168,10 +170,22 @@ def _fixed_ball_axisym(spec, t0, n_modes, r, theta, t):
     return value, scale
 
 
+def _projected(phi_nodes, weights, values):
+    """Projections of the sampled data on the modes, and the sums of their
+    absolute summands."""
+    return project(phi_nodes, weights, values), project(np.abs(phi_nodes), weights, np.abs(values))
+
+
+def _bessel_modes(m, n_modes, radius):
+    """Zeros alpha_k of J_m and the normalized radial modes
+    sqrt(2) J_m(alpha_k r/R) / (R |J_m'(alpha_k)|), one column each."""
+    alphas = np.array([bessel_zero(ZeroFamily.BESSEL_J, m, k) for k in range(1, n_modes + 1)])
+    norm = math.sqrt(2.0) / (radius * np.abs(bessel_j_prime(m, alphas)))
+    return alphas, lambda r: norm * bessel_j(m, np.multiply.outer(r, alphas) / radius)
+
+
 def _fixed_cylinder_rz(radius, height, a2, t0, n_radial, n_axial, point, t):
-    alphas = np.array([bessel_zero(ZeroFamily.BESSEL_J, 0, k) for k in range(1, n_radial + 1)])
-    norm = math.sqrt(2.0) / (radius * np.abs(bessel_j_prime(0, alphas)))
-    chi = lambda r: norm * bessel_j(0, np.multiply.outer(r, alphas) / radius)
+    alphas, chi = _bessel_modes(0, n_radial, radius)
     axial = uniform_basis(height, DIRICHLET, DIRICHLET, n_axial)
     rr, wr = gauss_rule(0.0, radius, 96)
     zz, wz = gauss_rule(-height / 2.0, height / 2.0, 96)
@@ -203,15 +217,64 @@ def _fixed_ball_radial(spec, problem, data, n_modes, r, t):
     return value, float(np.sum((np.abs(a) + summands) * env * _sup(phi_nodes, phi_here)))
 
 
-def _fixed_laplace(spec, data, n_modes, r, theta):
+def _fixed_legendre(values, n_modes, x, radial):
+    """The Legendre series of the data given on the 160-point rule at x,
+    term n scaled by radial[n] (ball_solution's laplace_dirichlet and
+    expand_series' legendre, both capped at 160 points for n_modes <= 80)."""
     xs, w = gauss_rule(-1.0, 1.0, 160)
     degrees = np.arange(n_modes)
-    values, legendre = sample(data, np.arccos(xs)), _legendre_columns(n_modes, xs)
-    a = (degrees + 0.5) * project(legendre, w, values)
-    summands = (degrees + 0.5) * project(np.abs(legendre), w, np.abs(values))
-    radial = (r / spec.radius) ** degrees
-    value = float(_legendre_columns(n_modes, math.cos(theta)) @ (a * radial))
+    a, summands = _projected(_legendre_columns(n_modes, xs), w, values)
+    a, summands = (degrees + 0.5) * a, (degrees + 0.5) * summands
+    value = float(_legendre_columns(n_modes, x) @ (a * radial))
     return value, float(np.sum((np.abs(a) + summands) * radial))  # |P_n| <= 1
+
+
+def _fixed_laplace(spec, data, n_modes, r, theta):
+    xs, _ = gauss_rule(-1.0, 1.0, 160)
+    radial = (r / spec.radius) ** np.arange(n_modes)
+    return _fixed_legendre(sample(data, np.arccos(xs)), n_modes, math.cos(theta), radial)
+
+
+def _fixed_fourier_bessel(f, n_terms, m, radius, r):
+    _, chi = _bessel_modes(m, n_terms, radius)
+    rr, w = gauss_rule(0.0, radius, 256)
+    nodes, here = chi(rr), chi(r)
+    a, summands = _projected(nodes, w * rr, sample(f, rr))
+    return float(here @ a), float(np.sum((np.abs(a) + summands) * _sup(nodes, here)))
+
+
+def _oscillating_series(phi_nodes, phi_here, omega, a, a_summands, b, b_summands, t):
+    """Value and rounding scale of sum_n X_n (a_n cos w_n t + b_n sin(w_n t)/w_n)."""
+    value = float(phi_here @ (a * np.cos(omega * t) + b * np.sin(omega * t) / omega))
+    parts = np.abs(a) + a_summands + (np.abs(b) + b_summands) / omega
+    return value, float(np.sum(parts * _sup(phi_nodes, phi_here)))
+
+
+def _fixed_disk(spec, u0, v0, n_modes, r, t):
+    alphas, chi = _bessel_modes(0, n_modes, spec.radius)
+    rr, w = gauss_rule(0.0, spec.radius, 192)
+    nodes = chi(rr)
+    (a, sa), (b, sb) = (_projected(nodes, w * rr, sample(f, rr)) for f in (u0, v0))
+    return _oscillating_series(nodes, chi(r), alphas * spec.a / spec.radius, a, sa, b, sb, t)
+
+
+def _fixed_cylinder_r(radius, a2, t0, n_radial, r, t):
+    """The half-infinite cylinder: T0(r) on the 192-point rule."""
+    alphas, chi = _bessel_modes(0, n_radial, radius)
+    rr, w = gauss_rule(0.0, radius, 192)
+    nodes, here = chi(rr), chi(r)
+    a, summands = _projected(nodes, w * rr, sample(t0, rr))
+    decay = np.exp(-((alphas / radius) ** 2) * a2 * t)
+    return float(here @ (a * decay)), float(np.sum((np.abs(a) + summands) * decay * _sup(nodes, here)))
+
+
+def _fixed_string(medium, bc, u0, v0, n_modes, x, t):
+    basis = uniform_basis(medium.l, *bc, n_modes)
+    xs, w = gauss_rule(0.0, medium.l, 256)
+    nodes = basis._shapes(xs)
+    (a, sa), (b, sb) = (_projected(nodes, w, sample(f, xs)) for f in (u0, v0))
+    omega = medium.a * np.sqrt(basis.eigenvalues)
+    return _oscillating_series(nodes, basis._shapes(x), omega, a, sa, b, sb, t)
 
 
 def _fixed_beam(bc, n_modes, c, l, u0, v0, x, t):
@@ -219,12 +282,8 @@ def _fixed_beam(bc, n_modes, c, l, u0, v0, x, t):
     mus = np.array(beam_char_roots(bc, n_modes))
     xs, w = gauss_rule(0.0, l, 192)
     phi, phi_here = _beam_shapes(bc, mus, l, xs), _beam_shapes(bc, mus, l, x)
-    u, v = sample(u0, xs), sample(v0, xs)
-    a, b = project(phi, w, u), project(phi, w, v)
-    omega = c * mus * mus / (l * l)
-    value = float(phi_here @ (a * np.cos(omega * t) + b * np.sin(omega * t) / omega))
-    parts = np.abs(a) + project(np.abs(phi), w, np.abs(u)) + (np.abs(b) + project(np.abs(phi), w, np.abs(v))) / omega
-    return value, float(np.sum(parts * _sup(phi, phi_here)))
+    (a, sa), (b, sb) = (_projected(phi, w, sample(f, xs)) for f in (u0, v0))
+    return _oscillating_series(phi, phi_here, c * (mus * mus) / (l * l), a, sa, b, sb, t)
 
 
 @settings(max_examples=30, deadline=None)
@@ -236,8 +295,9 @@ def _fixed_beam(bc, n_modes, c, l, u0, v0, x, t):
     u=st.floats(min_value=0.0, max_value=1.0),
     t=st.floats(min_value=0.0, max_value=0.3),
     bc=st.sampled_from([bc.value for bc in BeamBC]),
+    m=st.integers(min_value=0, max_value=4),
 )
-def test_ladder_values_match_the_fixed_grids(rf, af, n_modes, length, u, t, bc):
+def test_ladder_values_match_the_fixed_grids(rf, af, n_modes, length, u, t, bc, m):
     """Every solver on the Gauss ladder returns its fixed-grid value to
     1e-13 of max|data| plus 1e-14 of the series' rounding scale, for data
     from smooth families (quadratics, exponentials, cosines of up to 10
@@ -271,4 +331,17 @@ def test_ladder_values_match_the_fixed_grids(rf, af, n_modes, length, u, t, bc):
           _fixed_laplace(ball, surface, n_modes, r, theta), sample(surface, np.arccos(xs)))
     spectrum = beam_spectrum(bc, n_modes, c=1.2, l=length)
     close(beam_response(spectrum, f, g, n_modes, r, t), _fixed_beam(bc, n_modes, 1.2, length, f, g, r, t),
+          sample(f, rr), sample(g, rr))
+    close(expand_series("fourier_bessel", f, n_modes, m=m, radius=length).reconstruct(r),
+          _fixed_fourier_bessel(f, n_modes, m, length, r), sample(f, rr))
+    x = 2.0 * u - 1.0
+    close(expand_series("legendre", g, n_modes).reconstruct(x), _fixed_legendre(sample(g, xs), n_modes, x, 1.0),
+          sample(g, xs))
+    disk = DiskMembrane(radius=length, a=1.1)
+    close(disk_axisym_solution(disk, f, g, n_modes, r, t), _fixed_disk(disk, f, g, n_modes, r, t),
+          sample(f, rr), sample(g, rr))
+    close(cylinder_cooling(length, height, 0.9, f, n_modes, 1, (r, 0.0), t, half_infinite=True),
+          _fixed_cylinder_r(length, 0.9, f, n_modes, r, t), sample(f, rr))
+    medium, ends = WaveMedium(a=1.3, l=length), (NEUMANN, BoundaryCondition.robin(0.8))
+    close(string_modes(medium, ends, f, g, n_modes)(r, t), _fixed_string(medium, ends, f, g, n_modes, r, t),
           sample(f, rr), sample(g, rr))

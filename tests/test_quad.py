@@ -1,6 +1,9 @@
 """Quadrature and root-finding utilities."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from spectralbvp._quad import (
     erfcx,
     fixed_gauss,
     gauss_ladder,
+    gauss_legendre_nodes,
     gauss_rule,
     gauss_sum,
     sample,
@@ -71,6 +75,33 @@ def test_fixed_gauss_polynomial_exactness():
     got = fixed_gauss(lambda x: x**7 - 2 * x**3 + 1, -1.0, 3.0, n=4)
     want = (3.0**8 - 1.0) / 8.0 - 2 * (3.0**4 - 1.0) / 4.0 + 4.0
     assert got == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 48, 96, 160, 192, 256, 384])
+def test_gauss_legendre_rule_is_full_precision(n):
+    """The n-point rule integrates x^(2k), k < n, to 1e-13 relative of
+    2/(2k + 1); its nodes are strictly increasing and symmetric."""
+    xs, ws = gauss_legendre_nodes(n)
+    assert len(xs) == len(ws) == n
+    assert np.all(np.diff(xs) > 0.0)
+    assert np.array_equal(xs, -xs[::-1]) and np.array_equal(ws, ws[::-1])
+    for k in range(n):
+        moment = float(np.dot(ws, xs ** (2 * k)))
+        assert abs(moment - 2.0 / (2 * k + 1)) <= 1e-13 * 2.0 / (2 * k + 1), (k, moment)
+
+
+def test_gauss_rule_loads_no_numpy_polynomial():
+    """Building a rule imports nothing that ``import numpy`` did not (numpy
+    before 2.0 loads ``numpy.polynomial`` itself)."""
+    code = (
+        "import sys, numpy; from spectralbvp._quad import gauss_legendre_nodes; "
+        "before = 'numpy.polynomial' in sys.modules; gauss_legendre_nodes(64); "
+        "print(before, 'numpy.polynomial' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    before, after = out.stdout.split()
+    assert after == before
 
 
 def test_gauss_rule_scaled_to_interval():

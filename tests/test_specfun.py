@@ -117,6 +117,17 @@ def test_against_scipy_spot_checks():
             assert specfun.bessel_n(m, x) == pytest.approx(float(special.yv(m, x)), rel=1e-10, abs=1e-10)
 
 
+@pytest.mark.parametrize("m", [0, 1, 5])
+def test_bessel_j_and_n_on_12_to_20_match_scipy(m):
+    """On (12, 20] J_m is within 1e-15 absolute of scipy and N_m within
+    1e-15 of max(1, |N_m|)."""
+    special = pytest.importorskip("scipy.special")
+    xs = np.linspace(12.0, 20.0, 801)[1:]
+    assert np.max(np.abs(specfun.bessel_j(m, xs) - special.jv(m, xs))) <= 1e-15
+    want = special.yv(m, xs)
+    assert np.max(np.abs(specfun.bessel_n(m, xs) - want) / np.maximum(1.0, np.abs(want))) <= 1e-15
+
+
 # ----------------------------------------------------------------------
 # Zeros
 # ----------------------------------------------------------------------
@@ -337,6 +348,13 @@ def test_bessel_zeros_match_scipy(m):
     special = pytest.importorskip("scipy.special")
     got = [specfun.bessel_zero("bessel_j", m, k) for k in range(1, 6)]
     assert np.allclose(got, special.jn_zeros(m, 5), rtol=1e-12, atol=0.0)
+
+
+def test_bessel_zeros_of_order_five_are_full_precision():
+    special = pytest.importorskip("scipy.special")
+    got = np.array(specfun.zero_table("bessel_j", 5, 8).roots)
+    want = special.jn_zeros(5, 8)
+    assert np.max(np.abs(got - want) / want) <= 2e-16
 
 
 def test_spherical_j_at_zeros_of_j0():
