@@ -21,9 +21,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
-from ._vec import any_
+from ._vec import any_, is_array, np
 
 __all__ = [
     "adaptive_simpson",
@@ -40,7 +38,7 @@ __all__ = [
 
 def _finite(f, x):
     v = f(x)  # a NaN or inf would defeat the stop test and bisect to full depth
-    if not (np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)):
+    if not (np.isfinite(v).all() if is_array(v) else math.isfinite(v)):
         raise ValueError(f"integrand is not finite at x = {x!r}")
     return v
 

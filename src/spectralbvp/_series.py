@@ -6,9 +6,7 @@ oscillator or relaxation e^{-lam a^2 t} (heat, written inline)."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from ._vec import xp
+from ._vec import is_array, np, xp
 
 __all__ = ["project", "contract", "oscillator", "outer"]
 
@@ -27,7 +25,7 @@ def contract(phi: np.ndarray, amplitudes: np.ndarray):
 
 def outer(x, k):
     """x k for every point and mode, modes last; one float k keeps x's shape."""
-    return np.multiply.outer(x, k) if isinstance(k, np.ndarray) else x * k
+    return np.multiply.outer(x, k) if is_array(k) else x * k
 
 
 def _oscillating(om, eta, t, f):

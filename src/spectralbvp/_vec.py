@@ -7,30 +7,58 @@ for a float, ``numpy`` for an array), so a scalar call never pays for a 0-d
 array.  Where a function switches evaluation regime, ``piecewise`` picks the
 regime per element with masks.  A scalar argument gives a Python float, an
 array argument an array of its shape.
+
+This module holds the package's only ``import numpy``, inside ``np``: every
+other module reads numpy through ``from ._vec import np``, so importing the
+package, or a call on Python floats alone, loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import types
 from bisect import bisect_left
 
-import numpy as np
+__all__ = ["np", "is_array", "as_arg", "xp", "piecewise", "inside", "full", "where", "any_"]
 
-__all__ = ["as_arg", "xp", "piecewise", "inside", "full", "where", "any_"]
+
+def _import_numpy(name: str):
+    import numpy
+
+    value = getattr(numpy, name)
+    setattr(np, name, value)
+    return value
+
+
+# numpy, imported on the first attribute read (PEP 562's module __getattr__).
+# Each attribute read is bound on the module, so later reads of it are plain
+# module attribute lookups that never reach _import_numpy.
+np = types.ModuleType(f"{__name__}.np")
+np.__getattr__ = _import_numpy
+
+
+def is_array(x) -> bool:
+    """Whether x is an ndarray.  No array exists before numpy is imported,
+    so while it is not this answers False without importing it (and a
+    float, the common scalar, is answered first)."""
+    return type(x) is not float and sys.modules.get("numpy") is not None and isinstance(x, np.ndarray)
 
 
 def as_arg(x):
-    """A Python float for a scalar (including 0-d arrays and numpy scalars),
-    a float ndarray otherwise."""
+    """A Python float for a scalar (including bools, ints, 0-d arrays and
+    numpy scalars), a float ndarray otherwise."""
     if type(x) is float:
         return x
+    if isinstance(x, (int, float)):
+        return float(x)
     a = np.asarray(x, dtype=float)
     return float(a) if a.ndim == 0 else a
 
 
 def xp(x):
     """Namespace of elementary functions matching x: numpy or math."""
-    return np if isinstance(x, np.ndarray) else math
+    return np if is_array(x) else math
 
 
 # Up to this many elements a kernel costs less run on each element as a
@@ -77,7 +105,7 @@ def inside(x, lo: float, hi: float, closed: bool = True) -> bool:
 
 def full(x, c: float):
     """The constant c, shaped like x."""
-    return np.full(x.shape, c) if isinstance(x, np.ndarray) else c
+    return np.full(x.shape, c) if is_array(x) else c
 
 
 def where(cond, a, b):
@@ -90,4 +118,4 @@ def where(cond, a, b):
 
 
 def any_(cond) -> bool:
-    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
+    return bool(cond.any()) if is_array(cond) else bool(cond)

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 from ._quad import fixed_gauss, gauss_ladder, gauss_rule, sample
 from ._rootfind import refine_root
 from ._series import contract, oscillator, outer, project
-from ._vec import as_arg, inside, xp
+from ._vec import as_arg, inside, np, xp
 from .specfun import ZeroFamily, zero_table
 
 __all__ = [

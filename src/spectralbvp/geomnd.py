@@ -11,11 +11,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Literal
 
-import numpy as np
-
 from ._quad import adaptive_simpson, fixed_gauss, gauss_ladder, gauss_rule, sample
 from ._series import contract, oscillator, outer, project
-from ._vec import as_arg, full, piecewise, xp
+from ._vec import as_arg, full, np, piecewise, xp
 from .intervals import uniform_basis
 from .specfun import (
     _SPHERICAL_J,

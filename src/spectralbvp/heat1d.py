@@ -17,10 +17,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from ._quad import adaptive_simpson, erfcx, fixed_gauss, gauss_rule, sample
 from ._series import contract, project
+from ._vec import np
 from .intervals import UniformBasis, _project, uniform_basis
 from .sturm import BoundaryCondition
 

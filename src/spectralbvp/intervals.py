@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
-
-import numpy as np
 
 from ._quad import gauss_ladder, gauss_rule, sample
 from ._rootfind import refine_root
 from ._series import outer, project
-from ._vec import as_arg, where, xp
+from ._vec import as_arg, np, where, xp
 from .sturm import BoundaryCondition
 
 __all__ = ["UniformMode", "UniformBasis", "uniform_basis", "robin_xi_roots", "robin_norm_constant"]
@@ -53,12 +51,11 @@ class UniformBasis:
         self.l = float(l)
         self.left = left
         self.right = right
-        xi, c = _roots_and_norms(self.l, left, right, n_modes)
-        self._k = np.array(xi) / self.l
-        self._c = np.array(c)
+        xi, self._norms = _roots_and_norms(self.l, left, right, n_modes)
+        self._wavenumbers = [x / self.l for x in xi]
         self.modes: list[UniformMode] = [
             UniformMode(i, x, k**2, partial(_family, left, k, cc), partial(_family, left, k, cc, prime=True), x == 0.0)
-            for i, (x, k, cc) in enumerate(zip(xi, self._k.tolist(), c))
+            for i, (x, k, cc) in enumerate(zip(xi, self._wavenumbers, self._norms))
         ]
 
     def __len__(self) -> int:
@@ -68,9 +65,18 @@ class UniformBasis:
     def eigenvalues(self) -> list[float]:
         return [m.lam for m in self.modes]
 
+    @cached_property
+    def _k(self):
+        return np.array(self._wavenumbers)
+
+    @cached_property
+    def _c(self):
+        return np.array(self._norms)
+
     def _shapes(self, x):
         """Phi(x): every normalized mode at x (a float or an array), modes
-        along the last axis."""
+        along the last axis.  The wavenumber and norm arrays are built on the
+        first call, so a basis used only for its modes loads no numpy."""
         return _family(self.left, self._k, self._c, as_arg(x))
 
 

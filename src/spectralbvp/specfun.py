@@ -21,11 +21,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-import numpy as np
-
 from ._quad import adaptive_simpson
 from ._rootfind import nth_root_from_scan
-from ._vec import any_, as_arg, full, inside, piecewise, where, xp as _xp
+from ._vec import any_, as_arg, full, inside, is_array, np, piecewise, where, xp as _xp
 
 __all__ = [
     "SeriesEval",
@@ -155,7 +153,7 @@ def _downward(x, m: int, odd: int) -> list:
     guard = top * math.log10(1.0 + cs[0] / lo) > 500.0
     r = 1.0 / x
     # every step's factor c_k/x up front: one array product per step fewer
-    steps = np.multiply.outer(cs, r) if isinstance(x, np.ndarray) else [c * r for c in cs]
+    steps = np.multiply.outer(cs, r) if is_array(x) else [c * r for c in cs]
     f1, f = 0.0, full(x, 1e-290)
     fs = [f]
     for cr in steps:

@@ -24,10 +24,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
 from ._quad import composite_simpson, cumulative_simpson, sample
 from ._rootfind import refine_root
+from ._vec import np
 
 __all__ = [
     "BoundaryCondition",

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-import numpy as np
-
 from ._quad import adaptive_simpson
 from ._rootfind import refine_root
+from ._vec import np
 
 __all__ = [
     "TranscendentalKind",

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 from ._quad import adaptive_simpson
 from ._series import contract, oscillator
+from ._vec import np
 from .intervals import UniformBasis, _project, uniform_basis
 from .sturm import BoundaryCondition
 

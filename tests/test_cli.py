@@ -297,6 +297,9 @@ KIND_SOLVERS = {
     "weyl.count": {"weyl"},
 }
 SOLVERS = set().union(*KIND_SOLVERS.values())
+# The kinds whose solvers work on arrays; every other kind runs on floats
+# alone and never imports numpy.
+NUMPY_KINDS = {"gibbs.scan", "heat.interval"}
 
 
 def _cli_imports(*args):
@@ -329,4 +332,24 @@ def test_each_kind_imports_only_its_solvers(tmp_path, kind):
     rc, solvers, numpy = _cli_imports("--spec", spec, "--out", str(tmp_path / "out.csv"))
     assert rc == 0
     assert solvers == KIND_SOLVERS[kind]
-    assert numpy == (kind != "weyl.count")
+    assert numpy == (kind in NUMPY_KINDS)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", sorted(set(REGISTRY) - NUMPY_KINDS))
+def test_float_kinds_run_with_numpy_unimportable(tmp_path, kind, fmt):
+    """With numpy made unimportable, a kind that does not need it writes the
+    same bytes as a normal run."""
+    spec = write_spec(tmp_path, f"schema_version = 1\nkind = {kind}\n{REQUIRED.get(kind, '')}\noutput.format = {fmt}\n")
+    normal, blocked = tmp_path / "normal.out", tmp_path / "blocked.out"
+    assert main(["--spec", spec, "--out", str(normal)]) == 0
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from spectralbvp.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, "--spec", spec, "--out", str(blocked)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert blocked.read_bytes() == normal.read_bytes()

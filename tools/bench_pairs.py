@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Alternated parent/change runs of the benchmark, written to one JSON file.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \\
+        [--workload W2 ...] --pairs N --seed0 S --out BENCH_<n>.json
+
+DIR is the root of a source tree with ``bench/run.py`` and ``src/`` (for
+example a ``git archive`` of a commit unpacked into a scratch directory).
+Both trees are compiled with ``compileall`` first, so the two sides start
+from the same bytecode state.  Pair i runs every workload on seed S + i,
+once per tree, with the parent first on even i and the change first on odd
+i; the run length is ``run_seconds`` from the change tree's
+``BENCHMARK.json``, whose ``end_to_end`` list names the gated metrics.
+
+The file holds each run's gated metrics, the ungated ``op_p50_s``,
+``op_tail_s`` and ``ops_per_s`` it prints, and its operation counts; and
+per workload and metric each side's median and quartiles and the pairs the
+change wins (ties count for neither).  It is rewritten after every pair, so
+an interrupted session keeps the pairs it finished.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import compileall
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+SIDES = ("parent", "change")
+# Printed by bench/run.py beside the gated metrics and summarized as a check
+# on them; not gated.
+REPORTED = [
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher"},
+    {"name": "op_p50_s", "unit": "s", "better": "lower"},
+    {"name": "op_tail_s", "unit": "s", "better": "lower"},
+]
+
+
+def compile_tree(root: str) -> dict:
+    """Byte-compile src/ and bench/ of a tree; the state both sides run in."""
+    ok = all(compileall.compile_dir(os.path.join(root, d), quiet=1) for d in ("src", "bench"))
+    if not ok:
+        raise SystemExit(f"compileall failed under {root}")
+    pyc = sum(name.endswith(".pyc") for _, _, names in os.walk(root) for name in names)
+    return {"compiled": True, "cache_tag": sys.implementation.cache_tag, "pyc_files": pyc}
+
+
+def run_bench(root: str, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} in {root} exited with {proc.returncode}:\n{proc.stderr[-4000:]}")
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
+    # the ungated metrics appear only in the report, one "name value unit ..." line each
+    reported = {m["name"] for m in REPORTED}
+    result["metrics"].update((words[0], float(words[1])) for words in map(str.split, lines)
+                             if len(words) > 1 and words[0] in reported)
+    result["env"] = next((line[2:] for line in lines if line.startswith("# python=")), None)
+    return result
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    out = {}
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
+        values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+        out[name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            **{side: quartiles(values[side]) for side in SIDES},
+            "change_wins": wins,
+            "pairs": len(pairs),
+            "gated": metric not in REPORTED,
+        }
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="root of the parent tree")
+    ap.add_argument("--change", required=True, help="root of the changed tree")
+    ap.add_argument("--workload", required=True, action="append", help="a workload of bench/run.py; repeatable")
+    ap.add_argument("--pairs", type=int, required=True, help="pairs of runs per workload, at least 2")
+    ap.add_argument("--seed0", type=int, required=True, help="seed of pair 0; pair i runs seed0 + i")
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    args = ap.parse_args()
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2 for quartiles")
+    roots = {side: os.path.abspath(getattr(args, side)) for side in SIDES}
+    with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
+        benchmark = json.load(fh)
+    seconds, gated = benchmark["run_seconds"], benchmark["end_to_end"]
+
+    record = {
+        "bytecode": {side: compile_tree(root) for side, root in roots.items()},
+        "run_seconds": seconds,
+        "seed0": args.seed0,
+        "quartile_method": "statistics.quantiles(n=4, method='inclusive')",
+        "workloads": {w: {"pairs": [], "summary": {}} for w in args.workload},
+    }
+    for i in range(args.pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for workload in args.workload:
+            pair = {"seed": args.seed0 + i, "first": order[0]}
+            for side in order:
+                start = time.monotonic()
+                pair[side] = run_bench(roots[side], workload, args.seed0 + i, seconds)
+                pair[side]["wall_s"] = time.monotonic() - start
+            entry = record["workloads"][workload]
+            entry["pairs"].append(pair)
+            if len(entry["pairs"]) >= 2:
+                entry["summary"] = summarize(entry["pairs"], gated + REPORTED)
+            summary = entry["summary"].get("op_cost_ref")
+            print(f"pair {i} {workload}: op_cost_ref parent {pair['parent']['metrics']['op_cost_ref']:.4g} "
+                  f"change {pair['change']['metrics']['op_cost_ref']:.4g}"
+                  + (f"; change wins {summary['change_wins']} of {summary['pairs']}" if summary else ""),
+                  flush=True)
+        tmp = args.out + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
+        os.replace(tmp, args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
