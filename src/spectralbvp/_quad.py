@@ -172,7 +172,7 @@ def sample(f, *axes: np.ndarray) -> np.ndarray:
 # halved together, and the last rung is the cap itself.
 _RUNG_DIVISORS = (8, 4, 2, 1)
 # Two rungs agree when no coefficient moves by more than this fraction of the
-# largest |coefficient|.
+# largest sum of absolute summands of a coefficient.
 _RUNG_AGREEMENT = 1e-12
 
 
@@ -182,15 +182,20 @@ def gauss_ladder(coeffs: Callable, cap, modes):
 
     ``coeffs(sizes)`` projects the data on Gauss rules of the given sizes,
     one per axis: an int when ``cap`` is an int, a tuple shaped like ``cap``
-    otherwise.  The rungs are cap/8, cap/4, cap/2 and cap, every axis halved
-    together; a rung with fewer nodes on an axis than twice that axis's mode
-    count (``modes``, shaped like ``cap``) is skipped, the cap never.  The
-    first rung whose coefficients agree with the previous rung's to
-    ``_RUNG_AGREEMENT`` of its largest |coefficient| is returned, else the
-    cap's, which is the fixed-grid projection bit for bit.
+    otherwise.  It returns the coefficients and a thunk giving, shaped like
+    them, the sum of the absolute summands of each (``_series.summand_scale``),
+    the scale of its rounding error; the thunk is called only for a rung
+    compared with the one before, never for the first.  The rungs are cap/8, cap/4, cap/2 and cap, every
+    axis halved together; a rung with fewer nodes on an axis than twice that
+    axis's mode count (``modes``, shaped like ``cap``) is skipped, the cap
+    never.  The first rung whose coefficients agree with the previous rung's
+    to ``_RUNG_AGREEMENT`` of its largest summand scale is returned, else the
+    cap's, which is the fixed-grid projection bit for bit.  Data orthogonal
+    to every mode has coefficients of rounding noise, which agree on that
+    scale although not relative to each other.
 
     The estimate is the largest difference between the last two rungs
-    compared, relative to the largest |coefficient| of the later one; NaN
+    compared, relative to the largest summand scale of the later one; NaN
     when only the cap ran.
     """
     one = isinstance(cap, int)
@@ -199,10 +204,11 @@ def gauss_ladder(coeffs: Callable, cap, modes):
     rungs = [s for s in rungs[:-1] if all(n >= 2 * m for n, m in zip(s, floors))] + rungs[-1:]
     prev, estimate = None, math.nan
     for sizes in rungs:
-        cur = np.asarray(coeffs(sizes[0] if one else sizes), dtype=float)
+        cur, scale = coeffs(sizes[0] if one else sizes)
+        cur = np.asarray(cur, dtype=float)
         if prev is not None:
             diff = float(np.max(np.abs(cur - prev), initial=0.0))
-            scale = float(np.max(np.abs(cur), initial=0.0))
+            scale = float(np.max(scale(), initial=0.0))
             estimate = 0.0 if diff == 0.0 else diff / scale if scale else math.inf
             if diff <= _RUNG_AGREEMENT * scale:
                 break

@@ -8,13 +8,27 @@ from __future__ import annotations
 
 from ._vec import is_array, np, xp
 
-__all__ = ["project", "contract", "oscillator", "outer"]
+__all__ = ["project", "summand_scale", "projected", "contract", "oscillator", "outer"]
 
 
 def project(phi: np.ndarray, weights: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Phi(nodes)^T (w * data): the inner products with every mode, modes
     last; ``data`` is one value per node, or one row per data set."""
     return (weights * data) @ phi
+
+
+def summand_scale(phi: np.ndarray, weights: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """|Phi(nodes)|^T |w * data|: for each inner product ``project`` forms,
+    the sum of its absolute summands, the scale of its rounding error."""
+    return np.abs(weights * data) @ np.abs(phi)
+
+
+def projected(phi: np.ndarray, weights: np.ndarray, data: np.ndarray):
+    """``project`` of the data and a thunk for its ``summand_scale``: one
+    Gauss rung's coefficients and their rounding scales, as
+    ``_quad.gauss_ladder`` takes them (it calls the thunk only when it
+    compares the rung with the one before)."""
+    return project(phi, weights, data), lambda: summand_scale(phi, weights, data)
 
 
 def contract(phi: np.ndarray, amplitudes: np.ndarray):

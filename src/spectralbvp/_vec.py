@@ -25,15 +25,23 @@ __all__ = ["np", "is_array", "as_arg", "xp", "piecewise", "inside", "full", "whe
 
 def _import_numpy(name: str):
     import numpy
+    import numpy.linalg  # noqa: F401  (the one submodule the package reads)
 
-    value = getattr(numpy, name)
-    setattr(np, name, value)
-    return value
+    # Bind every name numpy defines and retire this hook: CPython specializes
+    # attribute reads only on a module whose dict holds no __getattr__, so
+    # from here on np.X costs what it costs on a plain module.  A submodule
+    # that numpy loads on demand is bound only if it is imported by then, so
+    # the one the package reads, np.linalg, is imported above; a name read
+    # now that numpy loads on demand is bound too.
+    handle = vars(np)
+    handle.update((k, v) for k, v in vars(numpy).items() if not k.startswith("__"))
+    handle.pop("__getattr__", None)
+    if name not in handle:
+        handle[name] = getattr(numpy, name)
+    return handle[name]
 
 
 # numpy, imported on the first attribute read (PEP 562's module __getattr__).
-# Each attribute read is bound on the module, so later reads of it are plain
-# module attribute lookups that never reach _import_numpy.
 np = types.ModuleType(f"{__name__}.np")
 np.__getattr__ = _import_numpy
 

@@ -10,13 +10,13 @@ determinant of the compressed beam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from ._quad import fixed_gauss, gauss_ladder, gauss_rule, sample
+from ._record import dataclass
 from ._rootfind import refine_root
-from ._series import contract, oscillator, outer, project
+from ._series import contract, oscillator, outer, projected
 from ._vec import as_arg, inside, np, xp
 from .specfun import ZeroFamily, zero_table
 
@@ -203,8 +203,9 @@ def beam_response(
 
     def coeffs(n):
         xs, w = gauss_rule(0.0, l, n)
-        phi = _shapes(bc, mus, l, xs)
-        return [np.zeros(n_modes) if f is None else project(phi, w, sample(f, xs)) for f in (u0, v0)]
+        phi, zero = _shapes(bc, mus, l, xs), np.zeros(n_modes)
+        pairs = [(zero, lambda: zero) if f is None else projected(phi, w, sample(f, xs)) for f in (u0, v0)]
+        return [c for c, _ in pairs], lambda: [s() for _, s in pairs]
 
     a, b = gauss_ladder(coeffs, 192, n_modes)[0]
     return contract(_shapes(bc, mus, l, x), oscillator(spectrum.frequency(mus), a, b, 0.0, t)[0])

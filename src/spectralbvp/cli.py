@@ -24,10 +24,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from . import __version__
+from ._record import dataclass
 
 if TYPE_CHECKING:
     from .sturm import BoundaryCondition

@@ -7,12 +7,12 @@ Fourier-Bessel and Legendre bases that power them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Literal
 
 from ._quad import adaptive_simpson, fixed_gauss, gauss_ladder, gauss_rule, sample
-from ._series import contract, oscillator, outer, project
+from ._record import dataclass
+from ._series import contract, oscillator, outer, project, projected, summand_scale
 from ._vec import as_arg, full, np, piecewise, xp
 from .intervals import uniform_basis
 from .specfun import (
@@ -235,8 +235,9 @@ def _disk_projections(spec: DiskMembrane, phi, n_modes: int, *data):
 
     def coeffs(n):
         rr, w = gauss_rule(0.0, spec.radius, n)
-        at_nodes = phi(rr)
-        return [np.zeros(n_modes) if f is None else project(at_nodes, w * rr, sample(f, rr)) for f in data]
+        at_nodes, zero = phi(rr), np.zeros(n_modes)
+        pairs = [(zero, lambda: zero) if f is None else projected(at_nodes, w * rr, sample(f, rr)) for f in data]
+        return [c for c, _ in pairs], lambda: [s() for _, s in pairs]
 
     return gauss_ladder(coeffs, 192, n_modes)[0]
 
@@ -298,15 +299,16 @@ def cylinder_cooling(
             # (w_r r J_0) . T . (w_z axial_n)
             rr, wr = gauss_rule(0.0, radius, sizes[0])
             zz, wz = gauss_rule(-height / 2.0, height / 2.0, sizes[1])
-            by_r = project(axial._shapes(zz + height / 2.0), wz, sample(t0, rr, zz))
-            return project(chi(rr), wr * rr, by_r.T)
+            x_nodes, chi_nodes, data = axial._shapes(zz + height / 2.0), chi(rr), sample(t0, rr, zz)
+            by_r, by_r_scale = projected(x_nodes, wz, data)
+            return project(chi_nodes, wr * rr, by_r.T), lambda: summand_scale(chi_nodes, wr * rr, by_r_scale().T)
 
         coef = gauss_ladder(coeffs, (96, 96), (n_radial, n_axial))[0]
         ax_here, ax_rate = axial._shapes(z + height / 2.0), np.array(axial.eigenvalues)
     else:
         def coeffs(n):
             rr, wr = gauss_rule(0.0, radius, n)
-            return project(chi(rr), wr * rr, sample(t0, rr))
+            return projected(chi(rr), wr * rr, sample(t0, rr))
 
         radial = gauss_ladder(coeffs, 192, n_radial)[0]
         if half_infinite:
@@ -444,8 +446,9 @@ def ball_solution(
         def coeffs(n):
             rr, w = gauss_rule(0.0, big_r, n)
             if cooling:
-                return 4.0 * math.pi * project(phi(rr), w * rr * rr, sample(data, rr))
-            return project(phi(rr), w, rr * rr)
+                c, s = projected(phi(rr), w * rr * rr, sample(data, rr))
+                return 4.0 * math.pi * c, lambda: 4.0 * math.pi * s()
+            return projected(phi(rr), w, rr * rr)
 
         proj = gauss_ladder(coeffs, 256, n_modes)[0]
         if cooling:
@@ -462,7 +465,8 @@ def ball_solution(
 
         def coeffs(n):
             xs, w = gauss_rule(-1.0, 1.0, n)
-            return (degrees + 0.5) * project(_legendre_columns(n_modes, xs), w, sample(data, np.arccos(xs)))
+            c, s = projected(_legendre_columns(n_modes, xs), w, sample(data, np.arccos(xs)))
+            return (degrees + 0.5) * c, lambda: (degrees + 0.5) * s()
 
         a = gauss_ladder(coeffs, 160, n_modes)[0]
         return contract(_legendre_columns(n_modes, math.cos(theta)), a * (r / big_r) ** degrees)
@@ -502,10 +506,15 @@ def _ball_axisym_cooling(spec: BallSpec, t0, n_modes: int, r: float, theta: floa
         # (w_r r^2 j_n(alpha r/R)) . T . (w_x P_n(x)), x = cos(theta)
         rr, wr = gauss_rule(0.0, big_r, sizes[0])
         xs, ws = gauss_rule(-1.0, 1.0, sizes[1])
-        angular = project(_legendre_columns(n_modes, xs), ws, sample(t0, rr, np.arccos(xs)))
+        angular, angular_scale = projected(_legendre_columns(n_modes, xs), ws, sample(t0, rr, np.arccos(xs)))
         weights = wr * rr * rr
-        return [project(spherical_bessel("j", n, outer(rr, alphas[n]) / big_r), weights, angular[:, n]) / norms[n]
-                for n in orders]
+        radial = [spherical_bessel("j", n, outer(rr, alphas[n]) / big_r) for n in orders]
+
+        def scale():
+            by_n = angular_scale()
+            return [summand_scale(radial[n], weights, by_n[:, n]) / norms[n] for n in orders]
+
+        return [project(radial[n], weights, angular[:, n]) / norms[n] for n in orders], scale
 
     coef = gauss_ladder(coeffs, (128, 96), (n_modes, n_modes))[0]
     p_here = _legendre_columns(n_modes, math.cos(theta))
@@ -524,8 +533,8 @@ class SeriesExpansion:
 
     ``quadrature_error`` estimates the projection's error: the largest change
     of a coefficient between the last two Gauss rungs compared, relative to
-    the largest |coefficient| (NaN when only the cap's rule ran; see
-    ``_quad.gauss_ladder``).
+    the largest sum of absolute quadrature summands of a coefficient (NaN
+    when only the cap's rule ran; see ``_quad.gauss_ladder``).
     """
 
     kind: str
@@ -554,14 +563,17 @@ def expand_series(
 
         def coeffs(n):
             rs, w = gauss_rule(0.0, radius, n)
-            return project(phi(rs), w * rs, sample(f, rs))
+            return projected(phi(rs), w * rs, sample(f, rs))
 
         a, err = gauss_ladder(coeffs, 256, n_terms)
         return SeriesExpansion(kind, (scale * a).tolist(), lambda r: contract(phi(r), a), err)
     if kind == "legendre":
+        half = np.arange(n_terms) + 0.5
+
         def coeffs(n):
             xs, w = gauss_rule(-1.0, 1.0, n)
-            return (np.arange(n_terms) + 0.5) * project(_legendre_columns(n_terms, xs), w, sample(f, xs))
+            c, s = projected(_legendre_columns(n_terms, xs), w, sample(f, xs))
+            return half * c, lambda: half * s()
 
         c, err = gauss_ladder(coeffs, max(160, 2 * n_terms), n_terms)
         return SeriesExpansion(kind, c.tolist(), lambda x: contract(_legendre_columns(n_terms, x), c), err)

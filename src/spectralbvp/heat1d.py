@@ -14,10 +14,10 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 from ._quad import adaptive_simpson, erfcx, fixed_gauss, gauss_rule, sample
+from ._record import dataclass
 from ._series import contract, project
 from ._vec import np
 from .intervals import UniformBasis, _project, uniform_basis

@@ -12,13 +12,13 @@ solvers share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
 
 from ._quad import gauss_ladder, gauss_rule, sample
+from ._record import dataclass
 from ._rootfind import refine_root
-from ._series import outer, project
+from ._series import outer, projected
 from ._vec import as_arg, np, where, xp
 from .sturm import BoundaryCondition
 
@@ -189,6 +189,6 @@ def _project(basis: UniformBasis, func: Callable[[float], float] | None) -> list
 
     def coeffs(n):
         xs, w = gauss_rule(0.0, basis.l, n)
-        return project(basis._shapes(xs), w, sample(func, xs))
+        return projected(basis._shapes(xs), w, sample(func, xs))
 
     return gauss_ladder(coeffs, 256, len(basis))[0].tolist()

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
 from ._quad import adaptive_simpson
+from ._record import dataclass
 from ._rootfind import nth_root_from_scan
 from ._vec import any_, as_arg, full, inside, is_array, np, piecewise, where, xp as _xp
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ._quad import composite_simpson, cumulative_simpson, sample
+from ._record import dataclass, field
 from ._rootfind import refine_root
 from ._vec import np
 

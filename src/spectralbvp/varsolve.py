@@ -8,11 +8,11 @@ finite-difference residual check of the Euler-Lagrange equation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 from ._quad import adaptive_simpson
+from ._record import dataclass
 from ._rootfind import refine_root
 from ._vec import np
 

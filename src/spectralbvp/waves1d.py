@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from ._quad import adaptive_simpson
+from ._record import dataclass
 from ._series import contract, oscillator
 from ._vec import np
 from .intervals import UniformBasis, _project, uniform_basis

@@ -11,8 +11,10 @@ state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+
+from ._record import dataclass
+
 __all__ = [
     "Domain",
     "WallBC",

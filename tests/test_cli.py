@@ -300,11 +300,15 @@ SOLVERS = set().union(*KIND_SOLVERS.values())
 # The kinds whose solvers work on arrays; every other kind runs on floats
 # alone and never imports numpy.
 NUMPY_KINDS = {"gibbs.scan", "heat.interval"}
+# Standard-library modules no CLI call imports: the records are built by
+# _record, not dataclasses, and only numpy (numpy._core.overrides) loads inspect.
+STDLIB_HEAVY = {"dataclasses", "inspect"}
 
 
 def _cli_imports(*args):
-    """Exit code, solver modules loaded and whether numpy was loaded by one
-    CLI call in a fresh interpreter."""
+    """Exit code, solver modules loaded, whether numpy was loaded, and which
+    of ``dataclasses`` and ``inspect`` were, by one CLI call in a fresh
+    interpreter."""
     code = (
         "import json, sys\n"
         "from spectralbvp.cli import main\n"
@@ -318,21 +322,22 @@ def _cli_imports(*args):
     assert proc.returncode == 0, proc.stderr
     rc, modules = json.loads(proc.stdout.splitlines()[-1])
     solvers = {m.split(".")[1] for m in modules if m.startswith("spectralbvp.")} & SOLVERS
-    return rc, solvers, "numpy" in modules
+    return rc, solvers, "numpy" in modules, STDLIB_HEAVY.intersection(modules)
 
 
 @pytest.mark.parametrize("args", [["--list"], ["--help"]], ids=["list", "help"])
 def test_list_and_help_import_no_solver(args):
-    assert _cli_imports(*args) == (0, set(), False)
+    assert _cli_imports(*args) == (0, set(), False, set())
 
 
 @pytest.mark.parametrize("kind", sorted(REGISTRY))
 def test_each_kind_imports_only_its_solvers(tmp_path, kind):
     spec = write_spec(tmp_path, f"schema_version = 1\nkind = {kind}\n{REQUIRED.get(kind, '')}\n")
-    rc, solvers, numpy = _cli_imports("--spec", spec, "--out", str(tmp_path / "out.csv"))
+    rc, solvers, numpy, heavy = _cli_imports("--spec", spec, "--out", str(tmp_path / "out.csv"))
     assert rc == 0
     assert solvers == KIND_SOLVERS[kind]
     assert numpy == (kind in NUMPY_KINDS)
+    assert heavy == ({"inspect"} if numpy else set())
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

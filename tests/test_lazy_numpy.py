@@ -120,3 +120,29 @@ def test_is_array_imports_no_numpy():
 def test_as_arg_keeps_int_overflow_loud():
     with pytest.raises(OverflowError):
         as_arg(10**400)
+
+
+def test_first_array_call_binds_numpy_and_retires_the_hook():
+    """After the first read every numpy name is a plain attribute of the
+    handle, which holds no ``__getattr__`` (CPython specializes attribute
+    reads only on such a module)."""
+    code = (
+        "import json\n"
+        "from spectralbvp import _vec\n"
+        "from spectralbvp.specfun import bessel_j\n"
+        "hooked = '__getattr__' in vars(_vec.np)\n"
+        "import numpy\n"
+        "got = bessel_j(0, numpy.array([1.0, 2.0]))\n"
+        "names = [k for k in vars(numpy) if not k.startswith('__')]\n"
+        "bound = all(vars(_vec.np)[k] is vars(numpy)[k] for k in names)\n"
+        "bound = bound and _vec.np.linalg is numpy.linalg and 'linalg' in vars(_vec.np)\n"
+        "try:\n"
+        "    _vec.np.no_such_attribute\n"
+        "    missing = 'bound'\n"
+        "except AttributeError:\n"
+        "    missing = 'AttributeError'\n"
+        "print(json.dumps([hooked, '__getattr__' in vars(_vec.np), bound, missing, type(got).__name__]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [True, False, True, "AttributeError", "ndarray"]

@@ -21,7 +21,7 @@ from spectralbvp._quad import (
     sample,
 )
 from spectralbvp._rootfind import nth_root_from_scan, refine_root
-from spectralbvp._series import project
+from spectralbvp._series import project, projected
 from spectralbvp.specfun import ZeroFamily, _legendre_columns, bessel_j, bessel_zero
 
 
@@ -229,12 +229,14 @@ def test_cumulative_simpson_matches_node_loop(n):
 # ----------------------------------------------------------------------
 
 def _legendre_coeffs(f, n_terms):
-    """c_n = (n + 1/2) int_{-1}^{1} f P_n on an n-point rule."""
-    degrees = np.arange(n_terms)
+    """c_n = (n + 1/2) int_{-1}^{1} f P_n on an n-point rule, and the sums of
+    their absolute summands."""
+    half = np.arange(n_terms) + 0.5
 
     def coeffs(n):
         xs, w = gauss_rule(-1.0, 1.0, n)
-        return (degrees + 0.5) * project(_legendre_columns(n_terms, xs), w, sample(f, xs))
+        c, s = projected(_legendre_columns(n_terms, xs), w, sample(f, xs))
+        return half * c, lambda: half * s()
 
     return coeffs
 
@@ -245,7 +247,7 @@ def _bessel_coeffs(f, n_terms):
 
     def coeffs(n):
         rs, w = gauss_rule(0.0, 1.0, n)
-        return project(bessel_j(0, np.multiply.outer(rs, alphas)), w * rs, sample(f, rs))
+        return projected(bessel_j(0, np.multiply.outer(rs, alphas)), w * rs, sample(f, rs))
 
     return coeffs
 
@@ -268,20 +270,24 @@ def test_gauss_ladder_runs_the_rungs_above_the_mode_floor():
     """Rungs halve every axis of the cap together; a rung with fewer than
     twice an axis's mode count of nodes on that axis is skipped, the cap
     never.  Rungs that never agree return the cap's coefficients."""
-    seen = []
+    seen, scaled = [], []
 
     def coeffs(sizes):
         seen.append(sizes)
-        return np.array([1.0, float(len(seen))])
+        c = np.array([1.0, float(len(seen))])
+        return c, lambda: scaled.append(sizes) or c
 
     got, err = gauss_ladder(coeffs, (128, 96), (3, 20))
     assert seen == [(64, 48), (128, 96)]
     assert got.tolist() == [1.0, 2.0] and err == 0.5
+    # only a rung compared with the one before reads its summand scale
+    assert scaled == [(128, 96)]
     seen.clear()
+    scaled.clear()
     got, err = gauss_ladder(coeffs, 160, 200)
-    assert seen == [160] and math.isnan(err)
+    assert seen == [160] and math.isnan(err) and scaled == []
     seen.clear()
-    gauss_ladder(lambda n: seen.append(n) or np.ones(3), 192, 2)
+    gauss_ladder(lambda n: seen.append(n) or (np.ones(3), lambda: np.ones(3)), 192, 2)
     assert seen == [24, 48]
 
 
@@ -302,6 +308,34 @@ def test_gauss_ladder_stops_only_on_agreement():
     before it, and the answer is the cap's."""
     f = lambda x: np.exp(-0.5 * ((x - 0.31) / 0.1) ** 2)
     got, err = gauss_ladder(_legendre_coeffs(f, 8), 160, 8)
-    want = _legendre_coeffs(f, 8)(160)
+    want = _legendre_coeffs(f, 8)(160)[0]
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert err < 1e-12
+
+
+def test_gauss_ladder_stops_on_data_orthogonal_to_every_mode(monkeypatch):
+    """r^2 cos(theta) is orthogonal to the one axisymmetric ball mode kept
+    (n = 0), so its coefficient is rounding noise on every rung.  Against the
+    scale of the summands two rungs of noise agree: the ladder stops at its
+    second rung, 16 x 12 then 32 x 24 nodes, with a small estimate.  Compared
+    relative to the noise itself it ran every rung, 16 320 samples where the
+    fixed 128 x 96 grid takes 12 288."""
+    from spectralbvp import geomnd
+
+    rungs, estimates, samples = [], [], []
+
+    def ladder(coeffs, cap, modes):
+        got = gauss_ladder(lambda sizes: rungs.append(sizes) or coeffs(sizes), cap, modes)
+        estimates.append(got[1])
+        return got
+
+    def t0(r, theta):
+        samples.append(np.size(r))
+        return r * r * np.cos(theta)
+
+    monkeypatch.setattr(geomnd, "gauss_ladder", ladder)
+    value = geomnd.ball_solution(geomnd.BallSpec(1.0, a2=0.8), "axisym_cooling", t0, 1, (0.6, 0.4), 0.05)
+    assert rungs == [(16, 12), (32, 24)]
+    assert sum(samples) == 16 * 12 + 32 * 24
+    assert estimates[0] <= 1e-12
+    assert abs(value) <= 1e-15

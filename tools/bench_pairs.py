@@ -13,10 +13,12 @@ i; the run length is ``run_seconds`` from the change tree's
 ``BENCHMARK.json``, whose ``end_to_end`` list names the gated metrics.
 
 The file holds each run's gated metrics, the ungated ``op_p50_s``,
-``op_tail_s`` and ``ops_per_s`` it prints, and its operation counts; and
-per workload and metric each side's median and quartiles and the pairs the
-change wins (ties count for neither).  It is rewritten after every pair, so
-an interrupted session keeps the pairs it finished.  Standard library only.
+``op_tail_s`` and ``ops_per_s`` it prints, the mean of the reference loop
+that ``op_cost_ref`` divides by (``reference_mean_s``, read from its report
+line), and its operation counts; and per workload and metric each side's
+median and quartiles and the pairs the change wins (ties count for
+neither).  It is rewritten after every pair, so an interrupted run keeps
+the pairs it finished.  Standard library only.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import argparse
 import compileall
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -37,7 +40,12 @@ REPORTED = [
     {"name": "ops_per_s", "unit": "1/s", "better": "higher"},
     {"name": "op_p50_s", "unit": "s", "better": "lower"},
     {"name": "op_tail_s", "unit": "s", "better": "lower"},
+    # the reference loop runs in a thread beside the operations, so its mean
+    # moves with their GIL use as well as with machine speed
+    {"name": "reference_mean_s", "unit": "s", "better": "lower"},
 ]
+# op_cost_ref's report line: "... the mean of N reference loops (X s) timed while the operations ran"
+REFERENCE_MEAN = re.compile(r"^op_cost_ref\s.*\(([^ ]+) s\) timed while the operations ran")
 
 
 def compile_tree(root: str) -> dict:
@@ -62,6 +70,10 @@ def run_bench(root: str, workload: str, seed: int, seconds: float) -> dict:
     reported = {m["name"] for m in REPORTED}
     result["metrics"].update((words[0], float(words[1])) for words in map(str.split, lines)
                              if len(words) > 1 and words[0] in reported)
+    means = [float(m.group(1)) for m in map(REFERENCE_MEAN.match, lines) if m]
+    if len(means) != 1:
+        raise SystemExit(f"{' '.join(cmd)} in {root}: no reference-loop mean on the op_cost_ref line")
+    result["metrics"]["reference_mean_s"] = means[0]
     result["env"] = next((line[2:] for line in lines if line.startswith("# python=")), None)
     return result
 
