@@ -19,6 +19,7 @@ agree, so smooth data is sampled on a fraction of the cap's grid.
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Callable
 
 from ._vec import any_, is_array, np
@@ -58,12 +59,15 @@ def _simpson_step(f, a, fa, b, fb, m, fm, whole, tol, depth):
     )
 
 
+# Bisections below a seed panel after which its estimate stands, whatever its error.
+_MAX_DEPTH = 48
+
+
 def adaptive_simpson(
     f: Callable[[float], float],
     a: float,
     b: float,
     tol: float = 1e-10,
-    max_depth: int = 48,
 ) -> float:
     """Integrate f over [a, b] to the requested absolute tolerance.
 
@@ -85,26 +89,16 @@ def adaptive_simpson(
     fa, flm, fm, frm, fb = (_finite(f, x) for x in (a, lm, m, rm, b))
     whole_l = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     whole_r = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    total = _simpson_step(f, a, fa, m, fm, lm, flm, whole_l, 0.5 * tol, max_depth) + _simpson_step(
-        f, m, fm, b, fb, rm, frm, whole_r, 0.5 * tol, max_depth
+    total = _simpson_step(f, a, fa, m, fm, lm, flm, whole_l, 0.5 * tol, _MAX_DEPTH) + _simpson_step(
+        f, m, fm, b, fb, rm, frm, whole_r, 0.5 * tol, _MAX_DEPTH
     )
     return sign * total
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 # Newton steps on P_n from the starting guesses of _legendre_rule: a guess is
 # off by at most 1e-2 (n = 2), and the fourth step moves no node by more than
 # 2e-15 at any n up to 400, so four steps end below rounding.
 _NEWTON_STEPS = 4
-
-
-def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
-    [-1, 1], cached."""
-    got = _GL_CACHE.get(n)
-    if got is None:
-        got = _GL_CACHE[n] = _legendre_rule(n)
-    return got
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray):
@@ -135,6 +129,13 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
 
 
+@cache
+def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], cached."""
+    return _legendre_rule(n)
+
+
 def gauss_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule scaled to [a, b]."""
     x, w = gauss_legendre_nodes(n)
@@ -155,17 +156,22 @@ def sample(f, *axes: np.ndarray) -> np.ndarray:
     One vectorised call on the ``ij``-indexed mesh is tried first; if it
     raises ``TypeError``/``ValueError`` or returns anything but one value per
     grid point (a scalar-only or constant-returning callable), f is called
-    once per point with Python floats instead.
+    once per point with Python floats instead.  A NaN or inf value raises
+    ``ValueError`` naming the first such point.
     """
     grids = np.meshgrid(*axes, indexing="ij") if len(axes) > 1 else list(axes)
     shape = grids[0].shape
     try:
         vals = np.asarray(f(*grids), dtype=float)
-        if vals.shape == shape:
-            return vals
     except (TypeError, ValueError):
-        pass
-    return np.array(list(map(f, *(g.ravel().tolist() for g in grids))), dtype=float).reshape(shape)
+        vals = None
+    if vals is None or vals.shape != shape:
+        vals = np.array(list(map(f, *(g.ravel().tolist() for g in grids))), dtype=float).reshape(shape)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        point = tuple(float(g.flat[finite.argmin()]) for g in grids)
+        raise ValueError(f"sampled function is not finite at x = {point[0] if len(point) == 1 else point!r}")
+    return vals
 
 
 # Rungs of gauss_ladder as divisors of the cap, coarsest first: every axis is

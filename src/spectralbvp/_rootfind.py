@@ -15,6 +15,8 @@ __all__ = ["refine_root", "scan_brackets", "nth_root_from_scan"]
 
 # The length of a sign-change scan, in steps.
 _MAX_STEPS = 2_000_000
+# Brent iterations before refine_root returns its best bracket end.
+_MAX_ITER = 200
 
 
 def refine_root(
@@ -23,7 +25,6 @@ def refine_root(
     b: float,
     ftol: float = 1e-10,
     xtol: float = 0.0,
-    max_iter: int = 200,
 ) -> float:
     """Root of f in the sign-change bracket [a, b].
 
@@ -46,7 +47,7 @@ def refine_root(
     # b is the best estimate, c the other end of the bracket, a the previous b
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if abs(fc) < abs(fb):
             a, fa = b, fb
             b, fb = c, fc
@@ -85,16 +86,12 @@ def refine_root(
     return b if abs(fb) <= abs(fc) else c
 
 
-def scan_brackets(
-    f: Callable[[float], float],
-    start: float,
-    step: float,
-    max_steps: int = _MAX_STEPS,
-) -> Iterator[tuple[float, float]]:
-    """Yield consecutive sign-change brackets of f walking right from start."""
+def scan_brackets(f: Callable[[float], float], start: float, step: float) -> Iterator[tuple[float, float]]:
+    """Yield consecutive sign-change brackets of f walking right from start,
+    for at most _MAX_STEPS steps."""
     x0 = start
     f0 = f(x0)
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         x1 = x0 + step
         f1 = f(x1)
         if f0 == 0.0:

@@ -6,6 +6,8 @@ oscillator or relaxation e^{-lam a^2 t} (heat, written inline)."""
 
 from __future__ import annotations
 
+import math
+
 from ._vec import is_array, np, xp
 
 __all__ = ["project", "summand_scale", "projected", "contract", "oscillator", "outer"]
@@ -68,8 +70,11 @@ def oscillator(omega, a, b, eta, t: float):
     eta, aperiodic where omega < eta (finite wherever the answer is), S = t
     where they are equal (critical damping, and the drift of an undamped
     zero mode).  A float picks its kernel; an array runs each kernel once
-    on the elements it owns (as ``_vec.piecewise``).
+    on the elements it owns (as ``_vec.piecewise``).  A non-finite t raises
+    ``ValueError``.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
     disc = omega * omega - eta * eta
     f = xp(disc)
     om = f.sqrt(abs(disc))

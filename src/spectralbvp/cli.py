@@ -48,8 +48,9 @@ class SolverError(Exception):
 
 @dataclass
 class Param:
+    """One problem parameter; without a default it is required."""
+
     type: type
-    required: bool = True
     default: object = None
     choices: tuple | None = None
     positive: bool = False
@@ -232,29 +233,29 @@ _register(
     "ball.radial",
     "radial eigenvalues of the ball",
     _run_ball_radial,
-    R=Param(float, required=False, default=1.0, positive=True),
-    a2=Param(float, required=False, default=1.0, positive=True),
-    bc=Param(str, required=False, default="dirichlet", choices=("dirichlet", "neumann", "robin")),
-    h=Param(float, required=False, default=0.0),
-    k_max=Param(int, required=False, default=5, positive=True),
+    R=Param(float, default=1.0, positive=True),
+    a2=Param(float, default=1.0, positive=True),
+    bc=Param(str, default="dirichlet", choices=("dirichlet", "neumann", "robin")),
+    h=Param(float, default=0.0),
+    k_max=Param(int, default=5, positive=True),
 )
 _register(
     "beam.buckling",
     "critical compressive load of a uniform beam",
     _run_beam_buckling,
     bc=Param(str, choices=("clamped_clamped", "pinned_pinned", "clamped_free")),
-    E=Param(float, required=False, default=1.0, positive=True),
-    J=Param(float, required=False, default=1.0, positive=True),
-    l=Param(float, required=False, default=1.0, positive=True),
+    E=Param(float, default=1.0, positive=True),
+    J=Param(float, default=1.0, positive=True),
+    l=Param(float, default=1.0, positive=True),
 )
 _register(
     "beam.roots",
     "characteristic roots and natural frequencies of a uniform beam",
     _run_beam_roots,
     bc=Param(str, choices=("clamped_clamped", "clamped_free", "pinned_pinned", "clamped_pinned", "free_free")),
-    k_max=Param(int, required=False, default=3, positive=True),
-    c=Param(float, required=False, default=1.0, positive=True),
-    l=Param(float, required=False, default=1.0, positive=True),
+    k_max=Param(int, default=3, positive=True),
+    c=Param(float, default=1.0, positive=True),
+    l=Param(float, default=1.0, positive=True),
 )
 _register(
     "bessel.zeros",
@@ -263,12 +264,11 @@ _register(
     # every ZeroFamily but radial_robin, whose Robin constant h*R no parameter carries
     family=Param(
         str,
-        required=False,
         default="bessel_j",
         choices=("bessel_j", "bessel_j_prime", "beam_cc", "beam_cf", "beam_cp", "radial_tan"),
     ),
-    order=Param(int, required=False, default=0),
-    k_max=Param(int, required=False, default=5, positive=True),
+    order=Param(int, default=0),
+    k_max=Param(int, default=5, positive=True),
 )
 _register(
     "brachistochrone.fit",
@@ -276,57 +276,57 @@ _register(
     _run_brachistochrone,
     l=Param(float, positive=True),
     h=Param(float, positive=True),
-    g=Param(float, required=False, default=9.80665, positive=True),
+    g=Param(float, default=9.80665, positive=True),
 )
 _register(
     "gibbs.scan",
     "partial-sum overshoot of the sawtooth series near its jump",
     _run_gibbs_scan,
-    d=Param(float, required=False, default=1.0, positive=True),
-    l=Param(float, required=False, default=1.0, positive=True),
-    n_max=Param(int, required=False, default=512, positive=True),
+    d=Param(float, default=1.0, positive=True),
+    l=Param(float, default=1.0, positive=True),
+    n_max=Param(int, default=512, positive=True),
 )
 _register(
     "heat.interval",
     "cooling of a uniform interval from a constant initial temperature",
     _run_heat_interval,
-    l=Param(float, required=False, default=1.0, positive=True),
-    a2=Param(float, required=False, default=1.0, positive=True),
-    T0=Param(float, required=False, default=1.0),
+    l=Param(float, default=1.0, positive=True),
+    a2=Param(float, default=1.0, positive=True),
+    T0=Param(float, default=1.0),
     t=Param(float, positive=True),
-    left=Param(str, required=False, default="dirichlet"),
-    right=Param(str, required=False, default="dirichlet"),
-    n_modes=Param(int, required=False, default=32, positive=True),
-    grid=Param(int, required=False, default=16, positive=True),
+    left=Param(str, default="dirichlet"),
+    right=Param(str, default="dirichlet"),
+    n_modes=Param(int, default=32, positive=True),
+    grid=Param(int, default=16, positive=True),
 )
 _register(
     "membrane.disk",
     "frequencies of the clamped circular membrane",
     _run_membrane_disk,
-    R=Param(float, required=False, default=1.0, positive=True),
-    a=Param(float, required=False, default=1.0, positive=True),
-    m_max=Param(int, required=False, default=2),
-    k_max=Param(int, required=False, default=3, positive=True),
+    R=Param(float, default=1.0, positive=True),
+    a=Param(float, default=1.0, positive=True),
+    m_max=Param(int, default=2),
+    k_max=Param(int, default=3, positive=True),
 )
 _register(
     "sturm.eigen",
     "eigenvalues of the uniform interval under mixed end conditions",
     _run_sturm_eigen,
-    l=Param(float, required=False, default=1.0, positive=True),
-    a=Param(float, required=False, default=1.0, positive=True),
-    left=Param(str, required=False, default="dirichlet"),
-    right=Param(str, required=False, default="dirichlet"),
-    n_max=Param(int, required=False, default=5, positive=True),
+    l=Param(float, default=1.0, positive=True),
+    a=Param(float, default=1.0, positive=True),
+    left=Param(str, default="dirichlet"),
+    right=Param(str, default="dirichlet"),
+    n_max=Param(int, default=5, positive=True),
 )
 _register(
     "weyl.count",
     "exact lattice count vs the smooth eigenvalue-count estimate",
     _run_weyl_count,
-    l=Param(float, required=False, default=1.0, positive=True),
-    a=Param(float, required=False, default=1.0, positive=True),
-    bc=Param(str, required=False, default="dirichlet", choices=("dirichlet", "neumann")),
+    l=Param(float, default=1.0, positive=True),
+    a=Param(float, default=1.0, positive=True),
+    bc=Param(str, default="dirichlet", choices=("dirichlet", "neumann")),
     lam=Param(float, positive=True),
-    samples=Param(int, required=False, default=8, positive=True),
+    samples=Param(int, default=8, positive=True),
 )
 
 
@@ -404,7 +404,7 @@ def validate_problem(tree: dict) -> tuple[ProblemKind, dict, dict]:
             raise ValidationError(f"{key}: unknown key")
     for name, param in kind.params.items():
         if name not in params:
-            if param.required:
+            if param.default is None:
                 raise ValidationError(f"param.{name}: required for kind {kind.name!r}")
             params[name] = param.default
     return kind, params, outputs
@@ -502,7 +502,7 @@ def list_problems(stream=None) -> list[str]:
     for name in names:
         kind = REGISTRY[name]
         schema = ", ".join(
-            f"{k}:{v.type.__name__}" + ("" if v.required else f"={v.default}")
+            f"{k}:{v.type.__name__}" + ("" if v.default is None else f"={v.default}")
             for k, v in kind.params.items()
         )
         stream.write(f"{name}: {kind.description} [{schema}]\n")

@@ -13,12 +13,13 @@ from typing import Callable, Literal
 from ._quad import adaptive_simpson, fixed_gauss, gauss_ladder, gauss_rule, sample
 from ._record import dataclass
 from ._series import contract, oscillator, outer, project, projected, summand_scale
-from ._vec import as_arg, full, np, piecewise, xp
+from ._vec import as_arg, full, np, xp
 from .intervals import uniform_basis
 from .specfun import (
     _SPHERICAL_J,
     ZeroFamily,
     _legendre_columns,
+    _sinc,
     _zeros,
     assoc_legendre,
     bessel_j,
@@ -280,6 +281,8 @@ def cylinder_cooling(
     factor drops out and the solution reduces to the long-rod radial series.
     """
     r, z = point
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
     if not 0.0 <= r <= radius:
         raise ValueError("radial coordinate outside the cylinder")
     takes_z = _arity_two(t0)
@@ -369,20 +372,10 @@ def _ball_gamma(spec: BallSpec, k: int) -> float:
     return bessel_zero(ZeroFamily.RADIAL_ROBIN, 0, k, param=spec.h * spec.radius)
 
 
-def _sinc_small(u, f, _):
-    return 1.0 - u * u / 6.0
-
-
-def _sinc_direct(u, f, _):
-    return f.sin(u) / u
-
-
 def _sin_over_r(g, r):
-    """sin(g r)/r for g > 0 (even in r) as g sin(u)/u, u = g r, from the
-    Taylor expansion of sin(u)/u where |u| < 1e-6; one g gives the shape of
-    r, an array of g one column per g."""
-    u = outer(as_arg(r), g)
-    return g * piecewise(abs(u), (math.nextafter(1e-6, 0.0),), (_sinc_small, _sinc_direct), None)
+    """sin(g r)/r for g > 0 (even in r) as g sin(u)/u, u = g r; one g gives
+    the shape of r, an array of g one column per g."""
+    return g * _sinc(outer(as_arg(r), g))
 
 
 def _ball_modes(spec: BallSpec, gamma):
@@ -435,10 +428,12 @@ def ball_solution(
     laplace_dirichlet: data=T(theta) on the surface, point=(r, theta).
     """
     problem = BallProblem(problem)
+    if not (math.isfinite(t) or problem == BallProblem.SOURCES and t == math.inf):
+        raise ValueError(f"time must be finite (or inf for the steady sources), got {t!r}")
     big_r = spec.radius
     if problem in (BallProblem.COOLING, BallProblem.SOURCES):
         r = float(point)
-        if problem == BallProblem.SOURCES and math.isinf(t):
+        if t == math.inf:
             return _ball_steady_sources(spec, float(data), r, conductivity)
         lam, phi = _ball_modes(spec, np.array([_ball_gamma(spec, k) for k in range(1, n_modes + 1)]))
         cooling = problem == BallProblem.COOLING
@@ -559,6 +554,8 @@ def expand_series(
     points (Fourier-Bessel) or max(160, 2 n_terms) (Legendre).
     """
     if kind == "fourier_bessel":
+        if not 0.0 < radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {radius!r}")
         scale, phi = _bessel_family(radius, m, _j_zeros(m, n_terms))
 
         def coeffs(n):

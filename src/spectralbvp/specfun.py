@@ -637,14 +637,16 @@ def _legendre_p(n: int, x):
 
 def _legendre_columns(n_terms: int, x) -> np.ndarray:
     """P_0 .. P_{n_terms-1} at x (a float or an array on [-1, 1]), degrees
-    last: the recurrence of ``legendre`` kept at every degree."""
+    last: the steps of ``_raise_degree`` kept at every degree."""
     x = as_arg(x)
     if not inside(x, -1.0, 1.0):
         raise ValueError("P_n evaluated only on [-1, 1]")
-    cols = [full(x, 1.0), x][:n_terms]
-    for k in range(1, n_terms - 1):
-        cols.append(((2 * k + 1) * x * cols[k] - k * cols[k - 1]) / (k + 1))
-    return np.stack(cols, axis=-1)
+    pk, pk1 = full(x, 1.0), 0.0
+    cols = [pk]
+    for a, b, c in _legendre_table(0, n_terms - 1)[1]:
+        pk1, pk = pk, (a * x * pk - b * pk1) / c
+        cols.append(pk)
+    return np.stack(cols[:n_terms], axis=-1)
 
 
 def legendre_norm2(n: int) -> float:
@@ -693,14 +695,25 @@ def assoc_legendre_norm2(n: int, m: int) -> float:
 # Integral sine
 # ----------------------------------------------------------------------
 
-def _sinc(t: float) -> float:
-    if abs(t) < 1e-8:
-        return 1.0 - t * t / 6.0
-    return math.sin(t) / t
+def _sinc_small(u, f, _):
+    return 1.0 - u * u / 6.0
+
+
+def _sinc_direct(u, f, _):
+    return f.sin(u) / u
+
+
+def _sinc(u):
+    """sin(u)/u for a float or an array, from its Taylor expansion where
+    |u| < 1e-6."""
+    return piecewise(abs(u), (math.nextafter(1e-6, 0.0),), (_sinc_small, _sinc_direct), None)
 
 
 def integral_sine(x: float) -> float:
-    """Si(x) = integral of sin(t)/t from 0 to x, for x >= 0."""
+    """Si(x) = integral of sin(t)/t from 0 to x, for finite x >= 0."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"integral_sine needs a finite x, got {x!r}")
     if x < 0.0:
         raise ValueError("integral_sine defined for x >= 0")
     if x == 0.0:

@@ -109,8 +109,6 @@ class SLProblem:
         self._p = sample(p, xs)
         self._q = sample(q, xs)
         self._rho = sample(rho, xs)
-        if not all(np.isfinite(v).all() for v in (self._p, self._q, self._rho)):
-            raise ValueError("coefficient samples must be finite")
         if self._p.min() <= 0.0 or self._rho.min() <= 0.0 or self._q.min() < 0.0:
             raise ValueError("need p > 0, rho > 0, q >= 0 on the sampling grid")
         self._bounds = {
@@ -170,17 +168,27 @@ class ThetaSolution:
     values: np.ndarray
     derivs: np.ndarray
 
-    def __call__(self, x):
-        return self._eval(np.asarray(x, dtype=float), self.values, self.derivs)
-
-    def derivative(self, x):
-        # Hermite derivative of the value interpolant.
+    def _cell(self, x):
+        """Step length h, offset s in [0, 1] of x in its step, and the node
+        values y0, y1 and derivatives d0, d1 at the step's ends."""
         x = np.asarray(x, dtype=float)
         h = self.problem.h_step
         idx = np.clip((x / h).astype(int), 0, self.problem.n - 1)
         s = (x - idx * h) / h
-        y0, y1 = self.values[idx], self.values[idx + 1]
-        d0, d1 = self.derivs[idx], self.derivs[idx + 1]
+        return h, s, self.values[idx], self.values[idx + 1], self.derivs[idx], self.derivs[idx + 1]
+
+    def __call__(self, x):
+        h, s, y0, y1, d0, d1 = self._cell(x)
+        h00 = 1.0 + s * s * (2.0 * s - 3.0)
+        h10 = s * (1.0 + s * (s - 2.0))
+        h01 = s * s * (3.0 - 2.0 * s)
+        h11 = s * s * (s - 1.0)
+        y = h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
+        return y if y.shape else float(y)
+
+    def derivative(self, x):
+        # Hermite derivative of the value interpolant.
+        h, s, y0, y1, d0, d1 = self._cell(x)
         dy = (
             (6.0 * s * s - 6.0 * s) * y0
             + (-6.0 * s * s + 6.0 * s) * y1
@@ -188,19 +196,6 @@ class ThetaSolution:
             + h * (3.0 * s * s - 2.0 * s) * d1
         ) / h
         return dy if dy.shape else float(dy)
-
-    def _eval(self, x, vals, ders):
-        h = self.problem.h_step
-        idx = np.clip((x / h).astype(int), 0, self.problem.n - 1)
-        s = (x - idx * h) / h
-        y0, y1 = vals[idx], vals[idx + 1]
-        d0, d1 = ders[idx], ders[idx + 1]
-        h00 = 1.0 + s * s * (2.0 * s - 3.0)
-        h10 = s * (1.0 + s * (s - 2.0))
-        h01 = s * s * (3.0 - 2.0 * s)
-        h11 = s * s * (s - 1.0)
-        y = h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
-        return y if y.shape else float(y)
 
     @property
     def end_value(self) -> float:
@@ -371,14 +366,7 @@ def _node_values(problem: SLProblem, lam: float, a: float, b: float, level: int)
     return np.concatenate([[a], theta[0]]), np.concatenate([[w0], w[0]])
 
 
-def _rk4_integrate(problem: SLProblem, lam: float, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 on theta' = w/p, w' = (q - lam*rho) theta, as products
-    of the step matrices, at every node."""
-    theta, w = _node_values(problem, lam, a, b, 0)
-    return theta, w / problem._p[::2]
-
-
-def _picard_integrate(problem: SLProblem, lam: float, a: float, b: float, tol: float = 1e-12):
+def _picard_integrate(problem: SLProblem, lam: float, a: float, b: float):
     """Successive approximations on the Volterra form of the initial-value
     problem; converges for every lambda by the factorial bound on iterates."""
     xs = problem.grid
@@ -396,7 +384,7 @@ def _picard_integrate(problem: SLProblem, lam: float, a: float, b: float, tol: f
         f_new = f0 + big_p * i1 - i2
         delta = float(np.max(np.abs(f_new - f)))
         f = f_new
-        if delta < tol:
+        if delta < 1e-12:
             break
     # derivative from the integrated flux: p f' = p(0) b + int_0^x g f
     derivs = (problem._p[0] * b + cumulative_simpson(g * f, h)) / p
@@ -423,7 +411,9 @@ def solve_theta(
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
     if method == "rk4":
-        vals, ders = _rk4_integrate(problem, lam, a, b)
+        # fixed-step RK4 as products of the step matrices, at every node
+        vals, w = _node_values(problem, lam, a, b, 0)
+        ders = w / problem._p[::2]
     elif method == "picard":
         vals, ders = _picard_integrate(problem, lam, a, b)
     else:
@@ -581,10 +571,14 @@ class EigenBasis:
         return composite_simpson(rho * fv * xn, self.problem.h_step)
 
 
-def _expand_bracket(fn, lo, hi, max_expand=6):
+# Widenings of an eigenvalue bracket by its width on both sides before BracketingError.
+_MAX_EXPANSIONS = 6
+
+
+def _expand_bracket(fn, lo, hi):
     flo, fhi = fn(lo), fn(hi)
     width = hi - lo
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPANSIONS):
         if flo * fhi <= 0.0:
             return lo, hi
         lo -= width

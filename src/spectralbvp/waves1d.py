@@ -69,8 +69,8 @@ def dalembert(
 ) -> float:
     """Displacement of the infinite string from initial shape u0 and initial
     velocity v0: (u0(x+at) + u0(x-at))/2 + (1/2a) int_{x-at}^{x+at} v0."""
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
+    if not (math.isfinite(x) and 0.0 <= t < math.inf):
+        raise ValueError(f"need finite x and finite t >= 0, got x = {x!r}, t = {t!r}")
     val = 0.5 * (u0(x + a * t) + u0(x - a * t))
     if v0 is not None and t > 0.0:
         # well inside the documented bound of 1e-9 (1 + |t|)
@@ -121,8 +121,8 @@ def halfline_eval(
     Uses the closed reflection formulas; identical to composing ``dalembert``
     with the corresponding parity extension of the data.
     """
-    if x < 0.0 or t < 0.0:
-        raise ValueError("need x >= 0 and t >= 0")
+    if not (0.0 <= x < math.inf and 0.0 <= t < math.inf):
+        raise ValueError(f"need finite x >= 0 and finite t >= 0, got x = {x!r}, t = {t!r}")
     s = x - a * t
     r = x + a * t
     tol = 1e-13 * (1.0 + a * t)
@@ -148,8 +148,8 @@ def duhamel_forced(f: Callable[[float, float], float], a: float, x: float, t: fl
     The characteristic triangle is mapped to a square before tensorized
     quadrature, so the integrand kinks are axis-aligned.
     """
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
+    if not (math.isfinite(x) and 0.0 <= t < math.inf):
+        raise ValueError(f"need finite x and finite t >= 0, got x = {x!r}, t = {t!r}")
     if t == 0.0:
         return 0.0
 
@@ -376,6 +376,8 @@ def freq_green_string(
     """
     left, right = bc
     l, a, eta, rho = medium.l, medium.a, medium.eta, medium.rho
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega!r}")
     if not (0.0 <= x <= l and 0.0 <= xp <= l):
         raise ValueError("evaluation points must lie in [0, l]")
     if eta == 0.0:

@@ -69,8 +69,12 @@ class CountingFunction:
     """
 
     def __init__(self, domain: Domain, bc: WallBC | str, a: float, lambda_max: float = math.inf):
-        if a <= 0.0:
-            raise ValueError("speed must be positive")
+        if not all(0.0 < s < math.inf for s in domain.sides):
+            raise ValueError(f"domain sides must be positive and finite, got {domain.sides!r}")
+        if not 0.0 < a < math.inf:
+            raise ValueError(f"speed a must be positive and finite, got {a!r}")
+        if math.isnan(lambda_max):
+            raise ValueError("lambda_max must not be NaN")
         self.domain = domain
         self.bc = WallBC(bc)
         self.a = float(a)
@@ -79,6 +83,8 @@ class CountingFunction:
         self._pref = math.pi**2 * self.a**2
 
     def count(self, lam: float) -> int:
+        if not math.isfinite(lam):
+            raise ValueError(f"lam must be finite, got {lam!r}")
         if lam > self.lambda_max:
             raise ValueError(f"count requested above lambda_max = {self.lambda_max}")
         if lam <= 0.0:
@@ -114,6 +120,8 @@ class CountingFunction:
         relative are one eigenvalue (listed at the smallest of them): index
         sums of a degenerate eigenvalue, accumulated in different orders,
         differ in their last bits."""
+        if not math.isfinite(lam_max):
+            raise ValueError(f"lam_max must be finite, got {lam_max!r}")
         if lam_max > self.lambda_max:
             raise ValueError(f"enumeration requested above lambda_max = {self.lambda_max}")
         *leading, last = self.domain.sides

@@ -170,3 +170,11 @@ def test_buckling_unsupported_pair():
 def test_buckling_rejects_non_finite_input(e_mod, j_mom, l):
     with pytest.raises(ValueError, match="finite"):
         buckling_critical("clamped_clamped", e_mod, j_mom, l)
+
+
+def test_beam_response_refuses_nonfinite_time():
+    spec = beam_spectrum("clamped_clamped", 3, c=2.0, l=1.0)
+    u0 = lambda x: beam_mode("clamped_clamped", 1, x)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="time must be finite"):
+            beam_response(spec, u0, None, 3, 0.3, bad)

@@ -480,3 +480,39 @@ def test_constructors_reject_non_finite_input(make):
 
 def test_wave_medium_keeps_the_infinite_line():
     assert WaveMedium(a=1.0).l == math.inf
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+def test_fourier_bessel_refuses_a_bad_radius(radius):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        expand_series("fourier_bessel", lambda r: 1.0 - r * r, 3, radius=radius)
+
+
+@pytest.mark.parametrize("kind", ["fourier_bessel", "legendre"])
+def test_expansions_refuse_nonfinite_data(kind):
+    with pytest.raises(ValueError, match="not finite at x = "):
+        expand_series(kind, lambda x: math.nan, 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_heat_and_membrane_solutions_refuse_nonfinite_time(bad):
+    spec = BallSpec(radius=1.0, bc=BallBC.ROBIN, h=2.0)
+    calls = [
+        lambda: cylinder_cooling(1.0, 2.0, 1.0, lambda r: 1.0, 3, 2, (0.3, 0.1), bad),
+        lambda: cylinder_cooling(1.0, 2.0, 1.0, lambda r, z: 1.0, 3, 2, (0.3, 0.1), bad),
+        lambda: ball_solution(spec, "cooling", lambda r: 1.0, 3, 0.4, bad),
+        lambda: ball_solution(BallSpec(radius=1.0), "axisym_cooling", lambda r, th: 1.0, 2, (0.4, 0.3), bad),
+        lambda: disk_axisym_solution(DiskMembrane(radius=1.0), lambda r: 1.0 - r * r, None, 3, 0.3, bad),
+    ]
+    if bad != math.inf:
+        calls.append(lambda: ball_solution(spec, "sources", 1.0, 3, 0.4, bad))
+    for call in calls:
+        with pytest.raises(ValueError, match="time must be finite"):
+            call()
+
+
+def test_ball_sources_keep_the_steady_state_at_infinite_time():
+    spec = BallSpec(radius=1.0, bc=BallBC.ROBIN, h=2.0)
+    steady = ball_solution(spec, "sources", 1.0, 3, 0.4, math.inf)
+    assert steady == pytest.approx(1.0 / 6.0 + (1.0 - 0.16) / 6.0, rel=1e-15)
+    assert ball_solution(spec, "sources", 1.0, 3, 0.4) == 0.0

@@ -339,3 +339,14 @@ def test_gauss_ladder_stops_on_data_orthogonal_to_every_mode(monkeypatch):
     assert sum(samples) == 16 * 12 + 32 * 24
     assert estimates[0] <= 1e-12
     assert abs(value) <= 1e-15
+
+
+def test_sample_names_the_first_nonfinite_point():
+    xs, ys = np.array([0.0, 0.5, 1.0, 1.5]), np.array([1.0, 2.0])
+    for f in (lambda x: np.where(x >= 1.0, np.nan, x), lambda x: math.inf if x >= 1.0 else x):
+        with pytest.raises(ValueError, match=r"sampled function is not finite at x = 1\.0$"):
+            sample(f, xs)
+    with pytest.raises(ValueError, match=r"not finite at x = \(0\.5, 2\.0\)$"):
+        sample(lambda x, y: np.where((x == 0.5) & (y == 2.0), -np.inf, x), xs, ys)
+    with pytest.raises(ValueError, match="not finite"):
+        fixed_gauss(lambda x: math.nan, 0.0, 1.0)

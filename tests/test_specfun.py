@@ -2,7 +2,9 @@
 orthogonality identities, and the zero tables."""
 
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 import warnings
@@ -322,6 +324,50 @@ def test_integral_sine_monotone_to_first_max():
     gmax = specfun.integral_sine(math.pi)
     for x in (1.0, 2.0, 4.0, 2 * math.pi, 3 * math.pi, 20.0, 60.0):
         assert specfun.integral_sine(x) <= gmax + 1e-12
+
+
+def test_integral_sine_takes_ints_and_refuses_nan():
+    assert specfun.integral_sine(1) == specfun.integral_sine(1.0)
+    with pytest.raises(ValueError, match="finite x"):
+        specfun.integral_sine(math.nan)
+
+
+def test_integral_sine_refuses_inf_in_time():
+    """Without a guard the lobe loop never reaches x = inf, so the call runs
+    in a subprocess with a timeout."""
+    code = (
+        "from spectralbvp.specfun import integral_sine\n"
+        "try:\n    integral_sine(float('inf'))\nexcept ValueError as e:\n    print('ValueError', e)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.startswith("ValueError integral_sine needs a finite x"), proc.stdout + proc.stderr
+
+
+def bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def test_sinc_kernel_same_bits_for_a_float_and_an_array():
+    """One sin(u)/u for the integral sine and the ball's radial modes: the
+    Taylor form 1 - u^2/6 below |u| = 1e-6, sin(u)/u from there on."""
+    edge = math.nextafter(1e-6, 0.0)
+    for u in (0.0, 1e-9, 5e-7, edge, 1e-6, 2e-6, 0.3, -0.3, 55.5):
+        one = specfun._sinc(u)
+        assert type(one) is float
+        assert bits(specfun._sinc(np.array([u]))) == bits([one])
+        want = 1.0 - u * u / 6.0 if abs(u) < 1e-6 else math.sin(u) / u
+        assert bits(one) == bits(want), u
+
+
+def test_legendre_columns_are_legendre_bit_for_bit():
+    xs = np.linspace(-1.0, 1.0, 41)
+    cols = specfun._legendre_columns(200, xs)
+    for n in range(200):
+        assert bits(cols[:, n]) == bits(specfun.legendre("P", n, xs)), n
+        assert bits(specfun._legendre_columns(n + 1, xs)[..., n]) == bits(cols[:, n]), n
+        for x in (-1.0, -0.37, 0.0, 0.5, 1.0):
+            assert bits(specfun._legendre_columns(n + 1, x)[..., n]) == bits(specfun.legendre("P", n, x)), (n, x)
 
 
 def test_bessel_j_eval_bound():

@@ -67,6 +67,32 @@ def test_theta_closed_form_sine():
         assert sol.derivative(x) == pytest.approx(math.cos(math.pi * x), abs=1e-10)
 
 
+def test_theta_solution_is_the_cubic_hermite_interpolant():
+    """Between nodes x_i and x_i + h, with s = (x - x_i)/h, the value is
+    y0 (2s^3 - 3s^2 + 1) + h d0 (s^3 - 2s^2 + s) + y1 (3s^2 - 2s^3) + h d1 (s^3 - s^2),
+    and the derivative that polynomial's derivative in x."""
+    prob = dirichlet_problem(l=2.0, grid=16)
+    rng = np.random.default_rng(7)
+    vals, ders = rng.normal(size=17), rng.normal(size=17)
+    sol = sturm.ThetaSolution(problem=prob, lam=0.0, values=vals, derivs=ders)
+    h = prob.h_step
+    xs = np.concatenate([rng.uniform(0.0, 2.0, 40), prob.grid])
+    got, dgot = sol(xs), sol.derivative(xs)
+    for k, x in enumerate(xs.tolist()):
+        i = min(int(x / h), 15)
+        s = (x - i * h) / h
+        y0, y1, d0, d1 = vals[i], vals[i + 1], ders[i], ders[i + 1]
+        want = y0 * (2 * s**3 - 3 * s**2 + 1) + h * d0 * (s**3 - 2 * s**2 + s) + y1 * (3 * s**2 - 2 * s**3) \
+            + h * d1 * (s**3 - s**2)
+        dwant = (y0 * (6 * s**2 - 6 * s) + h * d0 * (3 * s**2 - 4 * s + 1) + y1 * (6 * s - 6 * s**2)
+                 + h * d1 * (3 * s**2 - 2 * s)) / h
+        assert got[k] == pytest.approx(want, rel=1e-13, abs=1e-13)
+        assert dgot[k] == pytest.approx(dwant, rel=1e-13, abs=1e-13)
+        assert sol(x) == got[k] and sol.derivative(x) == dgot[k]
+        assert type(sol(x)) is float and type(sol.derivative(x)) is float
+    assert np.array_equal(sol(prob.grid), vals) and np.array_equal(sol.derivative(prob.grid), ders)
+
+
 def test_theta_lambda_zero_is_linear():
     prob = dirichlet_problem()
     sol = solve_theta(prob, 0.0, 2.0, 3.0)
@@ -683,6 +709,18 @@ def test_rayleigh_zero_denominator():
     prob = dirichlet_problem(grid=256)
     with pytest.raises(ValueError):
         rayleigh_quotient(prob, lambda x: 0.0, lambda x: 0.0)
+
+
+def test_nonfinite_data_is_refused_by_every_projection():
+    prob = dirichlet_problem(grid=256)
+    basis = eigen_solve(prob, 2)
+    bad = lambda x: math.nan if x > 0.5 else x
+    with pytest.raises(ValueError, match="not finite at x = 0.50390625"):
+        basis.coefficient(bad, 1)
+    with pytest.raises(ValueError, match="not finite"):
+        rayleigh_quotient(prob, bad, lambda x: 1.0)
+    with pytest.raises(ValueError, match="not finite"):
+        rayleigh_quotient(prob, lambda x: x * (1 - x), lambda x: math.inf)
 
 
 def test_characteristic_matches_dimensionless_closed_form():

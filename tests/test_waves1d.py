@@ -425,3 +425,52 @@ def test_freq_green_elastic_closed_form():
     want = u_l * u_r / (med.rho * med.a**2 * m_char)
     got = freq_green_string(med, bc, omega, x, xp)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_closed_forms_refuse_nonfinite_arguments(bad):
+    one = lambda x: 1.0
+    calls = [
+        lambda x, t: dalembert(one, one, 1.0, x, t),
+        lambda x, t: halfline_eval(one, one, "fixed", 1.0, x, t),
+        lambda x, t: halfline_eval(one, one, "free", 1.0, x, t),
+        lambda x, t: duhamel_forced(lambda xx, tt: 1.0, 1.0, x, t),
+    ]
+    for call in calls:
+        for x, t in ((0.3, bad), (bad, 0.2)):
+            with pytest.raises(ValueError, match=r"t >= 0, got x = "):
+                call(x, t)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_modal_solutions_refuse_nonfinite_time(bad):
+    med = WaveMedium(a=1.0, l=1.0, eta=0.3)
+    u0 = lambda x: x * (1.0 - x)
+    sol = string_modes(WaveMedium(a=1.0, l=1.0), FIXED_ENDS, u0, None, 8)
+    damped = damped_modes(med, FIXED_ENDS, u0, None, 8)
+    calls = [
+        lambda t: sol(0.3, t),
+        lambda t: sol.velocity(0.3, t),
+        lambda t: sol.energy(t),
+        lambda t: sol.mode_energy(1, t),
+        lambda t: damped(0.3, t),
+        lambda t: time_green_string(med, FIXED_ENDS, 0.3, 0.6, t, 8),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="time must be (finite|>= 0)"):
+            call(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_freq_green_names_a_nonfinite_omega(bad):
+    for eta in (0.0, 0.2):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            freq_green_string(WaveMedium(a=1.0, l=1.0, eta=eta), FIXED_ENDS, bad, 0.3, 0.7)
+
+
+def test_modal_projection_refuses_nonfinite_data():
+    med = WaveMedium(a=1.0, l=1.0)
+    with pytest.raises(ValueError, match="not finite at x = "):
+        string_modes(med, FIXED_ENDS, lambda x: math.nan, None, 8)
+    with pytest.raises(ValueError, match="not finite at x = "):
+        string_modes(med, FIXED_ENDS, None, lambda x: math.inf if x > 0.5 else 0.0, 8)

@@ -2,6 +2,9 @@
 consistency and the electron-gas threshold."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -172,3 +175,36 @@ def test_fermi_consistency_with_counting():
     vol = 1.0
     filled = 2.0 * weyl_estimate(vol, 3, hbar / math.sqrt(2 * mu), ef)
     assert filled == pytest.approx(n * vol, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+def test_nonfinite_or_nonpositive_sizes_are_refused(bad):
+    for domain in (Domain.square(bad), Domain.rect(1.0, bad), Domain.cube(bad), Domain("square", (bad, 1.0))):
+        with pytest.raises(ValueError, match="domain sides"):
+            CountingFunction(domain, "dirichlet", 1.0)
+    with pytest.raises(ValueError, match="speed a"):
+        CountingFunction(Domain.square(1.0), "dirichlet", bad)
+
+
+def test_nan_arguments_are_refused():
+    cf = CountingFunction(Domain.square(1.0), "dirichlet", 1.0)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        cf.count(math.nan)
+    with pytest.raises(ValueError, match="lam_max must be finite"):
+        cf.eigenvalues(math.nan)
+    with pytest.raises(ValueError, match="lambda_max"):
+        CountingFunction(Domain.square(1.0), "dirichlet", 1.0, lambda_max=math.nan)
+
+
+@pytest.mark.parametrize("call", ["count(math.inf)", "eigenvalues(math.inf)"])
+def test_infinite_lambda_is_refused_not_walked(call):
+    """Without a guard the lattice walk up to lambda = inf never ends, so
+    the call runs in a subprocess with a timeout."""
+    code = (
+        "import math; from spectralbvp.weyl import CountingFunction, Domain\n"
+        "cf = CountingFunction(Domain.square(1.0), 'dirichlet', 1.0)\n"
+        f"try:\n    cf.{call}\nexcept ValueError as e:\n    print('ValueError', e)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.startswith("ValueError lam"), proc.stdout + proc.stderr
