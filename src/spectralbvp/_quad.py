@@ -147,7 +147,7 @@ def gauss_sum(values: np.ndarray, a: float, b: float) -> float:
     """Integral over [a, b] of a function given by its values at the nodes of
     ``gauss_rule(a, b, len(values))``."""
     _, w = gauss_legendre_nodes(len(values))
-    return 0.5 * (b - a) * float(np.dot(w, values))
+    return 0.5 * (b - a) * float(np.einsum("n,n->", w, values))
 
 
 def sample(f, *axes: np.ndarray) -> np.ndarray:

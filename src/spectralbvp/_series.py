@@ -16,13 +16,13 @@ __all__ = ["project", "summand_scale", "projected", "contract", "oscillator", "o
 def project(phi: np.ndarray, weights: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Phi(nodes)^T (w * data): the inner products with every mode, modes
     last; ``data`` is one value per node, or one row per data set."""
-    return (weights * data) @ phi
+    return np.einsum("...n,nm->...m", weights * data, phi)
 
 
 def summand_scale(phi: np.ndarray, weights: np.ndarray, data: np.ndarray) -> np.ndarray:
     """|Phi(nodes)|^T |w * data|: for each inner product ``project`` forms,
     the sum of its absolute summands, the scale of its rounding error."""
-    return np.abs(weights * data) @ np.abs(phi)
+    return np.einsum("...n,nm->...m", np.abs(weights * data), np.abs(phi))
 
 
 def projected(phi: np.ndarray, weights: np.ndarray, data: np.ndarray):
@@ -35,7 +35,7 @@ def projected(phi: np.ndarray, weights: np.ndarray, data: np.ndarray):
 
 def contract(phi: np.ndarray, amplitudes: np.ndarray):
     """sum_n amplitudes_n X_n at every point: a Python float for one point."""
-    val = phi @ amplitudes
+    val = np.einsum("...n,n->...", phi, amplitudes)
     return float(val) if val.ndim == 0 else val
 
 

@@ -10,7 +10,9 @@ array argument an array of its shape.
 
 This module holds the package's only ``import numpy``, inside ``np``: every
 other module reads numpy through ``from ._vec import np``, so importing the
-package, or a call on Python floats alone, loads no numpy.
+package, or a call on Python floats alone, loads no numpy.  It imports
+numpy alone, no submodule: no package path reads ``np.linalg``, and every
+product is an ``np.einsum`` with a fixed subscript, never BLAS.
 """
 
 from __future__ import annotations
@@ -25,13 +27,10 @@ __all__ = ["np", "is_array", "as_arg", "xp", "piecewise", "inside", "full", "whe
 
 def _import_numpy(name: str):
     import numpy
-    import numpy.linalg  # noqa: F401  (the one submodule the package reads)
 
     # Bind every name numpy defines and retire this hook: CPython specializes
     # attribute reads only on a module whose dict holds no __getattr__, so
-    # from here on np.X costs what it costs on a plain module.  A submodule
-    # that numpy loads on demand is bound only if it is imported by then, so
-    # the one the package reads, np.linalg, is imported above; a name read
+    # from here on np.X costs what it costs on a plain module.  A name read
     # now that numpy loads on demand is bound too.
     handle = vars(np)
     handle.update((k, v) for k, v in vars(numpy).items() if not k.startswith("__"))

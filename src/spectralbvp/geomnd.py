@@ -324,7 +324,7 @@ def cylinder_cooling(
             coef = np.multiply.outer(2.0 * math.sqrt(2.0 * height) / (math.pi * nn), radial)
             ax_here, ax_rate = axial._shapes(z + height / 2.0)[::2], np.array(axial.eigenvalues[::2])
     decay = np.exp(-np.add.outer(ax_rate, rad_rate) * a2 * t)
-    return contract(ax_here, (coef * decay) @ chi(r))
+    return contract(ax_here, np.einsum("kn,n->k", coef * decay, chi(r)))
 
 
 def _arity_two(f) -> bool:

@@ -93,8 +93,8 @@ def heat_kernel(geometry: str, medium: HeatMedium, h: float = 0.0) -> HeatKernel
 def gauss_kernel(s: float, a2: float, t: float) -> float:
     """Fundamental solution (4 pi a2 t)^{-1/2} exp(-s^2/(4 a2 t)); unit mass
     in s for every t > 0."""
-    if t <= 0.0:
-        raise ValueError("kernel defined for t > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"kernel defined for finite t > 0, got t = {t!r}")
     return math.exp(-s * s / (4.0 * a2 * t)) / math.sqrt(4.0 * math.pi * a2 * t)
 
 
@@ -122,8 +122,8 @@ def _heat_potential(kernel, lower, medium: HeatMedium, x: float, t: float, u0, s
     dx' dtau, times e^{-q t}, for the point response ``kernel(x', s)`` at x
     after time s.  The window after time s is [lower(w), x + w] with
     w = 8 sqrt(4 a2 s)."""
-    if t <= 0.0:
-        raise ValueError("evaluation requires t > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"evaluation requires finite t > 0, got t = {t!r}")
     a2 = medium.a2
     w = 8.0 * math.sqrt(4.0 * a2 * t)
     val = adaptive_simpson(lambda xp: kernel(xp, t) * u0(xp), lower(w), x + w, tol=1e-11)
@@ -159,8 +159,8 @@ def heat_halfline_kernel(
     (method="closed") or by direct quadrature (method="quad") as an
     independent cross-check of the branch handling.
     """
-    if t <= 0.0:
-        raise ValueError("kernel defined for t > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"kernel defined for finite t > 0, got t = {t!r}")
     if x < 0.0 or xp < 0.0:
         raise ValueError("half-line kernel needs x, x' >= 0")
     if h < 0.0:

@@ -345,15 +345,15 @@ def _transfer(problem: SLProblem, lams: np.ndarray, level: int, a, w0, nodes: bo
     of _BLOCK_LEVELS that admits every lambda of the batch): at the right
     end, shape (batch,), or with nodes=True at the end of every factor, shape
     (batch, factors).  Each factor's matrix polynomial, cut to the degrees
-    the batch's largest |lambda| needs, is evaluated by one matrix product
-    with the powers of lambda, and the factors are multiplied out by tree or
+    the batch's largest |lambda| needs, is evaluated by one ``einsum`` with
+    the powers of lambda, and the factors are multiplied out by tree or
     prefix products."""
     coeffs, unit, cuts = problem._coeffs[level]
     z = lams / unit
     if cuts:
         coeffs = coeffs[: 2 + bisect_left(cuts, float(np.abs(z).max()))]
     powers = np.vander(z, len(coeffs), increasing=True)
-    m = (powers @ coeffs).reshape(len(lams), 2, 2, -1).transpose(1, 2, 0, 3)
+    m = np.einsum("bd,dk->bk", powers, coeffs).reshape(len(lams), 2, 2, -1).transpose(1, 2, 0, 3)
     t = _node_transfers(m) if nodes else _end_transfer(m)
     return t[0, 0] * a + t[0, 1] * w0, t[1, 0] * a + t[1, 1] * w0
 

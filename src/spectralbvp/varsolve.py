@@ -8,13 +8,13 @@ finite-difference residual check of the Euler-Lagrange equation.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import Callable, Sequence
 
 from ._quad import adaptive_simpson
 from ._record import dataclass
 from ._rootfind import refine_root
-from ._vec import np
 
 __all__ = [
     "TranscendentalKind",
@@ -258,10 +258,12 @@ class GeodesicCurve:
     plane: tuple[float, float] | None = None  # sphere: z = A x + B y
 
 
-def _sphere_xyz(radius: float, theta: float, phi: float) -> np.ndarray:
-    return radius * np.array(
-        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-    )
+def _sphere_xyz(theta: float, phi: float) -> tuple[float, float, float]:
+    return (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+
+
+def _cross(u, v) -> tuple[float, float, float]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 def geodesic(surface: str, p1, p2, radius: float = 1.0, cone_slope: float = 1.0) -> GeodesicCurve:
@@ -278,11 +280,11 @@ def geodesic(surface: str, p1, p2, radius: float = 1.0, cone_slope: float = 1.0)
     if surface == "sphere":
         th1, ph1 = p1
         th2, ph2 = p2
-        v1 = _sphere_xyz(1.0, th1, ph1)
-        v2 = _sphere_xyz(1.0, th2, ph2)
-        cosang = float(np.clip(np.dot(v1, v2), -1.0, 1.0))
-        normal = np.cross(v1, v2)
-        nn = float(np.linalg.norm(normal))
+        v1 = _sphere_xyz(th1, ph1)
+        v2 = _sphere_xyz(th2, ph2)
+        cosang = min(max(v1[0] * v2[0] + v1[1] * v2[1] + v1[2] * v2[2], -1.0), 1.0)
+        normal = _cross(v1, v2)
+        nn = math.hypot(*normal)
         if nn < 1e-12:
             if cosang > 0.0:
                 raise ValueError("coincident endpoints do not select a geodesic")
@@ -290,15 +292,15 @@ def geodesic(surface: str, p1, p2, radius: float = 1.0, cone_slope: float = 1.0)
         angle = math.acos(cosang)
         # orthonormal frame in the cutting plane
         e1 = v1
-        e2 = np.cross(normal / nn, v1)
+        e2 = _cross([c / nn for c in normal], v1)
         plane = None
         branch = "meridian" if abs(normal[2]) < 1e-12 else "great_circle"
         if abs(normal[2]) >= 1e-12:
             plane = (-normal[0] / normal[2], -normal[1] / normal[2])
 
         def point(s: float, e1=e1, e2=e2, angle=angle, radius=radius):
-            c = radius * (math.cos(s * angle) * e1 + math.sin(s * angle) * e2)
-            return (float(c[0]), float(c[1]), float(c[2]))
+            c, sn = math.cos(s * angle), math.sin(s * angle)
+            return tuple(radius * (c * u + sn * v) for u, v in zip(e1, e2))
 
         return GeodesicCurve("sphere", point, radius * angle, branch, plane)
     if surface == "cylinder":
@@ -381,7 +383,7 @@ def el_residual(
     if not grid:
         raise ValueError("empty grid")
     if yprime is None:
-        hy = (np.finfo(float).eps) ** (1.0 / 3.0)
+        hy = sys.float_info.epsilon ** (1.0 / 3.0)
 
         def yprime_(x: float) -> float:
             return (y(x + hy) - y(x - hy)) / (2.0 * hy)
@@ -394,7 +396,7 @@ def el_residual(
     def f_yp(x: float, yy: float, yp: float, d: float) -> float:
         return (integrand(x, yy, yp + d) - integrand(x, yy, yp - d)) / (2.0 * d)
 
-    eps = float(np.finfo(float).eps)
+    eps = sys.float_info.epsilon
     worst = 0.0
     for x in grid:
         yy = y(x)

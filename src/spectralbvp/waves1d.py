@@ -54,6 +54,11 @@ class WaveMedium:
             raise ValueError("need finite a > 0, rho > 0, eta >= 0, and l > 0 (inf for the line)")
 
 
+def _check_speed(a: float) -> None:
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"need finite wave speed a > 0, got a = {a!r}")
+
+
 def _sign(x: float) -> float:
     """Sign with sign(0) = 0, so values on a characteristic line through a
     data discontinuity come out as the average of the one-sided limits."""
@@ -71,6 +76,7 @@ def dalembert(
     velocity v0: (u0(x+at) + u0(x-at))/2 + (1/2a) int_{x-at}^{x+at} v0."""
     if not (math.isfinite(x) and 0.0 <= t < math.inf):
         raise ValueError(f"need finite x and finite t >= 0, got x = {x!r}, t = {t!r}")
+    _check_speed(a)
     val = 0.5 * (u0(x + a * t) + u0(x - a * t))
     if v0 is not None and t > 0.0:
         # well inside the documented bound of 1e-9 (1 + |t|)
@@ -123,6 +129,7 @@ def halfline_eval(
     """
     if not (0.0 <= x < math.inf and 0.0 <= t < math.inf):
         raise ValueError(f"need finite x >= 0 and finite t >= 0, got x = {x!r}, t = {t!r}")
+    _check_speed(a)
     s = x - a * t
     r = x + a * t
     tol = 1e-13 * (1.0 + a * t)
@@ -150,6 +157,7 @@ def duhamel_forced(f: Callable[[float, float], float], a: float, x: float, t: fl
     """
     if not (math.isfinite(x) and 0.0 <= t < math.inf):
         raise ValueError(f"need finite x and finite t >= 0, got x = {x!r}, t = {t!r}")
+    _check_speed(a)
     if t == 0.0:
         return 0.0
 
@@ -324,19 +332,18 @@ def gibbs_partial_sum(d: float, l: float, n_terms: int, x: float, kind: str = "d
     sigma_N = (S_0 + ... + S_{N-1})/N.  S_N converges to d(1 - x/l) inside
     (0, l] and overshoots by the factor 2G/pi ~ 1.18 near the jump at 0,
     where G is the maximum of the integral sine; the averaged sums converge
-    to the midpoint of the one-sided limits at the jump instead.
+    to the midpoint of the one-sided limits at the jump instead.  The sum
+    of the rounded terms is correctly rounded (``math.fsum``).
     """
     if n_terms < 1:
         raise ValueError("need at least one term")
-    ks = np.arange(1, n_terms + 1)
-    terms = np.sin(math.pi * ks * x / l) / ks
-    if kind == "dirichlet":
-        weights = np.ones_like(terms)
-    elif kind == "fejer":
-        weights = 1.0 - ks / n_terms
-    else:
+    if kind not in ("dirichlet", "fejer"):
         raise ValueError("kind must be 'dirichlet' or 'fejer'")
-    return float(2.0 * d / math.pi * np.dot(weights, terms))
+    fejer = kind == "fejer"
+    terms = (
+        (1.0 - k / n_terms if fejer else 1.0) * (math.sin(math.pi * k * x / l) / k) for k in range(1, n_terms + 1)
+    )
+    return 2.0 * d / math.pi * math.fsum(terms)
 
 
 # ----------------------------------------------------------------------

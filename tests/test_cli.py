@@ -299,7 +299,7 @@ KIND_SOLVERS = {
 SOLVERS = set().union(*KIND_SOLVERS.values())
 # The kinds whose solvers work on arrays; every other kind runs on floats
 # alone and never imports numpy.
-NUMPY_KINDS = {"gibbs.scan", "heat.interval"}
+NUMPY_KINDS = {"heat.interval"}
 # Standard-library modules no CLI call imports: the records are built by
 # _record, not dataclasses, and only numpy (numpy._core.overrides) loads inspect.
 STDLIB_HEAVY = {"dataclasses", "inspect"}

@@ -218,6 +218,22 @@ def test_non_finite_time_is_rejected(t):
         sol(0.5, t)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0, 0.0])
+def test_line_and_halfline_name_a_bad_time(t):
+    one = lambda x: 1.0
+    calls = [
+        lambda: gauss_kernel(0.3, 1.0, t),
+        lambda: heat_halfline_kernel(0.0, MED, 0.3, 0.2, t),
+        lambda: heat_halfline_kernel(1.5, MED, 0.3, 0.2, t),
+        lambda: heat_line_eval(one, MED, 0.3, t),
+        lambda: heat_halfline_eval(one, 0.0, MED, 0.3, t),
+        lambda: heat_halfline_eval(one, math.inf, MED, 0.3, t, source=lambda x, tau: 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"finite t > 0, got t = "):
+            call()
+
+
 def test_forced_interval_steady_state():
     # constant source with clamped ends relaxes to the parabolic profile
     # u(x) = f0 x(l-x)/(2 a2)

@@ -146,3 +146,32 @@ def test_first_array_call_binds_numpy_and_retires_the_hook():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [True, False, True, "AttributeError", "ndarray"]
+
+
+# Every public varsolve function and the sawtooth partial sums, on floats.
+SCALAR_ONLY_MODULES = """
+import math, sys
+from spectralbvp.varsolve import (
+    brachistochrone_fit, brachistochrone_to_vertical, catenoid_alpha_star, el_residual, geodesic,
+    solve_transcendental,
+)
+from spectralbvp.waves1d import gibbs_partial_sum
+
+catenoid_alpha_star()
+for kind in ("cosh_eq", "sinh_eq", "arcsin_eq"):
+    solve_transcendental(kind, 1.2)
+brachistochrone_fit(2.0, 1.0)
+brachistochrone_to_vertical(2.0)
+for surface, p1, p2 in (("sphere", (0.4, 1.1), (1.3, 2.0)), ("cylinder", (0.2, 1.0), (1.2, 2.0)), ("cone", (0.2, 1.0), (1.5, 2.0))):
+    geodesic(surface, p1, p2).point(0.3)
+el_residual(lambda x, y, yp: math.sqrt(1.0 + yp * yp), lambda x: 2.0 * x, [0.1, 0.5])
+gibbs_partial_sum(1.0, 1.0, 512, 0.01)
+gibbs_partial_sum(1.0, 1.0, 512, 0.01, kind="fejer")
+print("numpy" in sys.modules)
+"""
+
+
+def test_varsolve_and_partial_sums_load_no_numpy():
+    proc = subprocess.run([sys.executable, "-c", SCALAR_ONLY_MODULES], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"

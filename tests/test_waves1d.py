@@ -314,6 +314,20 @@ def test_fejer_euthanizes_overshoot():
     assert abs(got - d * (1 - x / l)) <= 0.01 * d
 
 
+@pytest.mark.parametrize("kind", ["dirichlet", "fejer"])
+@pytest.mark.parametrize("n", [128, 256, 512])
+def test_partial_sum_is_the_correctly_rounded_sum_of_its_terms(kind, n):
+    """The value does not depend on a summation order: it is (2d/pi) times
+    the correctly rounded sum of the rounded terms w_k (sin(pi k x/l)/k)."""
+    d, l = 1.3, 2.0
+    x = l / (n + 0.5)
+    weights = [1.0 - k / n if kind == "fejer" else 1.0 for k in range(1, n + 1)]
+    terms = [w * (math.sin(math.pi * k * x / l) / k) for k, w in zip(range(1, n + 1), weights)]
+    got = gibbs_partial_sum(d, l, n, x, kind=kind)
+    assert type(got) is float
+    assert got == 2.0 * d / math.pi * math.fsum(terms)
+
+
 # ----------------------------------------------------------------------
 # Response kernels
 # ----------------------------------------------------------------------
@@ -440,6 +454,21 @@ def test_closed_forms_refuse_nonfinite_arguments(bad):
         for x, t in ((0.3, bad), (bad, 0.2)):
             with pytest.raises(ValueError, match=r"t >= 0, got x = "):
                 call(x, t)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -2.0, 0.0])
+def test_closed_forms_refuse_a_bad_wave_speed(a):
+    one = lambda x: 1.0
+    calls = [
+        lambda: dalembert(one, None, a, 0.3, 1.0),
+        lambda: dalembert(one, one, a, 0.3, 1.0),
+        lambda: halfline_eval(one, None, "free", a, 0.3, 1.0),
+        lambda: halfline_eval(one, one, "fixed", a, 0.3, 1.0),
+        lambda: duhamel_forced(lambda xx, tt: 1.0, a, 0.3, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"wave speed a > 0, got a = "):
+            call()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
