@@ -71,7 +71,9 @@ def xp(x):
 # Up to this many elements a kernel costs less run on each element as a
 # float than once on the array, whose numpy calls have a fixed cost each
 # (timed on a 2-vCPU x86 VM, the Bessel kernels break even at about 20
-# elements for the Hankel kernel and 30 for the downward sweep).
+# elements for the Hankel kernel and 30 for the downward sweep).  It is a
+# speed choice only: an element gets the same bits either way, except where
+# a kernel calls numpy's exp or log, which may round apart from math's.
 _FEW = 16
 
 

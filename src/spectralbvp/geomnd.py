@@ -95,12 +95,13 @@ def rect_membrane_modes(spec: RectMembrane, m: int, n: int):
     return lam, (lambda x, y: fx(x) * fy(y))
 
 
-def rect_degeneracies(spec: RectMembrane, m: int, n: int, search_limit: int = 400) -> list[tuple[int, int]]:
+def rect_degeneracies(spec: RectMembrane, m: int, n: int) -> list[tuple[int, int]]:
     """Index pairs (m', n') != (m, n) sharing the eigenvalue of (m, n).
 
     For fixed edges lambda ~ m^2/l1^2 + n^2/l2^2; when (l2/l1)^2 is rational
     the comparison is done in exact rational arithmetic, otherwise within a
-    1e-12 relative floating guard.
+    1e-12 relative floating guard.  Every m' with m'^2 l2^2/l1^2 <
+    m^2 l2^2/l1^2 + n^2, which leaves room for some n' >= 1, is searched.
     """
     # imported here: fractions pulls in decimal, a few ms of start-up that
     # no other function needs
@@ -114,7 +115,7 @@ def rect_degeneracies(spec: RectMembrane, m: int, n: int, search_limit: int = 40
     out: list[tuple[int, int]] = []
     if exact:
         target = Fraction(m * m) * frac + Fraction(n * n)
-        for mp in range(1, search_limit + 1):
+        for mp in range(1, math.isqrt(math.floor(target / frac)) + 1):
             rest = target - Fraction(mp * mp) * frac
             if rest <= 0:
                 continue
@@ -126,7 +127,7 @@ def rect_degeneracies(spec: RectMembrane, m: int, n: int, search_limit: int = 40
                     out.append(cand)
     else:
         lam = m * m / spec.l1**2 + n * n / spec.l2**2
-        for mp in range(1, search_limit + 1):
+        for mp in range(1, math.floor(spec.l1 * math.sqrt(lam)) + 1):
             rest = lam - mp * mp / spec.l1**2
             if rest <= 0:
                 continue

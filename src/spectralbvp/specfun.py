@@ -106,10 +106,11 @@ class _Order:
     ``_upward`` reads them.  ``edges`` splits J_m or j_m in |x| into the
     leading term, the downward sweep and the upward regime, in the form of
     ``piecewise``: the sweep of J_m ends at max(20, m), where the Hankel
-    asymptotics take over, and that of j_m just below m.
+    asymptotics take over, and that of j_m just below m.  Every sweep of the
+    order starts at ``top``, ``_start`` of that end; ``down`` = c_top..c_1.
     """
 
-    __slots__ = ("m", "edges", "lead", "steps")
+    __slots__ = ("m", "edges", "lead", "steps", "top", "down")
 
     def __init__(self, m: int, odd: int):
         if m < 0:
@@ -117,8 +118,10 @@ class _Order:
         self.m = m
         self.lead = _floats(2 + odd, 2 * m + 1 + odd, 2)
         self.steps = self.lead[:-1]
-        end = float(max(_HANKEL_X, m)) if odd == 0 else math.nextafter(m, 0.0)
-        self.edges = (_TINY, max(_TINY, end))
+        big = float(max(_HANKEL_X, m) if odd == 0 else m)
+        self.edges = (_TINY, max(_TINY, big if odd == 0 else math.nextafter(big, 0.0)))
+        self.top = int(_start(big, math))
+        self.down = _floats(2 * self.top + odd, odd, -2)
 
 
 _order = cache(_Order)
@@ -130,30 +133,23 @@ def _start(big, xp):
     return 2.0 * xp.ceil(0.5 * (big + 16.0 + xp.sqrt(40.0 * big)))
 
 
-@cache
-def _down_factors(top: int, odd: int) -> tuple[float, ...]:
-    """The factors c_k = 2k + odd of the downward recurrence, k = top .. 1."""
-    return _floats(2 * top + odd, odd, -2)
-
-
-def _downward(x, m: int, odd: int) -> list:
+def _downward(x, o: _Order) -> list:
     """Miller's sweep f_{k-1} = (c_k/x) f_k - f_{k+1}, c_k = 2k + odd, from
     f_{top+1} = 0 and f_top = 1e-290 down to f_0, as [f_0, .., f_top].
 
-    One start order ``top`` serves the call: ``_start`` of the largest of m
-    and x (x > 0).  Below it the sweep is, to rounding, a multiple of the
-    solution that decays with the order, J_k for odd = 0 and j_k for odd = 1
-    (Gautschi, SIAM Rev. 9, 1967).  |f| grows by at most 1 + c_k/x a step:
-    where that could carry it past 1e250, every value of an element is scaled
-    by 1e-250 whenever its newest one passes that level.
+    The start order ``o.top`` and its factors ``o.down`` belong to the order,
+    so an array element runs the operations it runs as a float.  Below top
+    the sweep is, to rounding, a multiple of the solution that decays with
+    the order, J_k for odd = 0 and j_k for odd = 1 (Gautschi, SIAM Rev. 9,
+    1967).  |f| grows by at most 1 + c_k/x a step: where that could carry it
+    past 1e250, every value of an element is scaled by 1e-250 whenever its
+    newest one passes that level.
     """
-    lo, hi = (x, x) if type(x) is float else (float(x.min()), float(x.max()))
-    top = int(_start(max(float(m), hi), math))
-    cs = _down_factors(top, odd)
-    guard = top * math.log10(1.0 + cs[0] / lo) > 500.0
+    lo = x if type(x) is float else float(x.min())
+    guard = o.top * math.log10(1.0 + o.down[0] / lo) > 500.0
     r = 1.0 / x
     # every step's factor c_k/x up front: one array product per step fewer
-    steps = np.multiply.outer(cs, r) if is_array(x) else [c * r for c in cs]
+    steps = np.multiply.outer(o.down, r) if is_array(x) else [c * r for c in o.down]
     f1, f = 0.0, full(x, 1e-290)
     fs = [f]
     for cr in steps:
@@ -178,7 +174,7 @@ def _leading(x, xp, o: _Order):
 def _j_miller(x, xp, o: _Order):
     """1e-9 < |x| <= max(20, m): the sweep normalised by J_0 + 2 sum_k J_2k = 1
     (A&S 9.1.46)."""
-    f = _downward(x, o.m, 0)
+    f = _downward(x, o)
     return f[o.m] / (f[0] + 2.0 * sum(f[2::2]))
 
 
@@ -188,15 +184,16 @@ def _hankel_table(m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     P = sum_k (-1)^k a_2k z^k and Q = t sum_k (-1)^k a_2k+1 z^k with
     t = 1/(8x), z = t^2 and a_j = prod_{i<=j} (4m^2 - (2i-1)^2) / i.
 
-    The series is asymptotic, so it is cut at its smallest term at x = 20,
-    where the regime starts; at larger x every kept term is smaller still.
+    The sum stops before its first term below eps/16 of the leading one at
+    x = 20, where the regime starts (for m = 0, 1 that is before the
+    smallest term); at larger x every dropped term is smaller still.
     """
     num, den = 1, 1
     a = [1.0]
     for j in range(1, 80):
         num *= 4 * m * m - (2 * j - 1) ** 2
         den *= j
-        if j > 2 and abs(num / den) >= abs(a[-1]) * 8.0 * _HANKEL_X:
+        if abs(num / den) < _EPS / 16.0 * (8.0 * _HANKEL_X) ** j:
             break
         a.append(num / den)
     p = tuple(reversed([(-1.0) ** k * v for k, v in enumerate(a[0::2])]))
@@ -281,7 +278,7 @@ def bessel_j(m: int, x):
 def _j_sweep_bound(ax, xp, o: _Order):
     """|J_k| <= 1, so the rounding of a sweep from order ``top`` and of its
     normalising sum stays below top eps, with ``top`` the start order for
-    this element alone (a call's shared start is larger, and adds only
+    this element alone (the order's start may be larger, and adds only
     orders whose terms are negligible).  Also covers the leading term."""
     big = where(ax > o.m, ax, float(o.m))
     return _EPS * _start(big, xp)
@@ -330,10 +327,10 @@ def _n_leading(x, xp, o: _Order):
     return _growing(n0, -2.0 / math.pi / x, x, o)
 
 
-# Weights of the Neumann sums over a J sweep that starts at order
-# _start(20) = 66 or below: N_0 weighs J_2k by (-1)^k/k (k >= 1), and N_1
+# Weights of the Neumann sums over the J sweep of _order(1, 0), which starts
+# at order _start(20) = 66: N_0 weighs J_2k by (-1)^k/k (k >= 1), and N_1
 # weighs J_1 by -1 and J_2k+1 by (-1)^(k+1) (2k+1)/(k(k+1)) (k >= 1).
-_N_TOP = int(_start(_HANKEL_X, math))
+_N_TOP = _order(1, 0).top
 _N0_WEIGHTS = tuple((-1.0) ** k / k for k in range(1, _N_TOP // 2 + 1))
 _N1_WEIGHTS = (-1.0,) + tuple((-1.0) ** (k + 1) * (2 * k + 1) / (k * (k + 1)) for k in range(1, _N_TOP // 2))
 
@@ -344,7 +341,7 @@ def _n_miller(x, xp, o: _Order):
     9.1.88), and N_1 = -N_0' through J_k' = (J_{k-1} - J_{k+1})/2,
     N_1 = (2/pi)[(log(x/2) + gamma) J_1 - J_0/x + sum_k (-1)^k (J_2k-1 -
     J_2k+1)/k]; then upward to order m."""
-    f = _downward(x, 1, 0)
+    f = _downward(x, _order(1, 0))
     even = sum(w * v for w, v in zip(_N0_WEIGHTS, f[2::2]))
     odd = sum(w * v for w, v in zip(_N1_WEIGHTS, f[1::2]))
     scale = 2.0 / math.pi / (f[0] + 2.0 * sum(f[2::2]))
@@ -525,7 +522,7 @@ def _sph_j_miller(x, xp, o: _Order):
     """1e-9 < |x| < n: the downward sweep scaled to the closed form of j_0
     or of j_1, whichever is larger (they never vanish together, so neither
     scale divides by a cancelled value)."""
-    f = _downward(x, o.m, 1)
+    f = _downward(x, o)
     j0 = xp.sin(x) / x
     j1 = (j0 - xp.cos(x)) / x
     first = abs(j0) >= abs(j1)

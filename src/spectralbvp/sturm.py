@@ -597,12 +597,16 @@ def _sign_changes(problem: SLProblem, values: np.ndarray) -> int:
     return int(np.count_nonzero(np.signbit(inner[1:]) != np.signbit(inner[:-1])))
 
 
-def eigen_solve(problem: SLProblem, n_max: int, m_tol: float = 1e-10) -> EigenBasis:
+# An eigenvalue is certified by |m(lam)| <= _M_TOL times the local scale of m.
+_M_TOL = 1e-10
+
+
+def eigen_solve(problem: SLProblem, n_max: int) -> EigenBasis:
     """First n_max eigenpairs.
 
     Each eigenvalue is located by solving phi(l; lam) = target_n on the
     monotone phase, bracketed from the spectral window, then polished on the
-    characteristic and certified by |m(lam)| <= m_tol times its local scale.
+    characteristic and certified by |m(lam)| <= _M_TOL times its local scale.
     Raises ResolutionError when the grid cannot resolve the eigenvalues.
     """
     if n_max < 1:
@@ -633,7 +637,7 @@ def eigen_solve(problem: SLProblem, n_max: int, m_tol: float = 1e-10) -> EigenBa
         if glo * ghi <= 0.0:
             lam = refine_root(g, lam - span, lam + span, ftol=0.0)
         mval = g(lam)
-        if abs(mval) > m_tol * scale:
+        if abs(mval) > _M_TOL * scale:
             raise BracketingError(
                 f"characteristic residual {mval:.3e} exceeds tolerance at eigenvalue {n} (lam={lam})"
             )

@@ -354,16 +354,15 @@ class ResonanceError(ValueError):
     """Requested drive frequency is indistinguishable from a resonance."""
 
 
-def _left_solution(bc: BoundaryCondition, rt: complex, x: float) -> complex:
+def _end_solution(bc: BoundaryCondition, rt: complex, s: float) -> tuple[complex, complex]:
+    """(u, u') at distance s from an end with condition bc, for u'' = -lam u,
+    rt = sqrt(lam): sin(rt s)/rt at a Dirichlet end, cos(rt s) + h sin(rt s)/rt
+    at a Robin one.  Both are entire in lam, and linear at lam = 0."""
+    c = cmath.cos(rt * s)
+    sn = cmath.sin(rt * s) / rt if rt else complex(s)
     if bc.dirichlet:
-        return cmath.sin(rt * x)
-    return cmath.cos(rt * x) + (bc.h / rt) * cmath.sin(rt * x)
-
-
-def _left_solution_prime(bc: BoundaryCondition, rt: complex, x: float) -> complex:
-    if bc.dirichlet:
-        return rt * cmath.cos(rt * x)
-    return -rt * cmath.sin(rt * x) + bc.h * cmath.cos(rt * x)
+        return sn, c
+    return c + bc.h * sn, -rt * rt * sn + bc.h * c
 
 
 def freq_green_string(
@@ -395,27 +394,16 @@ def freq_green_string(
                 raise ResonanceError(f"drive frequency {omega} is within 1e-6 of resonance {wn}")
     lam = (omega * omega + 2j * eta * omega) / (a * a)
     x_lo, x_hi = (x, xp) if x <= xp else (xp, x)
-    if lam == 0.0:
-        # static limit: the homogeneous solutions are linear
-        ul = x_lo if left.dirichlet else 1.0 + left.h * x_lo
-        ul_p = 1.0 if left.dirichlet else left.h
-        ur = (l - x_hi) if right.dirichlet else 1.0 + right.h * (l - x_hi)
-        ur_at = (l - x_lo) if right.dirichlet else 1.0 + right.h * (l - x_lo)
-        ur_p_at = -1.0 if right.dirichlet else -right.h
-        wr = ul * ur_p_at - ul_p * ur_at
-        if abs(wr) < 1e-14:
-            raise ResonanceError("zero frequency coincides with the zero eigenvalue of a free interval")
-        return complex(ul * ur / (-rho * a * a * wr))
     rt = cmath.sqrt(lam)
-    ul = _left_solution(left, rt, x_lo)
-    ul_p = _left_solution_prime(left, rt, x_lo)
-    # right solution as the left-type solution in the mirrored coordinate
-    ur = _left_solution(right, rt, l - x_hi)
-    ur_p = -_left_solution_prime(right, rt, l - x_hi)
+    ul, ul_p = _end_solution(left, rt, x_lo)
+    # right solution as the left-type solution in the mirrored coordinate l - x,
+    # whose derivative in x is minus that in l - x
+    ur, _ = _end_solution(right, rt, l - x_hi)
     # Wronskian u_L u_R' - u_L' u_R is x-independent; evaluate at x_lo
-    ur_at = _left_solution(right, rt, l - x_lo)
-    ur_p_at = -_left_solution_prime(right, rt, l - x_lo)
-    wr = ul * ur_p_at - ul_p * ur_at
+    ur_at, ur_p_at = _end_solution(right, rt, l - x_lo)
+    wr = -ul * ur_p_at - ul_p * ur_at
+    if lam == 0.0 and abs(wr) < 1e-14:
+        raise ResonanceError("zero frequency coincides with the zero eigenvalue of a free interval")
     return ul * ur / (-rho * a * a * wr)
 
 

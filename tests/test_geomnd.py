@@ -78,6 +78,16 @@ def test_rect_square_degeneracy():
     assert rect_degeneracies(spec_irr, 1, 2) == []
 
 
+def test_rect_square_degeneracies_symmetric_at_any_index():
+    """On the square the class of (m, n) is closed under swapping the two
+    indices, however large they are: 1 + 450^2 = 449^2 + 30^2."""
+    spec = RectMembrane(l1=1.0, l2=1.0)
+    for m, n in ((1, 450), (450, 1), (1, 7), (5, 5), (3, 1)):
+        cls = set(rect_degeneracies(spec, m, n)) | {(m, n)}
+        assert cls == {(b, a) for a, b in cls}, (m, n)
+    assert {(450, 1), (449, 30), (426, 145), (415, 174)} <= set(rect_degeneracies(spec, 1, 450))
+
+
 def test_rect_free_edge_variants():
     spec = RectMembrane(l1=1.0, l2=1.0, bc_x=("fixed", "free"), bc_y=("free", "free"))
     lam, phi = rect_membrane_modes(spec, 1, 0)

@@ -383,6 +383,30 @@ def test_freq_green_resonance_guard():
         freq_green_string(med, FIXED_ENDS, w1 * (1.0 + 1e-8), 0.3, 0.7)
 
 
+def test_freq_green_static_limits():
+    """At omega = 0 the end solutions are linear: fixed ends give
+    x_<(l - x_>)/(rho a^2 l); Robin ends h1, h2 give
+    (1 + h1 x_<)(1 + h2 (l - x_>))/(rho a^2 (h1 + h2 + h1 h2 l)); a drive of
+    1e-9 agrees with both, and free ends have no static response."""
+    med = WaveMedium(a=1.3, l=1.7, rho=0.9)
+    l, k = med.l, med.rho * med.a**2
+    h1, h2 = 0.8, 1.6
+    robin = (BoundaryCondition.robin(h1), BoundaryCondition.robin(h2))
+    for x, xp in ((0.3, 1.1), (1.4, 0.2), (0.9, 0.9)):
+        lo, hi = min(x, xp), max(x, xp)
+        cases = (
+            (FIXED_ENDS, lo * (l - hi) / (k * l)),
+            (robin, (1.0 + h1 * lo) * (1.0 + h2 * (l - hi)) / (k * (h1 + h2 + h1 * h2 * l))),
+        )
+        for bc, want in cases:
+            got = freq_green_string(med, bc, 0.0, x, xp)
+            assert type(got) is complex and got.imag == 0.0
+            assert got.real == pytest.approx(want, rel=1e-14)
+            assert freq_green_string(med, bc, 1e-9, x, xp) == pytest.approx(got, rel=1e-12)
+    with pytest.raises(ResonanceError):
+        freq_green_string(med, (NEUMANN, NEUMANN), 0.0, 0.3, 0.7)
+
+
 def test_time_green_zero_at_t0():
     med = WaveMedium(a=1.0, l=1.0)
     assert time_green_string(med, FIXED_ENDS, 0.3, 0.7, 0.0) == 0.0

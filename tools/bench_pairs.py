@@ -17,8 +17,12 @@ The file holds each run's gated metrics, the ungated ``op_p50_s``,
 that ``op_cost_ref`` divides by (``reference_mean_s``, read from its report
 line), and its operation counts; and per workload and metric each side's
 median and quartiles and the pairs the change wins (ties count for
-neither).  It is rewritten after every pair, so an interrupted run keeps
-the pairs it finished.  Standard library only.
+neither).  Under ``machine`` it records, once per tree and read by a child
+process of the interpreter that runs it, what the last bits of a float
+result depend on besides the source: numpy's version, the CPU baseline,
+dispatch targets and enabled features of its build, its BLAS, and the
+environment variables that steer those.  It is rewritten after every pair,
+so an interrupted run keeps the pairs it finished.  Standard library only.
 """
 
 from __future__ import annotations
@@ -44,6 +48,20 @@ REPORTED = [
     # moves with their GIL use as well as with machine speed
     {"name": "reference_mean_s", "unit": "s", "better": "lower"},
 ]
+# Run by the benchmark's interpreter in a tree's root, so that this tool
+# itself imports no numpy; prints one JSON object.
+MACHINE_PROBE = """
+import json, os, numpy
+from numpy._core import _multiarray_umath as umath
+print(json.dumps({
+    "numpy": numpy.__version__,
+    "cpu_baseline": umath.__cpu_baseline__,
+    "cpu_dispatch": umath.__cpu_dispatch__,
+    "cpu_features": [name for name, on in umath.__cpu_features__.items() if on],
+    "blas": numpy.show_config(mode="dicts")["Build Dependencies"]["blas"],
+    "env": {k: os.environ.get(k) for k in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")},
+}))
+"""
 # op_cost_ref's report line: "... the mean of N reference loops (X s) timed while the operations ran"
 REFERENCE_MEAN = re.compile(r"^op_cost_ref\s.*\(([^ ]+) s\) timed while the operations ran")
 
@@ -55,6 +73,14 @@ def compile_tree(root: str) -> dict:
         raise SystemExit(f"compileall failed under {root}")
     pyc = sum(name.endswith(".pyc") for _, _, names in os.walk(root) for name in names)
     return {"compiled": True, "cache_tag": sys.implementation.cache_tag, "pyc_files": pyc}
+
+
+def machine(root: str) -> dict:
+    """numpy's build, dispatch and BLAS as the benchmark sees them in a tree."""
+    proc = subprocess.run([sys.executable, "-c", MACHINE_PROBE], cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"machine probe in {root} exited with {proc.returncode}:\n{proc.stderr[-4000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def run_bench(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -118,6 +144,7 @@ def main() -> int:
 
     record = {
         "bytecode": {side: compile_tree(root) for side, root in roots.items()},
+        "machine": {side: machine(root) for side, root in roots.items()},
         "run_seconds": seconds,
         "seed0": args.seed0,
         "quartile_method": "statistics.quantiles(n=4, method='inclusive')",
