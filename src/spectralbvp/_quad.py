@@ -8,12 +8,14 @@ panels are used where the integrand is smooth and the cost of adaptivity is
 not warranted (tensorized quadrature over rectangles, spheres, disks).
 
 Projections of initial data on a family of modes sample the data with
-``sample`` once per Gauss rung and reuse the samples for every mode: a
-one-dimensional coefficient is ``gauss_sum(data * shape, a, b)``, a
-two-dimensional one a weighted contraction of the sampled grid with the
-``gauss_rule`` weights.  ``gauss_ladder`` sizes the rules to the data: it
-refines a rung at a time up to the solver's cap and stops once two rungs
-agree, so smooth data is sampled on a fraction of the cap's grid.
+``sample`` (``sample_rows`` for several data, zeros for absent ones) once
+per Gauss rung and reuse the samples for every mode: each coefficient is a
+contraction of the modes, the ``gauss_rule`` weights and the samples.
+``gauss_ladder`` sizes the rules to the data: a rung hands it that
+contraction and its operands, and it refines a rung at a time up to the
+solver's cap and stops once two rungs agree on the scale of the summands,
+which it forms from the same operands; so smooth data is sampled on a
+fraction of the cap's grid.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "gauss_sum",
     "gauss_ladder",
     "sample",
+    "sample_rows",
     "fixed_gauss",
     "composite_simpson",
     "cumulative_simpson",
@@ -174,6 +177,11 @@ def sample(f, *axes: np.ndarray) -> np.ndarray:
     return vals
 
 
+def sample_rows(fs, x: np.ndarray) -> np.ndarray:
+    """One row of ``sample(f, x)`` per f in fs, a row of zeros for None."""
+    return np.array([np.zeros(len(x)) if f is None else sample(f, x) for f in fs])
+
+
 # Rungs of gauss_ladder as divisors of the cap, coarsest first: every axis is
 # halved together, and the last rung is the cap itself.
 _RUNG_DIVISORS = (8, 4, 2, 1)
@@ -182,16 +190,19 @@ _RUNG_DIVISORS = (8, 4, 2, 1)
 _RUNG_AGREEMENT = 1e-12
 
 
-def gauss_ladder(coeffs: Callable, cap, modes):
+def gauss_ladder(rung: Callable, cap, modes):
     """Coefficients from the first Gauss rung that reproduces the rung before
     it, and an estimate of their quadrature error.
 
-    ``coeffs(sizes)`` projects the data on Gauss rules of the given sizes,
-    one per axis: an int when ``cap`` is an int, a tuple shaped like ``cap``
-    otherwise.  It returns the coefficients and a thunk giving, shaped like
-    them, the sum of the absolute summands of each (``_series.summand_scale``),
-    the scale of its rounding error; the thunk is called only for a rung
-    compared with the one before, never for the first.  The rungs are cap/8, cap/4, cap/2 and cap, every
+    ``rung(sizes)`` samples the data on Gauss rules of the given sizes, one
+    per axis (an int when ``cap`` is an int, a tuple shaped like ``cap``
+    otherwise), and returns ``(contract, operands)``: the coefficients are
+    ``contract(*operands)``.  Every operand enters the contraction linearly
+    and every factor outside them is positive, so ``contract`` of the
+    operands' absolute values gives, shaped like the coefficients, the sum of
+    the absolute summands of each, the scale of its rounding error.  The
+    ladder forms that scale only for a rung it compares with the one before,
+    never for the first.  The rungs are cap/8, cap/4, cap/2 and cap, every
     axis halved together; a rung with fewer nodes on an axis than twice that
     axis's mode count (``modes``, shaped like ``cap``) is skipped, the cap
     never.  The first rung whose coefficients agree with the previous rung's
@@ -210,11 +221,11 @@ def gauss_ladder(coeffs: Callable, cap, modes):
     rungs = [s for s in rungs[:-1] if all(n >= 2 * m for n, m in zip(s, floors))] + rungs[-1:]
     prev, estimate = None, math.nan
     for sizes in rungs:
-        cur, scale = coeffs(sizes[0] if one else sizes)
-        cur = np.asarray(cur, dtype=float)
+        contract, operands = rung(sizes[0] if one else sizes)
+        cur = np.asarray(contract(*operands), dtype=float)
         if prev is not None:
             diff = float(np.max(np.abs(cur - prev), initial=0.0))
-            scale = float(np.max(scale(), initial=0.0))
+            scale = float(np.max(contract(*map(np.abs, operands)), initial=0.0))
             estimate = 0.0 if diff == 0.0 else diff / scale if scale else math.inf
             if diff <= _RUNG_AGREEMENT * scale:
                 break

@@ -1,6 +1,7 @@
 """The truncated eigenfunction series sum_n a_n(t) X_n(x) behind every
 separable solver: data projected once on a Gauss rule against Phi, the
-closed-form (points x modes) matrix of a mode family, and each value one
+closed-form (points x modes) matrix of a mode family (``project``, the
+contraction that a ``_quad.gauss_ladder`` rung names), and each value one
 contraction of Phi(x) with the amplitudes, which follow the damped
 oscillator or relaxation e^{-lam a^2 t} (heat, written inline)."""
 
@@ -10,27 +11,13 @@ import math
 
 from ._vec import is_array, np, xp
 
-__all__ = ["project", "summand_scale", "projected", "contract", "oscillator", "outer"]
+__all__ = ["project", "contract", "oscillator", "outer"]
 
 
 def project(phi: np.ndarray, weights: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Phi(nodes)^T (w * data): the inner products with every mode, modes
     last; ``data`` is one value per node, or one row per data set."""
     return np.einsum("...n,nm->...m", weights * data, phi)
-
-
-def summand_scale(phi: np.ndarray, weights: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """|Phi(nodes)|^T |w * data|: for each inner product ``project`` forms,
-    the sum of its absolute summands, the scale of its rounding error."""
-    return np.einsum("...n,nm->...m", np.abs(weights * data), np.abs(phi))
-
-
-def projected(phi: np.ndarray, weights: np.ndarray, data: np.ndarray):
-    """``project`` of the data and a thunk for its ``summand_scale``: one
-    Gauss rung's coefficients and their rounding scales, as
-    ``_quad.gauss_ladder`` takes them (it calls the thunk only when it
-    compares the rung with the one before)."""
-    return project(phi, weights, data), lambda: summand_scale(phi, weights, data)
 
 
 def contract(phi: np.ndarray, amplitudes: np.ndarray):

@@ -13,10 +13,10 @@ import math
 from enum import Enum
 from typing import Callable
 
-from ._quad import fixed_gauss, gauss_ladder, gauss_rule, sample
+from ._quad import fixed_gauss, gauss_ladder, gauss_rule, sample_rows
 from ._record import dataclass
 from ._rootfind import refine_root
-from ._series import contract, oscillator, outer, projected
+from ._series import contract, oscillator, outer, project
 from ._vec import as_arg, inside, np, xp
 from .specfun import ZeroFamily, zero_table
 
@@ -201,13 +201,11 @@ def beam_response(
     bc, l = spectrum.bc_pair, spectrum.l
     mus = np.array(beam_char_roots(bc, n_modes))
 
-    def coeffs(n):
+    def rung(n):
         xs, w = gauss_rule(0.0, l, n)
-        phi, zero = _shapes(bc, mus, l, xs), np.zeros(n_modes)
-        pairs = [(zero, lambda: zero) if f is None else projected(phi, w, sample(f, xs)) for f in (u0, v0)]
-        return [c for c, _ in pairs], lambda: [s() for _, s in pairs]
+        return project, (_shapes(bc, mus, l, xs), w, sample_rows((u0, v0), xs))
 
-    a, b = gauss_ladder(coeffs, 192, n_modes)[0]
+    a, b = gauss_ladder(rung, 192, n_modes)[0]
     return contract(_shapes(bc, mus, l, x), oscillator(spectrum.frequency(mus), a, b, 0.0, t)[0])
 
 

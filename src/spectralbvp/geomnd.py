@@ -10,10 +10,10 @@ import math
 from enum import Enum
 from typing import Callable, Literal
 
-from ._quad import adaptive_simpson, fixed_gauss, gauss_ladder, gauss_rule, sample
+from ._quad import adaptive_simpson, fixed_gauss, gauss_ladder, gauss_rule, sample, sample_rows
 from ._record import dataclass
-from ._series import contract, oscillator, outer, project, projected, summand_scale
-from ._vec import as_arg, full, np, xp
+from ._series import contract, oscillator, outer, project
+from ._vec import as_arg, full, inside, np, xp
 from .intervals import uniform_basis
 from .specfun import (
     _SPHERICAL_J,
@@ -208,9 +208,12 @@ def disk_axisym_solution(
     surface density F(r, t) adds the sin-convolution response of every
     mode, one array-valued time integral that samples F once per tau node.
     """
+    r = as_arg(r)
+    if not inside(r, 0.0, spec.radius):
+        raise ValueError("radial coordinate outside the disk")
     alphas = _j_zeros(0, n_modes)
     _, phi = _bessel_family(spec.radius, 0, alphas)
-    a, b = _disk_projections(spec, phi, n_modes, u0, v0)
+    a, b = gauss_ladder(_radial_rung(spec.radius, phi, u0, v0), 192, n_modes)[0]
     omega = alphas * spec.a / spec.radius
     q = oscillator(omega, a, b, 0.0, t)[0]
     if force is not None:
@@ -227,21 +230,19 @@ def disk_axisym_coefficients(
 ) -> list[float]:
     """Projections of u0(r) on the normalized axisymmetric radial modes."""
     phi = _bessel_family(spec.radius, 0, _j_zeros(0, n_modes))[1]
-    return _disk_projections(spec, phi, n_modes, u0)[0].tolist()
+    return gauss_ladder(_radial_rung(spec.radius, phi, u0), 192, n_modes)[0][0].tolist()
 
 
-def _disk_projections(spec: DiskMembrane, phi, n_modes: int, *data):
-    """r-weighted projections of each f(r) in data on the n_modes modes phi
-    (zeros for None), on the Gauss ladder capped at 192 points: every rung
-    evaluates phi once for all the data."""
+def _radial_rung(radius: float, phi, *data):
+    """The Gauss ladder's rung for the r-weighted projections over [0, R] of
+    each f(r) in data (zeros for None) on the modes phi, one row per f:
+    every rung evaluates phi once for all the data."""
 
-    def coeffs(n):
-        rr, w = gauss_rule(0.0, spec.radius, n)
-        at_nodes, zero = phi(rr), np.zeros(n_modes)
-        pairs = [(zero, lambda: zero) if f is None else projected(at_nodes, w * rr, sample(f, rr)) for f in data]
-        return [c for c, _ in pairs], lambda: [s() for _, s in pairs]
+    def rung(n):
+        rr, w = gauss_rule(0.0, radius, n)
+        return project, (phi(rr), w * rr, sample_rows(data, rr))
 
-    return gauss_ladder(coeffs, 192, n_modes)[0]
+    return rung
 
 
 def _j_zeros(m: int, count: int) -> np.ndarray:
@@ -282,8 +283,8 @@ def cylinder_cooling(
     factor drops out and the solution reduces to the long-rod radial series.
     """
     r, z = point
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and >= 0, got {t!r}")
     if not 0.0 <= r <= radius:
         raise ValueError("radial coordinate outside the cylinder")
     takes_z = _arity_two(t0)
@@ -298,23 +299,18 @@ def cylinder_cooling(
     if takes_z:
         axial = uniform_basis(height, DIRICHLET, DIRICHLET, n_axial)
 
-        def coeffs(sizes):
+        def rung(sizes):
             # T0(r, z) is sampled once per rung; each (n, k) coefficient is
             # (w_r r J_0) . T . (w_z axial_n)
             rr, wr = gauss_rule(0.0, radius, sizes[0])
             zz, wz = gauss_rule(-height / 2.0, height / 2.0, sizes[1])
-            x_nodes, chi_nodes, data = axial._shapes(zz + height / 2.0), chi(rr), sample(t0, rr, zz)
-            by_r, by_r_scale = projected(x_nodes, wz, data)
-            return project(chi_nodes, wr * rr, by_r.T), lambda: summand_scale(chi_nodes, wr * rr, by_r_scale().T)
+            operands = axial._shapes(zz + height / 2.0), wz, sample(t0, rr, zz), chi(rr), wr * rr
+            return (lambda ax, wz, data, rad, wr: project(rad, wr, project(ax, wz, data).T)), operands
 
-        coef = gauss_ladder(coeffs, (96, 96), (n_radial, n_axial))[0]
+        coef = gauss_ladder(rung, (96, 96), (n_radial, n_axial))[0]
         ax_here, ax_rate = axial._shapes(z + height / 2.0), np.array(axial.eigenvalues)
     else:
-        def coeffs(n):
-            rr, wr = gauss_rule(0.0, radius, n)
-            return projected(chi(rr), wr * rr, sample(t0, rr))
-
-        radial = gauss_ladder(coeffs, 192, n_radial)[0]
+        radial = gauss_ladder(_radial_rung(radius, chi, t0), 192, n_radial)[0][0]
         if half_infinite:
             coef, ax_here, ax_rate = radial[None, :], np.ones(1), np.zeros(1)
         else:
@@ -429,42 +425,42 @@ def ball_solution(
     laplace_dirichlet: data=T(theta) on the surface, point=(r, theta).
     """
     problem = BallProblem(problem)
-    if not (math.isfinite(t) or problem == BallProblem.SOURCES and t == math.inf):
-        raise ValueError(f"time must be finite (or inf for the steady sources), got {t!r}")
+    if not (0.0 <= t < math.inf or problem == BallProblem.SOURCES and t == math.inf):
+        raise ValueError(f"time must be finite and >= 0 (or inf for the steady sources), got {t!r}")
     big_r = spec.radius
-    if problem in (BallProblem.COOLING, BallProblem.SOURCES):
-        r = float(point)
+    radial = problem in (BallProblem.COOLING, BallProblem.SOURCES)
+    r, theta = (float(point), None) if radial else point
+    if not 0.0 <= r <= big_r:
+        raise ValueError("radial coordinate outside the ball")
+    if radial:
         if t == math.inf:
             return _ball_steady_sources(spec, float(data), r, conductivity)
         lam, phi = _ball_modes(spec, np.array([_ball_gamma(spec, k) for k in range(1, n_modes + 1)]))
         cooling = problem == BallProblem.COOLING
 
-        def coeffs(n):
+        def rung(n):
             rr, w = gauss_rule(0.0, big_r, n)
             if cooling:
-                c, s = projected(phi(rr), w * rr * rr, sample(data, rr))
-                return 4.0 * math.pi * c, lambda: 4.0 * math.pi * s()
-            return projected(phi(rr), w, rr * rr)
+                return (lambda *ops: 4.0 * math.pi * project(*ops)), (phi(rr), w * rr * rr, sample(data, rr))
+            return project, (phi(rr), w, rr * rr)
 
-        proj = gauss_ladder(coeffs, 256, n_modes)[0]
+        proj = gauss_ladder(rung, 256, n_modes)[0]
         if cooling:
             return contract(phi(r), proj * np.exp(-lam * spec.a2 * t))
         f = (float(data) / conductivity) * spec.a2 * 4.0 * math.pi * proj
         rate = lam * spec.a2
         return contract(phi(r), f * (1.0 - np.exp(-rate * t)) / rate)
     if problem == BallProblem.AXISYM_COOLING:
-        r, theta = point
         return _ball_axisym_cooling(spec, data, n_modes, r, theta, t)
     if problem == BallProblem.LAPLACE_DIRICHLET:
-        r, theta = point
         degrees = np.arange(n_modes)
 
-        def coeffs(n):
+        def rung(n):
             xs, w = gauss_rule(-1.0, 1.0, n)
-            c, s = projected(_legendre_columns(n_modes, xs), w, sample(data, np.arccos(xs)))
-            return (degrees + 0.5) * c, lambda: (degrees + 0.5) * s()
+            operands = _legendre_columns(n_modes, xs), w, sample(data, np.arccos(xs))
+            return (lambda *ops: (degrees + 0.5) * project(*ops)), operands
 
-        a = gauss_ladder(coeffs, 160, n_modes)[0]
+        a = gauss_ladder(rung, 160, n_modes)[0]
         return contract(_legendre_columns(n_modes, math.cos(theta)), a * (r / big_r) ** degrees)
     raise ValueError(f"unsupported problem kind {problem}")
 
@@ -497,22 +493,20 @@ def _ball_axisym_cooling(spec: BallSpec, t0, n_modes: int, r: float, theta: floa
     alphas = [np.array(_zeros(_SPHERICAL_J, n, n_modes)[:n_modes]) for n in orders]
     norms = [_ball_radial_norm(n, alphas[n], big_r) * (2.0 / (2 * n + 1)) for n in orders]
 
-    def coeffs(sizes):
+    def per_degree(legendre, ws, data, weights, *radial):
+        angular = project(legendre, ws, data)
+        return [project(radial[n], weights, angular[:, n]) / norms[n] for n in orders]
+
+    def rung(sizes):
         # T0(r, theta) is sampled once per rung; each (n, k) coefficient is
         # (w_r r^2 j_n(alpha r/R)) . T . (w_x P_n(x)), x = cos(theta)
         rr, wr = gauss_rule(0.0, big_r, sizes[0])
         xs, ws = gauss_rule(-1.0, 1.0, sizes[1])
-        angular, angular_scale = projected(_legendre_columns(n_modes, xs), ws, sample(t0, rr, np.arccos(xs)))
-        weights = wr * rr * rr
+        data = sample(t0, rr, np.arccos(xs))
         radial = [spherical_bessel("j", n, outer(rr, alphas[n]) / big_r) for n in orders]
+        return per_degree, (_legendre_columns(n_modes, xs), ws, data, wr * rr * rr, *radial)
 
-        def scale():
-            by_n = angular_scale()
-            return [summand_scale(radial[n], weights, by_n[:, n]) / norms[n] for n in orders]
-
-        return [project(radial[n], weights, angular[:, n]) / norms[n] for n in orders], scale
-
-    coef = gauss_ladder(coeffs, (128, 96), (n_modes, n_modes))[0]
+    coef = gauss_ladder(rung, (128, 96), (n_modes, n_modes))[0]
     p_here = _legendre_columns(n_modes, math.cos(theta))
     phi = [spherical_bessel("j", n, alphas[n] * r / big_r) * p_here[n] for n in orders]
     amps = [coef[n] * np.exp(-((alphas[n] / big_r) ** 2) * spec.a2 * t) for n in orders]
@@ -559,21 +553,23 @@ def expand_series(
             raise ValueError(f"radius must be positive and finite, got {radius!r}")
         scale, phi = _bessel_family(radius, m, _j_zeros(m, n_terms))
 
-        def coeffs(n):
-            rs, w = gauss_rule(0.0, radius, n)
-            return projected(phi(rs), w * rs, sample(f, rs))
+        (a,), err = gauss_ladder(_radial_rung(radius, phi, f), 256, n_terms)
 
-        a, err = gauss_ladder(coeffs, 256, n_terms)
-        return SeriesExpansion(kind, (scale * a).tolist(), lambda r: contract(phi(r), a), err)
+        def reconstruct(r):
+            r = as_arg(r)
+            if not inside(r, 0.0, radius):
+                raise ValueError("radial coordinate outside the disk")
+            return contract(phi(r), a)
+
+        return SeriesExpansion(kind, (scale * a).tolist(), reconstruct, err)
     if kind == "legendre":
         half = np.arange(n_terms) + 0.5
 
-        def coeffs(n):
+        def rung(n):
             xs, w = gauss_rule(-1.0, 1.0, n)
-            c, s = projected(_legendre_columns(n_terms, xs), w, sample(f, xs))
-            return half * c, lambda: half * s()
+            return (lambda *ops: half * project(*ops)), (_legendre_columns(n_terms, xs), w, sample(f, xs))
 
-        c, err = gauss_ladder(coeffs, max(160, 2 * n_terms), n_terms)
+        c, err = gauss_ladder(rung, max(160, 2 * n_terms), n_terms)
         return SeriesExpansion(kind, c.tolist(), lambda x: contract(_legendre_columns(n_terms, x), c), err)
     raise ValueError("kind must be 'fourier_bessel' or 'legendre'")
 

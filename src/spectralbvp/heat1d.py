@@ -84,8 +84,8 @@ def heat_kernel(geometry: str, medium: HeatMedium, h: float = 0.0) -> HeatKernel
     if geometry == "halfline_neumann":
         return HeatKernel(geometry, medium, h=0.0)
     if geometry == "halfline_robin":
-        if h < 0.0:
-            raise ValueError("Robin parameter must be >= 0")
+        if not h >= 0.0:
+            raise ValueError(f"Robin parameter h must be >= 0, got h = {h!r}")
         return HeatKernel(geometry, medium, h=h)
     raise ValueError(f"unknown kernel geometry {geometry!r}")
 
@@ -163,8 +163,8 @@ def heat_halfline_kernel(
         raise ValueError(f"kernel defined for finite t > 0, got t = {t!r}")
     if x < 0.0 or xp < 0.0:
         raise ValueError("half-line kernel needs x, x' >= 0")
-    if h < 0.0:
-        raise ValueError("Robin parameter must be >= 0 (or inf)")
+    if not h >= 0.0:
+        raise ValueError(f"Robin parameter h must be >= 0 (or inf), got h = {h!r}")
     a2 = medium.a2
     direct = gauss_kernel(x - xp, a2, t)
     image = gauss_kernel(x + xp, a2, t)
@@ -249,8 +249,8 @@ class HeatModalSolution:
         return math.exp(-lam_last * self.medium.a2 * t)
 
     def __call__(self, x, t: float):
-        if not math.isfinite(t):
-            raise ValueError(f"time must be finite, got {t!r}")
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"time must be finite and >= 0, got {t!r}")
         a2 = self.medium.a2
         if self.truncation_factor(t) > 1e-14:
             warnings.warn(
@@ -319,10 +319,14 @@ def freq_green_heat(
     w = sqrt(i omega) on the branch Im w >= 0.  The omega -> 0 limit is the
     static kernel x_<(l - x_>)/(c rho a^2 l); the derivative jump across
     x = x' is 1/(c rho a^2)."""
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega!r}")
+    crho = volumetric_heat_capacity
+    if not 0.0 < crho < math.inf:
+        raise ValueError(f"volumetric_heat_capacity must be positive and finite, got {crho!r}")
     if not (0.0 <= x <= l and 0.0 <= xp <= l):
         raise ValueError("evaluation points must lie in [0, l]")
     a = math.sqrt(medium.a2)
-    crho = volumetric_heat_capacity
     x_lo, x_hi = (x, xp) if x <= xp else (xp, x)
     if omega == 0.0:
         return complex(x_lo * (l - x_hi) / (crho * medium.a2 * l))

@@ -18,7 +18,7 @@ from typing import Callable
 from ._quad import gauss_ladder, gauss_rule, sample
 from ._record import dataclass
 from ._rootfind import refine_root
-from ._series import outer, projected
+from ._series import outer, project
 from ._vec import as_arg, np, where, xp
 from .sturm import BoundaryCondition
 
@@ -187,8 +187,8 @@ def _project(basis: UniformBasis, func: Callable[[float], float] | None) -> list
     if func is None:
         return [0.0] * len(basis)
 
-    def coeffs(n):
+    def rung(n):
         xs, w = gauss_rule(0.0, basis.l, n)
-        return projected(basis._shapes(xs), w, sample(func, xs))
+        return project, (basis._shapes(xs), w, sample(func, xs))
 
-    return gauss_ladder(coeffs, 256, len(basis))[0].tolist()
+    return gauss_ladder(rung, 256, len(basis))[0].tolist()

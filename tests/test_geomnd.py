@@ -504,21 +504,51 @@ def test_expansions_refuse_nonfinite_data(kind):
         expand_series(kind, lambda x: math.nan, 3)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
 def test_heat_and_membrane_solutions_refuse_nonfinite_time(bad):
+    """Diffusion refuses a negative time as well; the membrane is a wave and
+    runs backward."""
     spec = BallSpec(radius=1.0, bc=BallBC.ROBIN, h=2.0)
+    disk = lambda: disk_axisym_solution(DiskMembrane(radius=1.0), lambda r: 1.0 - r * r, None, 3, 0.3, bad)
     calls = [
         lambda: cylinder_cooling(1.0, 2.0, 1.0, lambda r: 1.0, 3, 2, (0.3, 0.1), bad),
         lambda: cylinder_cooling(1.0, 2.0, 1.0, lambda r, z: 1.0, 3, 2, (0.3, 0.1), bad),
         lambda: ball_solution(spec, "cooling", lambda r: 1.0, 3, 0.4, bad),
         lambda: ball_solution(BallSpec(radius=1.0), "axisym_cooling", lambda r, th: 1.0, 2, (0.4, 0.3), bad),
-        lambda: disk_axisym_solution(DiskMembrane(radius=1.0), lambda r: 1.0 - r * r, None, 3, 0.3, bad),
     ]
+    if math.isfinite(bad):
+        assert math.isfinite(disk())
+    else:
+        calls.append(disk)
     if bad != math.inf:
         calls.append(lambda: ball_solution(spec, "sources", 1.0, 3, 0.4, bad))
     for call in calls:
         with pytest.raises(ValueError, match="time must be finite"):
             call()
+
+
+@pytest.mark.parametrize("scale", [2.0, -0.5, math.nan])
+def test_ball_and_disk_refuse_a_radius_outside_the_domain(scale):
+    ball, disk = BallSpec(radius=1.3), DiskMembrane(radius=1.3)
+    r = scale * 1.3
+    ball_calls = [
+        lambda: ball_solution(ball, "cooling", lambda rr: 1.0, 3, r, 0.1),
+        lambda: ball_solution(ball, "sources", 1.0, 3, r, 0.1),
+        lambda: ball_solution(ball, "sources", 1.0, 3, r),
+        lambda: ball_solution(ball, "sources", 1.0, 3, r, math.inf),
+        lambda: ball_solution(ball, "axisym_cooling", lambda rr, th: 1.0, 2, (r, 0.3), 0.1),
+        lambda: ball_solution(ball, "laplace_dirichlet", lambda th: math.cos(th), 4, (r, 0.3)),
+    ]
+    fb = expand_series("fourier_bessel", lambda rr: 1.0 - rr * rr, 4, radius=1.3)
+    disk_calls = [
+        lambda: disk_axisym_solution(disk, lambda rr: 1.0 - rr * rr, None, 3, r, 0.3),
+        lambda: fb.reconstruct(r),
+        lambda: fb.reconstruct(np.array([0.0, r])),
+    ]
+    for calls, where in ((ball_calls, "ball"), (disk_calls, "disk")):
+        for call in calls:
+            with pytest.raises(ValueError, match=f"radial coordinate outside the {where}"):
+                call()
 
 
 def test_ball_sources_keep_the_steady_state_at_infinite_time():

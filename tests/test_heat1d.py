@@ -14,6 +14,7 @@ from spectralbvp.heat1d import (
     heat_halfline_eval,
     heat_halfline_kernel,
     heat_interval_modes,
+    heat_kernel,
     heat_line_eval,
 )
 from spectralbvp.sturm import DIRICHLET, NEUMANN, BoundaryCondition
@@ -211,11 +212,36 @@ def test_short_time_truncation_warning():
         sol(0.5, 1e-6)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
 def test_non_finite_time_is_rejected(t):
     sol = heat_interval_modes((DIRICHLET, DIRICHLET), lambda x: 1.0, MED, 1.0, 8)
     with pytest.raises(ValueError, match="finite"):
         sol(0.5, t)
+    with pytest.raises(ValueError, match="finite"):
+        sol.mean(t)
+
+
+BAD_KERNEL_PARAMETERS = {
+    "halfline-h-nan": (lambda: heat_halfline_kernel(math.nan, MED, 0.3, 0.2, 0.1), "Robin parameter h"),
+    "robin-kernel-h-nan": (lambda: heat_kernel("halfline_robin", MED, h=math.nan), "Robin parameter h"),
+    "freq-omega-nan": (lambda: freq_green_heat(MED, 1.0, math.nan, 0.3, 0.7), "omega must be finite"),
+    "freq-omega-inf": (lambda: freq_green_heat(MED, 1.0, math.inf, 0.3, 0.7), "omega must be finite"),
+    "freq-omega-minus-inf": (lambda: freq_green_heat(MED, 1.0, -math.inf, 0.3, 0.7), "omega must be finite"),
+    "freq-capacity-zero": (
+        lambda: freq_green_heat(MED, 1.0, 2.0, 0.3, 0.7, volumetric_heat_capacity=0.0),
+        "volumetric_heat_capacity",
+    ),
+    "freq-static-capacity-zero": (
+        lambda: freq_green_heat(MED, 1.0, 0.0, 0.3, 0.7, volumetric_heat_capacity=0.0),
+        "volumetric_heat_capacity",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, name", BAD_KERNEL_PARAMETERS.values(), ids=BAD_KERNEL_PARAMETERS.keys())
+def test_kernels_name_a_bad_parameter(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0, 0.0])

@@ -21,7 +21,7 @@ from spectralbvp._quad import (
     sample,
 )
 from spectralbvp._rootfind import nth_root_from_scan, refine_root
-from spectralbvp._series import project, projected
+from spectralbvp._series import project
 from spectralbvp.specfun import ZeroFamily, _legendre_columns, bessel_j, bessel_zero
 
 
@@ -229,27 +229,25 @@ def test_cumulative_simpson_matches_node_loop(n):
 # ----------------------------------------------------------------------
 
 def _legendre_coeffs(f, n_terms):
-    """c_n = (n + 1/2) int_{-1}^{1} f P_n on an n-point rule, and the sums of
-    their absolute summands."""
+    """The rung of c_n = (n + 1/2) int_{-1}^{1} f P_n on an n-point rule."""
     half = np.arange(n_terms) + 0.5
 
-    def coeffs(n):
+    def rung(n):
         xs, w = gauss_rule(-1.0, 1.0, n)
-        c, s = projected(_legendre_columns(n_terms, xs), w, sample(f, xs))
-        return half * c, lambda: half * s()
+        return (lambda *ops: half * project(*ops)), (_legendre_columns(n_terms, xs), w, sample(f, xs))
 
-    return coeffs
+    return rung
 
 
 def _bessel_coeffs(f, n_terms):
-    """int_0^1 r f J_0(alpha_k r) dr on an n-point rule."""
+    """The rung of int_0^1 r f J_0(alpha_k r) dr on an n-point rule."""
     alphas = np.array([bessel_zero(ZeroFamily.BESSEL_J, 0, k) for k in range(1, n_terms + 1)])
 
-    def coeffs(n):
+    def rung(n):
         rs, w = gauss_rule(0.0, 1.0, n)
-        return projected(bessel_j(0, np.multiply.outer(rs, alphas)), w * rs, sample(f, rs))
+        return project, (bessel_j(0, np.multiply.outer(rs, alphas)), w * rs, sample(f, rs))
 
-    return coeffs
+    return rung
 
 
 def _bump(x0):
@@ -272,22 +270,28 @@ def test_gauss_ladder_runs_the_rungs_above_the_mode_floor():
     never.  Rungs that never agree return the cap's coefficients."""
     seen, scaled = [], []
 
-    def coeffs(sizes):
+    def rung(sizes):
         seen.append(sizes)
         c = np.array([1.0, float(len(seen))])
-        return c, lambda: scaled.append(sizes) or c
 
-    got, err = gauss_ladder(coeffs, (128, 96), (3, 20))
+        def contract(x):
+            if x is not c:  # |c|: the ladder forms this rung's scale
+                scaled.append(sizes)
+            return x
+
+        return contract, (c,)
+
+    got, err = gauss_ladder(rung, (128, 96), (3, 20))
     assert seen == [(64, 48), (128, 96)]
     assert got.tolist() == [1.0, 2.0] and err == 0.5
     # only a rung compared with the one before reads its summand scale
     assert scaled == [(128, 96)]
     seen.clear()
     scaled.clear()
-    got, err = gauss_ladder(coeffs, 160, 200)
+    got, err = gauss_ladder(rung, 160, 200)
     assert seen == [160] and math.isnan(err) and scaled == []
     seen.clear()
-    gauss_ladder(lambda n: seen.append(n) or (np.ones(3), lambda: np.ones(3)), 192, 2)
+    gauss_ladder(lambda n: seen.append(n) or (np.negative, (np.ones(3),)), 192, 2)
     assert seen == [24, 48]
 
 
@@ -308,7 +312,8 @@ def test_gauss_ladder_stops_only_on_agreement():
     before it, and the answer is the cap's."""
     f = lambda x: np.exp(-0.5 * ((x - 0.31) / 0.1) ** 2)
     got, err = gauss_ladder(_legendre_coeffs(f, 8), 160, 8)
-    want = _legendre_coeffs(f, 8)(160)[0]
+    contract, operands = _legendre_coeffs(f, 8)(160)
+    want = contract(*operands)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert err < 1e-12
 
@@ -324,8 +329,8 @@ def test_gauss_ladder_stops_on_data_orthogonal_to_every_mode(monkeypatch):
 
     rungs, estimates, samples = [], [], []
 
-    def ladder(coeffs, cap, modes):
-        got = gauss_ladder(lambda sizes: rungs.append(sizes) or coeffs(sizes), cap, modes)
+    def ladder(rung, cap, modes):
+        got = gauss_ladder(lambda sizes: rungs.append(sizes) or rung(sizes), cap, modes)
         estimates.append(got[1])
         return got
 
@@ -339,6 +344,46 @@ def test_gauss_ladder_stops_on_data_orthogonal_to_every_mode(monkeypatch):
     assert sum(samples) == 16 * 12 + 32 * 24
     assert estimates[0] <= 1e-12
     assert abs(value) <= 1e-15
+
+
+def test_gauss_ladder_scale_of_the_nested_cylinder_contraction(monkeypatch):
+    """The cylinder's T0(r, z) rung contracts in two stages, over z and then
+    over r.  For every rung compared with the one before, the scale the
+    ladder forms is, per (k, m), the sum over every node (r, z) of
+    |w_r r chi_m(r) w_z X_k(z) T(r, z)|, to rounding of that sum."""
+    from spectralbvp import geomnd
+
+    calls = []
+
+    def ladder(rung, cap, modes):
+        def recording(sizes):
+            contract, operands = rung(sizes)
+
+            def traced(*ops):
+                calls.append((sizes, ops, contract(*ops)))
+                return calls[-1][2]
+
+            return traced, operands
+
+        return gauss_ladder(recording, cap, modes)
+
+    monkeypatch.setattr(geomnd, "gauss_ladder", ladder)
+    t0 = lambda r, z: np.cos(3.0 * r) * np.sin(2.0 * z) + r * z - 0.2
+    geomnd.cylinder_cooling(1.2, 2.0, 0.7, t0, 3, 4, (0.3, 0.1), 0.05)
+    # the first rung is contracted once, every later one twice: once for its
+    # coefficients, once on the absolute operands for its scale
+    assert len(calls) >= 3 and len(calls) % 2 == 1
+    for (sizes, ops, coef), (scale_sizes, _, scale) in zip(calls[1::2], calls[2::2]):
+        assert sizes == scale_sizes != calls[0][0]
+        ax, wz, data, radial, wr = ops
+        summands = (
+            wr[:, None, None, None] * radial[:, None, None, :] * wz[None, :, None, None]
+            * ax[None, :, :, None] * data[:, :, None, None]
+        )  # (r, z, k, m)
+        brute = np.abs(summands).sum(axis=(0, 1))
+        assert scale.shape == coef.shape == brute.shape
+        assert np.max(np.abs(scale - brute) / brute) <= 1e-13
+        assert np.all(np.abs(coef) < scale)  # the data's summands cancel
 
 
 def test_sample_names_the_first_nonfinite_point():

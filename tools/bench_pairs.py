@@ -17,12 +17,15 @@ The file holds each run's gated metrics, the ungated ``op_p50_s``,
 that ``op_cost_ref`` divides by (``reference_mean_s``, read from its report
 line), and its operation counts; and per workload and metric each side's
 median and quartiles and the pairs the change wins (ties count for
-neither).  Under ``machine`` it records, once per tree and read by a child
-process of the interpreter that runs it, what the last bits of a float
-result depend on besides the source: numpy's version, the CPU baseline,
-dispatch targets and enabled features of its build, its BLAS, and the
-environment variables that steer those.  It is rewritten after every pair,
-so an interrupted run keeps the pairs it finished.  Standard library only.
+neither).  After the pairs, each tree runs every workload once more with
+``--trace 1`` on seed S, parent first, and its per-layer metrics are kept
+under ``workloads[W]["traced"][side]``.  Under ``machine`` it records,
+once per tree and read by a child process of the interpreter that runs
+it, what the last bits of a float result depend on besides the source:
+numpy's version, the CPU baseline, dispatch targets and enabled features
+of its build, its BLAS, and the environment variables that steer those.
+It is rewritten after every pair and every traced run, so an interrupted
+run keeps what it finished.  Standard library only.
 """
 
 from __future__ import annotations
@@ -83,15 +86,18 @@ def machine(root: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_bench(root: str, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(root: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {root} exited with {proc.returncode}:\n{proc.stderr[-4000:]}")
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
+    if trace:
+        # a traced run reports per-layer metrics only, and no reference loop
+        return result
     # the ungated metrics appear only in the report, one "name value unit ..." line each
     reported = {m["name"] for m in REPORTED}
     result["metrics"].update((words[0], float(words[1])) for words in map(str.split, lines)
@@ -124,6 +130,14 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "gated": metric not in REPORTED,
         }
     return out
+
+
+def write(record: dict, path: str) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    os.replace(tmp, path)
 
 
 def main() -> int:
@@ -167,11 +181,13 @@ def main() -> int:
                   f"change {pair['change']['metrics']['op_cost_ref']:.4g}"
                   + (f"; change wins {summary['change_wins']} of {summary['pairs']}" if summary else ""),
                   flush=True)
-        tmp = args.out + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=1)
-            fh.write("\n")
-        os.replace(tmp, args.out)
+        write(record, args.out)
+    for workload in args.workload:
+        record["workloads"][workload]["traced"] = {
+            side: run_bench(roots[side], workload, args.seed0, seconds, trace=1) for side in SIDES
+        }
+        print(f"traced {workload}: seed {args.seed0}", flush=True)
+        write(record, args.out)
     return 0
 
 
