@@ -24,7 +24,6 @@ def refine_root(
     a: float,
     b: float,
     ftol: float = 1e-10,
-    xtol: float = 0.0,
 ) -> float:
     """Root of f in the sign-change bracket [a, b].
 
@@ -33,8 +32,8 @@ def refine_root(
     the bracket and at least halve the step before last, bisection
     otherwise.  Stops when |f| <= ftol on a bracket narrower than
     1e-9 * max(1, |x|), or when the bracket collapses to floating-point
-    resolution (or the optional xtol).  Returns the bracket end with the
-    smaller |f|, so the result lies in [a, b].
+    resolution.  Returns the bracket end with the smaller |f|, so the result
+    lies in [a, b].
     """
     fa = f(a)
     fb = f(b)
@@ -52,7 +51,7 @@ def refine_root(
             a, fa = b, fb
             b, fb = c, fc
             c, fc = a, fa
-        tol = 0.5 * max(xtol, 4.0 * math.ulp(max(abs(b), abs(c), 1.0)))
+        tol = 2.0 * math.ulp(max(abs(b), abs(c), 1.0))
         half = 0.5 * (c - b)
         width = abs(c - b)
         if fb == 0.0 or abs(half) <= tol or abs(fb) <= ftol and width <= 1e-9 * max(1.0, abs(b)):

@@ -189,7 +189,14 @@ def disk_membrane_modes(spec: DiskMembrane, m: int, k: int, parity: str = "cos")
         ang = lambda phi: xp(phi).sin(m * phi) / math.sqrt(math.pi)
     else:
         raise ValueError("parity must be 'cos' or 'sin'")
-    return omega, (lambda r, phi: chi(r) * ang(phi))
+
+    def mode(r, phi):
+        r = as_arg(r)
+        if not inside(r, 0.0, spec.radius):
+            raise ValueError("radial coordinate outside the disk")
+        return chi(r) * ang(phi)
+
+    return omega, mode
 
 
 def disk_axisym_solution(
@@ -396,7 +403,15 @@ def ball_radial_modes(spec: BallSpec, k: int):
     Phi_k(r) = C_k sin(gamma_k r/R)/r with unit norm over the ball volume."""
     if k < 1:
         raise ValueError("radial index starts at 1")
-    return _ball_modes(spec, _ball_gamma(spec, k))
+    lam, phi = _ball_modes(spec, _ball_gamma(spec, k))
+
+    def mode(r):
+        r = as_arg(r)
+        if not inside(r, 0.0, spec.radius):
+            raise ValueError("radial coordinate outside the ball")
+        return phi(r)
+
+    return lam, mode
 
 
 class BallProblem(str, Enum):

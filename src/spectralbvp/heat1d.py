@@ -95,6 +95,8 @@ def gauss_kernel(s: float, a2: float, t: float) -> float:
     in s for every t > 0."""
     if not 0.0 < t < math.inf:
         raise ValueError(f"kernel defined for finite t > 0, got t = {t!r}")
+    if not math.isfinite(s):
+        raise ValueError(f"kernel needs a finite s, got s = {s!r}")
     return math.exp(-s * s / (4.0 * a2 * t)) / math.sqrt(4.0 * math.pi * a2 * t)
 
 
@@ -124,6 +126,8 @@ def _heat_potential(kernel, lower, medium: HeatMedium, x: float, t: float, u0, s
     w = 8 sqrt(4 a2 s)."""
     if not 0.0 < t < math.inf:
         raise ValueError(f"evaluation requires finite t > 0, got t = {t!r}")
+    if not math.isfinite(x):
+        raise ValueError(f"evaluation needs a finite x, got x = {x!r}")
     a2 = medium.a2
     w = 8.0 * math.sqrt(4.0 * a2 * t)
     val = adaptive_simpson(lambda xp: kernel(xp, t) * u0(xp), lower(w), x + w, tol=1e-11)
@@ -161,8 +165,8 @@ def heat_halfline_kernel(
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"kernel defined for finite t > 0, got t = {t!r}")
-    if x < 0.0 or xp < 0.0:
-        raise ValueError("half-line kernel needs x, x' >= 0")
+    if not (0.0 <= x < math.inf and 0.0 <= xp < math.inf):
+        raise ValueError(f"half-line kernel needs finite x, x' >= 0, got x = {x!r}, x' = {xp!r}")
     if not h >= 0.0:
         raise ValueError(f"Robin parameter h must be >= 0 (or inf), got h = {h!r}")
     a2 = medium.a2
@@ -324,6 +328,8 @@ def freq_green_heat(
     crho = volumetric_heat_capacity
     if not 0.0 < crho < math.inf:
         raise ValueError(f"volumetric_heat_capacity must be positive and finite, got {crho!r}")
+    if not 0.0 < l < math.inf:
+        raise ValueError(f"interval length must be finite and positive, got l = {l!r}")
     if not (0.0 <= x <= l and 0.0 <= xp <= l):
         raise ValueError("evaluation points must lie in [0, l]")
     a = math.sqrt(medium.a2)

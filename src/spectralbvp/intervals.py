@@ -105,7 +105,7 @@ def _has_robin(eta1: float, eta2: float) -> bool:
     return 0.0 < eta1 < math.inf or 0.0 < eta2 < math.inf
 
 
-def _phase_roots(eta1: float, eta2: float, ns: range) -> list[float]:
+def _xi_roots(eta1: float, eta2: float, ns: range) -> list[float]:
     """Roots xi_n of the phase condition for each n in ns."""
     if not _has_robin(eta1, eta2):
         # (n - k/2) pi, k the number of Neumann ends
@@ -127,7 +127,7 @@ def robin_xi_roots(l: float, h1: float, h2: float, count: int) -> list[float]:
     """
     eta1, eta2 = h1 * l, h2 * l
     first = 2 if eta1 == 0.0 and eta2 == 0.0 else 1
-    return _phase_roots(eta1, eta2, range(first, first + count))
+    return _xi_roots(eta1, eta2, range(first, first + count))
 
 
 def _norm_constant(l: float, xi: float, a: float, b: float) -> float:
@@ -170,7 +170,7 @@ def _roots_and_norms(l: float, left: BoundaryCondition, right: BoundaryCondition
     """Roots xi_n and norm constants c_n of the first n_modes modes."""
     etas = (_eta(left, l), _eta(right, l))
     robin = _has_robin(*etas)
-    xi = _phase_roots(*etas, range(1, n_modes + 1))
+    xi = _xi_roots(*etas, range(1, n_modes + 1))
     if not robin:
         # sin(2 xi) = 0 at these roots, so the norm is exactly sqrt(2/l)
         c = [1.0 / math.sqrt(l) if x == 0.0 else math.sqrt(2.0 / l) for x in xi]

@@ -40,7 +40,6 @@ __all__ = [
     "spherical_bessel_zero",
     "legendre",
     "assoc_legendre",
-    "legendre_norm2",
     "assoc_legendre_norm2",
     "integral_sine",
     "GIBBS_CONSTANT",
@@ -644,11 +643,6 @@ def _legendre_columns(n_terms: int, x) -> np.ndarray:
         pk1, pk = pk, (a * x * pk - b * pk1) / c
         cols.append(pk)
     return np.stack(cols[:n_terms], axis=-1)
-
-
-def legendre_norm2(n: int) -> float:
-    """Squared L2 norm of P_n on [-1, 1]: 2/(2n+1)."""
-    return 2.0 / (2 * n + 1)
 
 
 def assoc_legendre(n: int, m: int, x):

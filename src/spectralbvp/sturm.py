@@ -8,11 +8,12 @@ is a product of step matrices: a pairwise tree product gives the right-end
 boundary residual, whose zeros are the eigenvalues, and a log-depth prefix
 product gives every node value.  Products of 16 to 256 consecutive steps,
 kept as matrix polynomials in lambda truncated by an a-priori tail bound,
-stand in for the steps in scans and phase sweeps: each lambda goes through
-the longest block that turns the phase by at most about a radian, so those
-multiply up to 256 times fewer matrices.  The angle of (S u, p u'),
-continued by its wrapped differences, is the scaled Pruefer phase, which
-counts oscillations and brackets each eigenvalue before it is polished on
+stand in for the steps in scans and counts: each lambda goes through the
+longest block that is shorter than the spacing of the solution's zeros, so
+those multiply up to 256 times fewer matrices.  The sign changes of the
+node values at the block ends count the zeros of the left-normalized
+solution, and by Sturm's oscillation theorem the eigenvalues below lambda;
+bisection on that count isolates each eigenvalue before it is polished on
 the boundary residual.  A Picard iteration on the equivalent Volterra
 equation is the independent cross-check.
 """
@@ -467,50 +468,45 @@ def characteristic_many(problem: SLProblem, lams: Sequence[float]) -> np.ndarray
     return out.reshape(lams.shape)
 
 
-def _phase_scale(problem: SLProblem, lam: float) -> float:
-    """Scale S for the Pruefer transform u = r sin(phi), p u' = r S cos(phi).
-
-    S ~ sqrt(lam * rho * p) makes phi' nearly constant (exactly constant for
-    constant coefficients), so the phase turns at a nearly even rate between
-    nodes."""
-    b = problem._bounds
-    pm = math.sqrt(b["p_min"] * b["p_max"])
-    rm = math.sqrt(b["rho_min"] * b["rho_max"])
-    return math.sqrt(max(lam, 1.0) * pm * rm)
-
-
 class ResolutionError(RuntimeError):
     """Raised when the grid is too coarse for the requested spectral parameter:
-    h sqrt(max(lam, 0) rho_max / p_min) > 1.  Within that bound and for
-    lam >= 1, one step turns the scaled phase by less than kappa^(1/4) radians,
-    kappa = max(p_max/p_min, rho_max/rho_min): below pi, as unwrapping needs,
-    for kappa < 97."""
+    h sqrt(max(lam, 0) rho_max / p_min) > 1.  By Sturm-Picone comparison with
+    the constants p_min and lam rho_max - q_min, zeros of a solution lie at
+    least pi sqrt(p_min/(lam rho_max - q_min)) apart, so within that bound a
+    step, like a block of every level that admits lam, holds at most one."""
 
 
-_MAX_STEP_PHASE = 1.0
+_MAX_STEP_ANGLE = 1.0
 
 
-def _phase(problem: SLProblem, lam: float, scale: float) -> float:
-    """Scaled Pruefer phase phi(l): the angle of (S u, p u') for the
-    left-normalized u, continued from phi(0), which carries the left boundary
-    condition, so interior zeros of u sit exactly at multiples of pi.
+def _sign_changes(values: np.ndarray) -> int:
+    return int(np.count_nonzero(np.signbit(values[1:]) != np.signbit(values[:-1])))
 
-    The angle is continued by its wrapped differences between the ends of
-    the blocks of the coarsest level that admits lam (a block then turns the
-    phase no further than one step at the ResolutionError bound does), else
-    between nodes; the end value is the same either way."""
+
+def _count(problem: SLProblem, lam: float) -> tuple[int, int]:
+    """(zeros, below): the zeros on (0, l] of the left-normalized solution and
+    the number of eigenvalues below lam; ResolutionError if the grid
+    under-resolves lam.
+
+    Both come from the node values at the ends of the blocks of the coarsest
+    level that admits lam, else of the steps, where each zero is one sign
+    change (see ResolutionError).  By Sturm's oscillation theorem the zeros
+    are the eigenvalues below lam for a Dirichlet right end; a Robin or
+    Neumann end adds one when m(lam) theta(l) < 0, where the solution has
+    passed the right condition but not yet its next zero."""
     b = problem._bounds
-    step_phase = problem.h_step * math.sqrt(max(lam, 0.0) * b["rho_max"] / b["p_min"])
-    if step_phase > _MAX_STEP_PHASE:
+    step_angle = problem.h_step * math.sqrt(max(lam, 0.0) * b["rho_max"] / b["p_min"])
+    if step_angle > _MAX_STEP_ANGLE:
         raise ResolutionError(
             f"grid of {problem.n} steps under-resolves lambda={lam}: "
-            f"h*sqrt(lam*rho_max/p_min) = {step_phase:.3f} > {_MAX_STEP_PHASE}"
+            f"h*sqrt(lam*rho_max/p_min) = {step_angle:.3f} > {_MAX_STEP_ANGLE}"
         )
     a, b0 = problem.left_initial_data()
     theta, w = _node_values(problem, lam, a, b0, _level(problem, lam))
-    angle = np.arctan2(scale * theta, w)
-    turns = np.mod(np.diff(angle) + math.pi, 2.0 * math.pi) - math.pi
-    return float(angle[0] + turns.sum())
+    zeros = _sign_changes(theta)
+    if problem.right.dirichlet:
+        return zeros, zeros
+    return zeros, zeros + int(_end_residual(problem, theta[-1], w[-1] / problem._p[-1]) * theta[-1] < 0.0)
 
 
 def node_count(problem: SLProblem, lam: float) -> int:
@@ -518,19 +514,11 @@ def node_count(problem: SLProblem, lam: float) -> int:
     ResolutionError if the grid under-resolves lam."""
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
-    theta_end = _phase(problem, lam, _phase_scale(problem, lam))
-    return max(0, int(math.floor(theta_end / math.pi - 1e-10)))
-
-
-def _phase_target(problem: SLProblem, n: int, scale: float) -> float:
-    """phi(l) value at the n-th eigenvalue for the given right end."""
-    if problem.right.dirichlet:
-        return n * math.pi
-    return n * math.pi - math.atan2(scale, problem._p[-1] * problem.right.h)
+    return _count(problem, lam)[0]
 
 
 class BracketingError(RuntimeError):
-    """Raised when the eigenvalue window cannot be made to straddle a root."""
+    """Raised when an eigenvalue cannot be bracketed, isolated or certified."""
 
 
 @dataclass
@@ -575,26 +563,30 @@ class EigenBasis:
 _MAX_EXPANSIONS = 6
 
 
-def _expand_bracket(fn, lo, hi):
-    flo, fhi = fn(lo), fn(hi)
-    width = hi - lo
+def _isolate(problem: SLProblem, n: int, lo: float, hi: float) -> tuple[float, float]:
+    """A bracket that holds the n-th eigenvalue alone: below(lo) = n - 1 and
+    below(hi) = n.  [lo, hi] is widened by its width on both sides while it
+    misses the eigenvalue, then bisected on the count."""
+    below = lambda lam: _count(problem, lam)[1]
+    b_lo, b_hi = below(lo), below(hi)
     for _ in range(_MAX_EXPANSIONS):
-        if flo * fhi <= 0.0:
-            return lo, hi
-        lo -= width
-        hi += width
+        if b_lo < n <= b_hi:
+            break
         width = hi - lo
-        flo, fhi = fn(lo), fn(hi)
-    if flo * fhi <= 0.0:
-        return lo, hi
-    raise BracketingError(f"no sign change after expansion; scanned [{lo}, {hi}]")
-
-
-def _sign_changes(problem: SLProblem, values: np.ndarray) -> int:
-    """Interior sign changes of node values; a Dirichlet right end's node is
-    zero only up to rounding and is left out."""
-    inner = values[:-1] if problem.right.dirichlet else values
-    return int(np.count_nonzero(np.signbit(inner[1:]) != np.signbit(inner[:-1])))
+        lo, hi = lo - width, hi + width
+        b_lo, b_hi = below(lo), below(hi)
+    if not b_lo < n <= b_hi:
+        raise BracketingError(f"eigenvalue {n} not bracketed after expansion; counted [{lo}, {hi}]")
+    while (b_lo, b_hi) != (n - 1, n):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise BracketingError(f"eigenvalue {n} not isolated from its neighbours in [{lo}, {hi}]")
+        b_mid = below(mid)
+        if b_mid < n:
+            lo, b_lo = mid, b_mid
+        else:
+            hi, b_hi = mid, b_mid
+    return lo, hi
 
 
 # An eigenvalue is certified by |m(lam)| <= _M_TOL times the local scale of m.
@@ -604,10 +596,11 @@ _M_TOL = 1e-10
 def eigen_solve(problem: SLProblem, n_max: int) -> EigenBasis:
     """First n_max eigenpairs.
 
-    Each eigenvalue is located by solving phi(l; lam) = target_n on the
-    monotone phase, bracketed from the spectral window, then polished on the
-    characteristic and certified by |m(lam)| <= _M_TOL times its local scale.
-    Raises ResolutionError when the grid cannot resolve the eigenvalues.
+    Each eigenvalue is isolated by bisection on the count of eigenvalues
+    below lambda, from the spectral window, then found as the root of the
+    characteristic in that bracket and certified by |m(lam)| <= _M_TOL times
+    its local scale.  Raises ResolutionError when the grid cannot resolve
+    the eigenvalues.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -622,20 +615,10 @@ def eigen_solve(problem: SLProblem, n_max: int) -> EigenBasis:
         lo, hi = problem.eigenvalue_window(n)
         lo -= 1e-6 + 1e-3 * abs(lo)
         hi += 1e-6 + 1e-3 * abs(hi)
-        # one fixed scale per searched eigenvalue keeps the phase condition
-        # strictly monotone in lambda across the bracket
-        scale_s = _phase_scale(problem, 0.5 * (lo + hi))
-        target = _phase_target(problem, n, scale_s)
-        fn = lambda lam: _phase(problem, lam, scale_s) - target
-        # phase and characteristic share one discrete solution, so their roots
-        # coincide: a phase bracket narrowed to span leaves the characteristic
-        # root within lam +- span
+        lam = refine_root(g, *_isolate(problem, n, lo, hi), ftol=0.0)
+        # the local scale of m, from m at lam +- span
         span = max(1e-9, 1e-7 * max(1.0, abs(hi)))
-        lam = refine_root(fn, *_expand_bracket(fn, lo, hi), xtol=span)
-        glo, ghi = g(lam - span), g(lam + span)
-        scale = max(1.0, abs(glo), abs(ghi))
-        if glo * ghi <= 0.0:
-            lam = refine_root(g, lam - span, lam + span, ftol=0.0)
+        scale = max(1.0, abs(g(lam - span)), abs(g(lam + span)))
         mval = g(lam)
         if abs(mval) > _M_TOL * scale:
             raise BracketingError(
@@ -646,7 +629,8 @@ def eigen_solve(problem: SLProblem, n_max: int) -> EigenBasis:
         eigs.append(float(lam))
         sols.append(sol)
         norms.append(1.0 / math.sqrt(norm2))
-        counts.append(_sign_changes(problem, sol.values))
+        # a Dirichlet right end's node is zero only up to rounding
+        counts.append(_sign_changes(sol.values[:-1] if problem.right.dirichlet else sol.values))
     return EigenBasis(
         problem=problem,
         eigenvalues=eigs,

@@ -384,6 +384,8 @@ def freq_green_string(
     l, a, eta, rho = medium.l, medium.a, medium.eta, medium.rho
     if not math.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega!r}")
+    if not math.isfinite(l):
+        raise ValueError("modal solutions need a finite interval")
     if not (0.0 <= x <= l and 0.0 <= xp <= l):
         raise ValueError("evaluation points must lie in [0, l]")
     if eta == 0.0:

@@ -538,12 +538,16 @@ def test_ball_and_disk_refuse_a_radius_outside_the_domain(scale):
         lambda: ball_solution(ball, "sources", 1.0, 3, r, math.inf),
         lambda: ball_solution(ball, "axisym_cooling", lambda rr, th: 1.0, 2, (r, 0.3), 0.1),
         lambda: ball_solution(ball, "laplace_dirichlet", lambda th: math.cos(th), 4, (r, 0.3)),
+        lambda: ball_radial_modes(ball, 1)[1](r),
+        lambda: ball_radial_modes(ball, 2)[1](np.array([0.0, r])),
     ]
     fb = expand_series("fourier_bessel", lambda rr: 1.0 - rr * rr, 4, radius=1.3)
     disk_calls = [
         lambda: disk_axisym_solution(disk, lambda rr: 1.0 - rr * rr, None, 3, r, 0.3),
         lambda: fb.reconstruct(r),
         lambda: fb.reconstruct(np.array([0.0, r])),
+        lambda: disk_membrane_modes(disk, 0, 1)[1](r, 0.0),
+        lambda: disk_membrane_modes(disk, 2, 1, "sin")[1](np.array([0.0, r]), 0.3),
     ]
     for calls, where in ((ball_calls, "ball"), (disk_calls, "disk")):
         for call in calls:

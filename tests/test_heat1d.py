@@ -235,6 +235,12 @@ BAD_KERNEL_PARAMETERS = {
         lambda: freq_green_heat(MED, 1.0, 0.0, 0.3, 0.7, volumetric_heat_capacity=0.0),
         "volumetric_heat_capacity",
     ),
+    "gauss-s-nan": (lambda: gauss_kernel(math.nan, 1.0, 0.1), "got s = nan"),
+    "halfline-x-nan": (lambda: heat_halfline_kernel(0.0, MED, math.nan, 0.2, 0.1), "got x = nan"),
+    "halfline-robin-xp-nan": (lambda: heat_halfline_kernel(1.0, MED, 0.3, math.nan, 0.1), "x' = nan"),
+    "halfline-eval-x-nan": (lambda: heat_halfline_eval(lambda x: 1.0, 0.0, MED, math.nan, 0.1), "got x = nan"),
+    "freq-l-inf": (lambda: freq_green_heat(MED, math.inf, 1.0, 0.3, 0.7), "got l = inf"),
+    "freq-l-zero": (lambda: freq_green_heat(MED, 0.0, 1.0, 0.0, 0.0), "got l = 0.0"),
 }
 
 

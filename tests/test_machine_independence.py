@@ -6,8 +6,9 @@ fixed subscript, never through BLAS, whose ``DYNAMIC_ARCH`` builds pick a
 kernel (and with it a summation order) at run time.  Each environment below
 runs in its own interpreter, which runs every CLI kind on the benchmark's
 seeded problem files (one spec per kind, CSV and JSON) through ``cli.run``,
-and two ``sturm_eigen`` and two ``series_expand`` benchmark operations, and
-prints one digest of the CLI bytes and one of the library values.
+and eight ``sturm_eigen`` and two ``series_expand`` benchmark operations, and
+prints one digest of the CLI bytes and one each of the Sturm and the series
+values.
 
 ``OPENBLAS_CORETYPE`` picks OpenBLAS's kernel; ``NPY_DISABLE_CPU_FEATURES``
 drops numpy's AVX-512 dispatch targets.  Both are silently ignored where
@@ -15,9 +16,10 @@ they do not apply: a BLAS built without ``DYNAMIC_ARCH``, a CPU without
 AVX-512, or a numpy that names its features otherwise.  There the test
 compares equal runs and passes trivially.
 
-The library digest is compared across BLAS kernels only: numpy's AVX-512
-``exp``, ``log`` and ``arctan2`` round differently from its other targets,
-and the package cannot choose numpy's kernel per call.
+The Sturm values use no numpy transcendental and are compared across
+both.  The series digest is compared across BLAS kernels only: numpy's
+AVX-512 ``exp`` and ``log`` round differently from its other targets, and
+the package cannot choose numpy's kernel per call.
 """
 
 import os
@@ -45,14 +47,15 @@ with tempfile.TemporaryDirectory() as workdir:
         cli.run(inp["spec"], inp["out"], [], None)
         with open(inp["out"], "rb") as fh:
             cli_bytes.update(fh.read())
-values = []
-for i in range(2):
+sturm, series = [], []
+for i in range(8):
     out = workloads.sturm_run(workloads.sturm_inputs(1, i, ""), NullTracer())
     picard = out["picard"]
-    values.append((out["basis"].eigenvalues, out["roots"], out["coef"], picard.values.tolist(), picard.derivs.tolist()))
+    sturm.append((out["basis"].eigenvalues, out["roots"], out["coef"], picard.values.tolist(), picard.derivs.tolist()))
+for i in range(2):
     out = workloads.series_run(workloads.series_inputs(1, i, ""), NullTracer())
-    values.append(sorted((k, v) for k, v in out.items() if k != "heat_modes"))
-print(cli_bytes.hexdigest(), hashlib.sha256(repr(values).encode()).hexdigest())
+    series.append(sorted((k, v) for k, v in out.items() if k != "heat_modes"))
+print(cli_bytes.hexdigest(), *(hashlib.sha256(repr(v).encode()).hexdigest() for v in (sturm, series)))
 """
 
 
@@ -69,7 +72,7 @@ def _digests(coretype, features):
 
 @pytest.fixture(scope="module")
 def digests():
-    """(cli, library) digests per (coretype, features), two interpreters at a time."""
+    """(cli, sturm, series) digests per (coretype, features), two interpreters at a time."""
     envs = [(c, f) for f in CPU_FEATURES for c in CORETYPES]
     found = {}
     for start in range(0, len(envs), 2):
@@ -82,9 +85,13 @@ def digests():
 
 
 def test_cli_bytes_do_not_depend_on_blas_kernel_or_dispatch_level(digests):
-    assert len({cli for cli, _ in digests.values()}) == 1, digests
+    assert len({cli for cli, _, _ in digests.values()}) == 1, digests
 
 
-def test_library_values_do_not_depend_on_blas_kernel(digests):
+def test_sturm_values_do_not_depend_on_blas_kernel_or_dispatch_level(digests):
+    assert len({sturm for _, sturm, _ in digests.values()}) == 1, digests
+
+
+def test_series_values_do_not_depend_on_blas_kernel(digests):
     for features in CPU_FEATURES:
-        assert len({digests[c, features][1] for c in CORETYPES}) == 1, digests
+        assert len({digests[c, features][2] for c in CORETYPES}) == 1, digests

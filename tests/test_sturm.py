@@ -227,8 +227,9 @@ def level_lams(prob):
 
 
 def assert_blocked_paths_match_steps(prob, lams):
-    """characteristic, characteristic_many and the phase end value agree with
-    the per-step node values of solve_theta to 1e-12 of the solution's size."""
+    """characteristic and characteristic_many agree with the per-step node
+    values of solve_theta to 1e-12 of the solution's size, and node_count
+    with their sign changes."""
     many = characteristic_many(prob, lams)
     a, b = prob.left_initial_data()
     for lam, m_many in zip(lams, many):
@@ -239,15 +240,13 @@ def assert_blocked_paths_match_steps(prob, lams):
         m_ref = sol.values[-1] if right.dirichlet else sol.derivs[-1] + right.h * sol.values[-1]
         assert abs(m_many - m_ref) <= 1e-12 * scale
         assert abs(characteristic(prob, float(lam)) - m_ref) <= 1e-12 * scale
-        s = sturm._phase_scale(prob, float(lam))
-        phi_ref = np.unwrap(np.arctan2(s * sol.values, w))[-1]
-        assert abs(sturm._phase(prob, float(lam), s) - phi_ref) <= 1e-12 * max(1.0, abs(phi_ref))
+        assert node_count(prob, float(lam)) == int(np.sum(np.signbit(sol.values[1:]) != np.signbit(sol.values[:-1])))
 
 
 @pytest.mark.parametrize("grid", [16, 18, 30, 64, 4096])
 @pytest.mark.parametrize("coeffs", sorted(BLOCK_COEFFS))
 def test_blocked_propagator_matches_step_path(grid, coeffs):
-    """Up to each block level's bound the scans and the phase run on products
+    """Up to each block level's bound the scans and the count run on products
     of 2**L steps (identity-padded when 2**L does not divide the grid)."""
     p, q, rho = BLOCK_COEFFS[coeffs]
     for ends in END_PAIRS:
@@ -343,7 +342,7 @@ def test_truncated_block_tables_match_full_degree(coeffs):
 def test_block_bound_selects_the_path(monkeypatch):
     """A lambda at a level's bound goes through that level; the next float
     above it through the next finer level, or the step matrices above the
-    finest, in the scan, the characteristic and the phase."""
+    finest, in the scan, the characteristic and the count."""
     p, q, rho = BLOCK_COEFFS["mild"]
     prob = SLProblem(p, q, rho, 1.0, BoundaryCondition.robin(0.8), DIRICHLET, grid_size=4096)
     bnd = prob.coefficient_bounds()
@@ -526,6 +525,27 @@ def test_resolution_error_fires_at_its_stated_bound():
         else:
             with pytest.raises(ResolutionError):
                 eigen_solve(stiff, n)
+
+
+@pytest.mark.parametrize(
+    "coeffs, grid, n_max",
+    [("mild", 16, 3), ("mild", 64, 5), ("mild", 256, 8), ("mild", 4096, 8),
+     ("kappa50", 64, 2), ("kappa50", 256, 8), ("kappa50", 4096, 8)],
+)
+def test_count_brackets_every_eigenvalue(coeffs, grid, n_max):
+    """The count of eigenvalues below lambda is n - 1 just under the n-th
+    eigenvalue and n just over it, at every pair of Dirichlet, Neumann and
+    Robin ends: the zeros alone for a Dirichlet right end, plus the
+    m(lam) theta(l) < 0 rule for the others."""
+    p, q, rho = BLOCK_COEFFS[coeffs]
+    ends = [DIRICHLET, NEUMANN, BoundaryCondition.robin(0.7), BoundaryCondition.robin(25.0)]
+    for left in ends:
+        for right in ends:
+            prob = SLProblem(p, q, rho, 1.0, left, right, grid_size=grid)
+            for n, lam in enumerate(eigen_solve(prob, n_max).eigenvalues, start=1):
+                step = 1e-9 * abs(lam)
+                assert sturm._count(prob, lam - step)[1] == n - 1
+                assert sturm._count(prob, lam + step)[1] == n
 
 
 def test_node_count_monotone():

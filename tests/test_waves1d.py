@@ -521,6 +521,17 @@ def test_freq_green_names_a_nonfinite_omega(bad):
             freq_green_string(WaveMedium(a=1.0, l=1.0, eta=eta), FIXED_ENDS, bad, 0.3, 0.7)
 
 
+def test_modal_solutions_and_kernels_need_a_finite_interval():
+    """The default medium is the line (l = inf), which has no modes: the
+    modal solutions and the frequency kernel refuse it, damped or not."""
+    for eta in (0.0, 0.2):
+        med = WaveMedium(a=1.0, eta=eta)
+        with pytest.raises(ValueError, match="modal solutions need a finite interval"):
+            freq_green_string(med, FIXED_ENDS, 1.3, 0.3, 0.7)
+        with pytest.raises(ValueError, match="modal solutions need a finite interval"):
+            damped_modes(med, FIXED_ENDS, lambda x: 1.0, None, 8)
+
+
 def test_modal_projection_refuses_nonfinite_data():
     med = WaveMedium(a=1.0, l=1.0)
     with pytest.raises(ValueError, match="not finite at x = "):

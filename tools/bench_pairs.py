@@ -25,7 +25,10 @@ it, what the last bits of a float result depend on besides the source:
 numpy's version, the CPU baseline, dispatch targets and enabled features
 of its build, its BLAS, and the environment variables that steer those.
 It is rewritten after every pair and every traced run, so an interrupted
-run keeps what it finished.  Standard library only.
+run keeps what it finished.  Last, it prints one line per workload and
+gated metric, read back from the file it wrote: the parent's median
+[q1, q3], the change's, and the pairs the change wins.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -188,6 +191,15 @@ def main() -> int:
         }
         print(f"traced {workload}: seed {args.seed0}", flush=True)
         write(record, args.out)
+    with open(args.out, encoding="utf-8") as fh:
+        written = json.load(fh)
+    for workload, entry in written["workloads"].items():
+        for name, s in entry["summary"].items():
+            if s["gated"]:
+                p, c = s["parent"], s["change"]
+                print(f"{workload} {name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
+                      f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {s['unit']}; "
+                      f"change wins {s['change_wins']} of {s['pairs']}")
     return 0
 
 
