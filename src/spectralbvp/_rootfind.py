@@ -3,13 +3,19 @@
 All transcendental characteristic equations in the package are solved through
 these helpers.  The contract is deliberately conservative: a root is only
 reported from a sign-change bracket, and every iterate stays inside it.
+
+Brent's iteration is written once, as a coroutine (``zeroin``) that yields the
+points it needs and is sent their values.  ``refine_root`` drives one with a
+scalar function; ``lockstep`` drives many together, so that a caller with a
+batched function (``sturm.eigen_solve``) evaluates every pending point of
+every coroutine in one call per round.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable, Generator, Iterator, Sequence
 
 __all__ = ["refine_root", "scan_brackets", "nth_root_from_scan"]
 
@@ -18,25 +24,16 @@ _MAX_STEPS = 2_000_000
 # Brent iterations before refine_root returns its best bracket end.
 _MAX_ITER = 200
 
+# A coroutine of this module's protocol yields a tuple of points, is sent the
+# list of their values in the same order, and returns its result.
+Coroutine = Generator[tuple, list, object]
 
-def refine_root(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    ftol: float = 1e-10,
-) -> float:
-    """Root of f in the sign-change bracket [a, b].
 
-    Brent's zeroin (Brent, Algorithms for Minimization without Derivatives,
-    1973, ch. 4): inverse quadratic or secant steps while they stay inside
-    the bracket and at least halve the step before last, bisection
-    otherwise.  Stops when |f| <= ftol on a bracket narrower than
-    1e-9 * max(1, |x|), or when the bracket collapses to floating-point
-    resolution.  Returns the bracket end with the smaller |f|, so the result
-    lies in [a, b].
-    """
-    fa = f(a)
-    fb = f(b)
+def zeroin(a: float, b: float, ftol: float) -> Coroutine:
+    """Brent's zeroin on the sign-change bracket [a, b] as a coroutine: it
+    yields (a, b) and then one point per iteration, and returns the root
+    that refine_root documents."""
+    fa, fb = yield a, b
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -78,11 +75,58 @@ def refine_root(
             d = e = half
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, half)
-        fb = f(b)
+        (fb,) = yield (b,)
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
     return b if abs(fb) <= abs(fc) else c
+
+
+def refine_root(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    ftol: float = 1e-10,
+) -> float:
+    """Root of f in the sign-change bracket [a, b].
+
+    Brent's zeroin (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4): inverse quadratic or secant steps while they stay inside
+    the bracket and at least halve the step before last, bisection
+    otherwise.  Stops when |f| <= ftol on a bracket narrower than
+    1e-9 * max(1, |x|), or when the bracket collapses to floating-point
+    resolution.  Returns the bracket end with the smaller |f|, so the result
+    lies in [a, b].  f is called once per point, f(a) first, then f(b).
+    """
+    brent = zeroin(a, b, ftol)
+    points = next(brent)
+    while True:
+        try:
+            points = brent.send([f(x) for x in points])
+        except StopIteration as stop:
+            return stop.value
+
+
+def lockstep(coroutines: Sequence[Coroutine], evaluate: Callable[[list], Sequence]) -> list:
+    """Results of the coroutines, driven together: each round sends every
+    live coroutine the values of the points it yielded, all computed by one
+    call of evaluate on the list of those points (coroutines in order).  A
+    coroutine's path is the one it takes alone when evaluate gives each
+    point the value that a scalar function does."""
+    results: list = [None] * len(coroutines)
+    asks = {i: next(co) for i, co in enumerate(coroutines)}
+    while asks:
+        values = evaluate([x for points in asks.values() for x in points])
+        start, sent = 0, {}
+        for i, points in asks.items():
+            stop = start + len(points)
+            try:
+                sent[i] = coroutines[i].send(values[start:stop])
+            except StopIteration as done:
+                results[i] = done.value
+            start = stop
+        asks = sent
+    return results
 
 
 def scan_brackets(f: Callable[[float], float], start: float, step: float) -> Iterator[tuple[float, float]]:

@@ -13,9 +13,13 @@ longest block that is shorter than the spacing of the solution's zeros, so
 those multiply up to 256 times fewer matrices.  The sign changes of the
 node values at the block ends count the zeros of the left-normalized
 solution, and by Sturm's oscillation theorem the eigenvalues below lambda;
-bisection on that count isolates each eigenvalue before it is polished on
-the boundary residual.  A Picard iteration on the equivalent Volterra
-equation is the independent cross-check.
+bisection on that count isolates each eigenvalue before Brent's iteration
+polishes it on the boundary residual.  eigen_solve runs these iterations
+for all eigenvalues in lockstep, each round one batched evaluation; a
+lambda's block level and polynomial degree depend on that lambda alone, so
+a batched value equals the one-lambda value bit for bit and every
+eigenvalue takes the path it would take alone.  A Picard iteration on the
+equivalent Volterra equation is the independent cross-check.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Callable, Sequence
 
 from ._quad import composite_simpson, cumulative_simpson, sample
 from ._record import dataclass, field
-from ._rootfind import refine_root
+from ._rootfind import Coroutine, lockstep, zeroin
 from ._vec import np
 
 __all__ = [
@@ -327,17 +331,16 @@ def _end_transfer(m: np.ndarray) -> np.ndarray:
 
 def _node_transfers(m: np.ndarray) -> np.ndarray:
     """Prefix products M_k ... M_0 (k = 0 .. n-1) of the stacked matrices,
-    by recursive doubling in ceil(log2 n) rounds."""
+    by recursive doubling in ceil(log2 n) rounds that alternate between m
+    and one more buffer of its layout (m is overwritten)."""
+    out = np.empty_like(m)
     d = 1
     while d < m.shape[-1]:
-        m = np.concatenate([m[..., :d], _compose(m[..., d:], m[..., :-d])], axis=-1)
+        out[..., :d] = m[..., :d]
+        np.einsum("ij...,jk...->ik...", m[..., d:], m[..., :-d], out=out[..., d:])
+        m, out = out, m
         d *= 2
     return m
-
-
-def _level(problem: SLProblem, lam: float) -> int:
-    """The coarsest block level that admits lam, or 0 (the steps)."""
-    return next((lv for lv, top in problem._block_lams if abs(lam) <= top), 0)
 
 
 def _transfer(problem: SLProblem, lams: np.ndarray, level: int, a, w0, nodes: bool = False):
@@ -345,26 +348,69 @@ def _transfer(problem: SLProblem, lams: np.ndarray, level: int, a, w0, nodes: bo
     the 1-d batch lams, through factors of 2**level steps (level is 0 or one
     of _BLOCK_LEVELS that admits every lambda of the batch): at the right
     end, shape (batch,), or with nodes=True at the end of every factor, shape
-    (batch, factors).  Each factor's matrix polynomial, cut to the degrees
-    the batch's largest |lambda| needs, is evaluated by one ``einsum`` with
-    the powers of lambda, and the factors are multiplied out by tree or
-    prefix products."""
+    (batch, factors).  Each factor's matrix polynomial is evaluated by one
+    ``einsum`` with the powers of lambda, cut for each lambda to the degrees
+    its own |lambda| needs (the powers above its cut are zero), so a value
+    does not depend on the rest of the batch; the factors are multiplied out
+    by tree or prefix products.  A tree product over more lambdas than
+    factors keeps the batch innermost in memory; each entry is the same
+    sum of the same products either way, and tests check the bits."""
     coeffs, unit, cuts = problem._coeffs[level]
     z = lams / unit
     if cuts:
         coeffs = coeffs[: 2 + bisect_left(cuts, float(np.abs(z).max()))]
     powers = np.vander(z, len(coeffs), increasing=True)
-    m = np.einsum("bd,dk->bk", powers, coeffs).reshape(len(lams), 2, 2, -1).transpose(1, 2, 0, 3)
+    if cuts and len(lams) > 1:
+        # each lambda keeps only the degrees its own |lambda| needs
+        keep = 2 + np.array(cuts).searchsorted(np.abs(z))
+        powers[np.arange(len(coeffs)) >= keep[:, None]] = 0.0
+    factors = coeffs.shape[1] // 4
+    if nodes or len(lams) <= factors:
+        m = np.einsum("bd,dk->bk", powers, coeffs).reshape(len(lams), 2, 2, factors).transpose(1, 2, 0, 3)
+    else:
+        # the same matrices with the batch innermost in memory, so that the
+        # einsum loops of the tree product run along the longer axis
+        m = np.einsum("bd,dk->kb", powers, coeffs, order="C").reshape(2, 2, factors, len(lams))
+        m = m.transpose(0, 1, 3, 2)
     t = _node_transfers(m) if nodes else _end_transfer(m)
     return t[0, 0] * a + t[0, 1] * w0, t[1, 0] * a + t[1, 1] * w0
 
 
-def _node_values(problem: SLProblem, lam: float, a: float, b: float, level: int):
-    """theta and p theta' of the solution with theta(0) = a, theta'(0) = b at
-    node 0 and at the end of every factor of 2**level steps."""
+def _level(problem: SLProblem, lam: float) -> int:
+    """The coarsest block level that admits lam, or 0 (the steps)."""
+    return next((lv for lv, top in problem._block_lams if abs(lam) <= top), 0)
+
+
+def _sweeps(problem: SLProblem, lams: np.ndarray, nodes: bool = False):
+    """Yield (index, theta, p theta') of the left-normalized solution for the
+    1-d batch lams, each lambda through the coarsest block level that admits
+    it, or else the step matrices, in groups of one level and at most
+    4 << level lambdas, so every working array has the size of (2, 2, 4, n);
+    index picks the group's lambdas from lams (see _transfer for nodes)."""
+    a, b = problem.left_initial_data()
     w0 = problem._p[0] * b
-    theta, w = _transfer(problem, np.array([lam]), level, a, w0, nodes=True)
-    return np.concatenate([[a], theta[0]]), np.concatenate([[w0], w[0]])
+    levels = problem._block_lams
+    # index of the coarsest admitting level; len(levels) for the steps
+    pick = np.array([top for _, top in levels]).searchsorted(np.abs(lams))
+    for i in sorted(set(pick.tolist())):
+        level = levels[i][0] if i < len(levels) else 0
+        idx = (pick == i).nonzero()[0]
+        for k in range(0, idx.size, 4 << level):
+            part = idx[k : k + (4 << level)]
+            yield (part, *_transfer(problem, lams[part], level, a, w0, nodes))
+
+
+def _solutions(problem: SLProblem, lams: Sequence[float], a: float, b: float) -> list["ThetaSolution"]:
+    """Node values and derivatives of the solutions with theta(0) = a,
+    theta'(0) = b, one step-matrix sweep per lambda."""
+    w0 = problem._p[0] * b
+    sols = []
+    for lam in lams:
+        theta, w = _transfer(problem, np.array([lam]), 0, a, w0, nodes=True)
+        values = np.concatenate([[a], theta[0]])
+        derivs = np.concatenate([[w0], w[0]]) / problem._p[::2]
+        sols.append(ThetaSolution(problem=problem, lam=lam, values=values, derivs=derivs))
+    return sols
 
 
 def _picard_integrate(problem: SLProblem, lam: float, a: float, b: float):
@@ -413,12 +459,10 @@ def solve_theta(
         raise ValueError("lambda must be finite")
     if method == "rk4":
         # fixed-step RK4 as products of the step matrices, at every node
-        vals, w = _node_values(problem, lam, a, b, 0)
-        ders = w / problem._p[::2]
-    elif method == "picard":
-        vals, ders = _picard_integrate(problem, lam, a, b)
-    else:
+        return _solutions(problem, [lam], a, b)[0]
+    if method != "picard":
         raise ValueError("method must be 'rk4' or 'picard'")
+    vals, ders = _picard_integrate(problem, lam, a, b)
     return ThetaSolution(problem=problem, lam=lam, values=vals, derivs=ders)
 
 
@@ -447,24 +491,14 @@ def characteristic(problem: SLProblem, lam: float, method: str = "rk4") -> float
 
 def characteristic_many(problem: SLProblem, lams: Sequence[float]) -> np.ndarray:
     """Vectorized characteristic over an array of lambda values, used for
-    dense scans.  Each value goes through the coarsest block level that
-    admits it, or else the step matrices, in batches of 4 << level, so every
-    working array has the size of (2, 2, 4, n)."""
+    dense scans and by eigen_solve.  Each value goes through the coarsest
+    block level that admits it, or else the step matrices, and equals
+    characteristic(problem, lam) bit for bit whatever the batch."""
     lams = np.asarray(lams, dtype=float)
     flat = lams.ravel()
-    a, b = problem.left_initial_data()
-    w0 = problem._p[0] * b
     out = np.empty(flat.shape)
-    levels = problem._block_lams
-    # index of the coarsest admitting level; len(levels) for the steps
-    pick = np.searchsorted([top for _, top in levels], np.abs(flat))
-    for i, level in enumerate([lv for lv, _ in levels] + [0]):
-        idx = np.flatnonzero(pick == i)
-        batch = 4 << level
-        for k in range(0, idx.size, batch):
-            part = idx[k : k + batch]
-            theta, w = _transfer(problem, flat[part], level, a, w0)
-            out[part] = _end_residual(problem, theta, w / problem._p[-1])
+    for part, theta, w in _sweeps(problem, flat):
+        out[part] = _end_residual(problem, theta, w / problem._p[-1])
     return out.reshape(lams.shape)
 
 
@@ -483,30 +517,61 @@ def _sign_changes(values: np.ndarray) -> int:
     return int(np.count_nonzero(np.signbit(values[1:]) != np.signbit(values[:-1])))
 
 
-def _count(problem: SLProblem, lam: float) -> tuple[int, int]:
-    """(zeros, below): the zeros on (0, l] of the left-normalized solution and
-    the number of eigenvalues below lam; ResolutionError if the grid
-    under-resolves lam.
-
-    Both come from the node values at the ends of the blocks of the coarsest
-    level that admits lam, else of the steps, where each zero is one sign
-    change (see ResolutionError).  By Sturm's oscillation theorem the zeros
-    are the eigenvalues below lam for a Dirichlet right end; a Robin or
-    Neumann end adds one when m(lam) theta(l) < 0, where the solution has
-    passed the right condition but not yet its next zero."""
+def _step_angle(problem: SLProblem, lam: float) -> float:
     b = problem._bounds
-    step_angle = problem.h_step * math.sqrt(max(lam, 0.0) * b["rho_max"] / b["p_min"])
+    return problem.h_step * math.sqrt(max(lam, 0.0) * b["rho_max"] / b["p_min"])
+
+
+def _resolved_top(problem: SLProblem) -> float:
+    """The largest lambda, to a few ulp, that the grid resolves."""
+    b = problem._bounds
+    top = b["p_min"] / (b["rho_max"] * problem.h_step**2)
+    while _step_angle(problem, top) > _MAX_STEP_ANGLE:
+        top = math.nextafter(top, 0.0)
+    return top
+
+
+def _zeros_below(problem: SLProblem, theta: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(zeros, below) for each row of the node values theta and p theta'
+    (batch, factors) of the left-normalized solution at the ends of the
+    blocks of the coarsest level that admits its lambda, else of the steps:
+    the zeros on (0, l] and the number of eigenvalues below lambda, for a
+    lambda that the grid resolves.
+
+    Each zero is one sign change (see ResolutionError).  By Sturm's
+    oscillation theorem the zeros are the eigenvalues below lambda for a
+    Dirichlet right end; a Robin or Neumann end adds one when
+    m(lambda) theta(l) < 0, where the solution has passed the right
+    condition but not yet its next zero."""
+    sign = np.signbit(theta)
+    start = np.signbit(problem.left_initial_data()[0])
+    zeros = (sign[:, 1:] != sign[:, :-1]).sum(axis=1) + (sign[:, 0] != start)
+    if problem.right.dirichlet:
+        return zeros, zeros
+    end = theta[:, -1]
+    return zeros, zeros + (_end_residual(problem, end, w[:, -1] / problem._p[-1]) * end < 0.0)
+
+
+def _below_many(problem: SLProblem, lams: np.ndarray) -> np.ndarray:
+    """The number of eigenvalues below each lambda of the batch (see _zeros_below)."""
+    below = np.empty(len(lams), dtype=int)
+    for part, theta, w in _sweeps(problem, lams, nodes=True):
+        below[part] = _zeros_below(problem, theta, w)[1]
+    return below
+
+
+def _count(problem: SLProblem, lam: float) -> tuple[int, int]:
+    """_zeros_below at one lambda; ResolutionError if the grid under-resolves it."""
+    step_angle = _step_angle(problem, lam)
     if step_angle > _MAX_STEP_ANGLE:
         raise ResolutionError(
             f"grid of {problem.n} steps under-resolves lambda={lam}: "
             f"h*sqrt(lam*rho_max/p_min) = {step_angle:.3f} > {_MAX_STEP_ANGLE}"
         )
-    a, b0 = problem.left_initial_data()
-    theta, w = _node_values(problem, lam, a, b0, _level(problem, lam))
-    zeros = _sign_changes(theta)
-    if problem.right.dirichlet:
-        return zeros, zeros
-    return zeros, zeros + int(_end_residual(problem, theta[-1], w[-1] / problem._p[-1]) * theta[-1] < 0.0)
+    a, b = problem.left_initial_data()
+    theta, w = _transfer(problem, np.array([lam]), _level(problem, lam), a, problem._p[0] * b, nodes=True)
+    zeros, below = _zeros_below(problem, theta, w)
+    return int(zeros[0]), int(below[0])
 
 
 def node_count(problem: SLProblem, lam: float) -> int:
@@ -563,25 +628,33 @@ class EigenBasis:
 _MAX_EXPANSIONS = 6
 
 
-def _isolate(problem: SLProblem, n: int, lo: float, hi: float) -> tuple[float, float]:
-    """A bracket that holds the n-th eigenvalue alone: below(lo) = n - 1 and
-    below(hi) = n.  [lo, hi] is widened by its width on both sides while it
-    misses the eigenvalue, then bisected on the count."""
-    below = lambda lam: _count(problem, lam)[1]
-    b_lo, b_hi = below(lo), below(hi)
+def _isolate(problem: SLProblem, n: int, lo: float, hi: float, top: float) -> Coroutine:
+    """Coroutine (see _rootfind.lockstep) that is sent the counts below(lam)
+    of the lambdas it yields and returns a bracket that holds the n-th
+    eigenvalue alone: below(lo) = n - 1 and below(hi) = n.  [lo, hi], capped
+    at the resolved top, is widened by its width on both sides while it
+    misses the eigenvalue, then bisected on the count; ResolutionError if
+    fewer than n eigenvalues lie below top."""
+    lo, hi = min(lo, top), min(hi, top)
+    b_lo, b_hi = yield lo, hi
     for _ in range(_MAX_EXPANSIONS):
-        if b_lo < n <= b_hi:
+        if b_lo < n <= b_hi or b_hi < n and hi == top:
             break
         width = hi - lo
-        lo, hi = lo - width, hi + width
-        b_lo, b_hi = below(lo), below(hi)
+        lo, hi = lo - width, min(hi + width, top)
+        b_lo, b_hi = yield lo, hi
+    if b_hi < n and hi == top:
+        raise ResolutionError(
+            f"grid of {problem.n} steps under-resolves eigenvalue {n}: it resolves lambda <= {top} "
+            f"(h*sqrt(lam*rho_max/p_min) <= {_MAX_STEP_ANGLE}), below which lie {b_hi} eigenvalues"
+        )
     if not b_lo < n <= b_hi:
         raise BracketingError(f"eigenvalue {n} not bracketed after expansion; counted [{lo}, {hi}]")
     while (b_lo, b_hi) != (n - 1, n):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             raise BracketingError(f"eigenvalue {n} not isolated from its neighbours in [{lo}, {hi}]")
-        b_mid = below(mid)
+        (b_mid,) = yield (mid,)
         if b_mid < n:
             lo, b_lo = mid, b_mid
         else:
@@ -596,47 +669,47 @@ _M_TOL = 1e-10
 def eigen_solve(problem: SLProblem, n_max: int) -> EigenBasis:
     """First n_max eigenpairs.
 
+    All eigenvalues are solved in lockstep: each round of the iterations
+    below evaluates every eigenvalue's next lambda in one batch (one
+    transfer per block level), and each value equals the one-lambda value
+    bit for bit, so every eigenvalue takes the path it would take alone.
     Each eigenvalue is isolated by bisection on the count of eigenvalues
-    below lambda, from the spectral window, then found as the root of the
-    characteristic in that bracket and certified by |m(lam)| <= _M_TOL times
-    its local scale.  Raises ResolutionError when the grid cannot resolve
-    the eigenvalues.
+    below lambda, from the spectral window capped at the largest lambda
+    the grid resolves, then found by Brent's iteration as the root of the
+    characteristic in that bracket and certified by |m(lam)| <= _M_TOL
+    times its local scale (the three values of every eigenvalue are one
+    more batch).  Raises ResolutionError, naming the count, when fewer than
+    n_max eigenvalues lie below the largest resolved lambda.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    eigs: list[float] = []
-    sols: list[ThetaSolution] = []
-    norms: list[float] = []
-    counts: list[int] = []
-    a0, b0 = problem.left_initial_data()
-    rho_nodes = problem._rho[::2]
-    g = lambda t: characteristic(problem, t)
+    top = _resolved_top(problem)
+    windows = []
     for n in range(1, n_max + 1):
         lo, hi = problem.eigenvalue_window(n)
-        lo -= 1e-6 + 1e-3 * abs(lo)
-        hi += 1e-6 + 1e-3 * abs(hi)
-        lam = refine_root(g, *_isolate(problem, n, lo, hi), ftol=0.0)
-        # the local scale of m, from m at lam +- span
-        span = max(1e-9, 1e-7 * max(1.0, abs(hi)))
-        scale = max(1.0, abs(g(lam - span)), abs(g(lam + span)))
-        mval = g(lam)
-        if abs(mval) > _M_TOL * scale:
+        windows.append((lo - (1e-6 + 1e-3 * abs(lo)), hi + (1e-6 + 1e-3 * abs(hi))))
+    below = lambda lams: _below_many(problem, np.array(lams)).tolist()
+    g = lambda lams: characteristic_many(problem, lams).tolist()
+    brackets = lockstep([_isolate(problem, n, lo, hi, top) for n, (lo, hi) in enumerate(windows, start=1)], below)
+    eigs = lockstep([zeroin(lo, hi, 0.0) for lo, hi in brackets], g)
+    # the local scale of m, from m at lam +- span
+    spans = [max(1e-9, 1e-7 * max(1.0, abs(hi))) for _, hi in windows]
+    m = g([x for lam, span in zip(eigs, spans) for x in (lam - span, lam + span, lam)])
+    for n, lam in enumerate(eigs, start=1):
+        m_lo, m_hi, mval = m[3 * n - 3 : 3 * n]
+        if abs(mval) > _M_TOL * max(1.0, abs(m_lo), abs(m_hi)):
             raise BracketingError(
                 f"characteristic residual {mval:.3e} exceeds tolerance at eigenvalue {n} (lam={lam})"
             )
-        sol = solve_theta(problem, lam, a0, b0)
-        norm2 = composite_simpson(rho_nodes * sol.values**2, problem.h_step)
-        eigs.append(float(lam))
-        sols.append(sol)
-        norms.append(1.0 / math.sqrt(norm2))
-        # a Dirichlet right end's node is zero only up to rounding
-        counts.append(_sign_changes(sol.values[:-1] if problem.right.dirichlet else sol.values))
+    sols = _solutions(problem, eigs, *problem.left_initial_data())
+    rho_nodes = problem._rho[::2]
     return EigenBasis(
         problem=problem,
         eigenvalues=eigs,
-        norm_constants=norms,
+        norm_constants=[1.0 / math.sqrt(composite_simpson(rho_nodes * sol.values**2, problem.h_step)) for sol in sols],
         _solutions=sols,
-        node_counts=counts,
+        # a Dirichlet right end's node is zero only up to rounding
+        node_counts=[_sign_changes(sol.values[:-1] if problem.right.dirichlet else sol.values) for sol in sols],
     )
 
 

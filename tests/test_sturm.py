@@ -510,21 +510,40 @@ def test_resolution_error_fires_at_its_stated_bound():
     assert node_count(prob, edge * (1.0 - 1e-9) ** 2) >= 0
     with pytest.raises(ResolutionError):
         node_count(prob, edge * (1.0 + 1e-9) ** 2)
-    # eigen_solve's search reaches the top of the widened window,
-    # hi (1 + 1e-3) + 1e-6 with hi = pi^2 n^2 + q for p = rho = l = 1; a
-    # constant q puts that top on either side of the bound while mode 5
-    # stays well resolved
+    # the top of eigen_solve's widened window, hi (1 + 1e-3) + 1e-6 with
+    # hi = pi^2 n^2 + q for p = rho = l = 1, lies above the bound when mode 5
+    # lies just under it; the search is capped at the bound, so mode 5 is
+    # solved, and one just over the bound is refused, naming the count
     n, grid = 5, 64
-    for side, ok in ((-1.0, True), (1.0, False)):
-        top = (grid * (1.0 + side * 1e-9)) ** 2
-        qc = (top - 1e-6) / 1.001 - (n * math.pi) ** 2
+    for side in (-1.0, 1.0):
+        qc = grid**2 * (1.0 + side * 1e-4) - (n * math.pi) ** 2
         stiff = SLProblem(ONE, lambda x: qc, ONE, 1.0, DIRICHLET, DIRICHLET, grid_size=grid)
-        if ok:
+        if side < 0:
             lam = eigen_solve(stiff, n).eigenvalues[-1]
             assert lam == pytest.approx((n * math.pi) ** 2 + qc, rel=1e-5)
         else:
-            with pytest.raises(ResolutionError):
+            with pytest.raises(ResolutionError, match=f"eigenvalue {n}: .* below which lie {n - 1} eigenvalues"):
                 eigen_solve(stiff, n)
+
+
+@pytest.mark.parametrize("grid, resolved", [(64, 7), (256, 28)])
+def test_eigen_solve_reaches_every_eigenvalue_the_grid_resolves(grid, resolved):
+    """A stiff p (p_max/p_min = 49) puts the top of the spectral window far
+    above lambda_n, and above the resolution bound for eigenvalues below it
+    (at 64 steps from n = 3 on); eigen_solve still solves every eigenvalue
+    below the bound and raises, naming their count, only for the next one."""
+    p, q, rho = BLOCK_COEFFS["kappa50"]
+    prob = SLProblem(p, q, rho, 1.0, DIRICHLET, DIRICHLET, grid_size=grid)
+    bnd = prob.coefficient_bounds()
+    edge = bnd["p_min"] / (prob.h_step**2 * bnd["rho_max"])
+    assert prob.eigenvalue_window(resolved)[1] > edge
+    basis = eigen_solve(prob, resolved)
+    fine = eigen_solve(SLProblem(p, q, rho, 1.0, DIRICHLET, DIRICHLET), resolved + 1).eigenvalues
+    assert basis.node_counts == list(range(resolved))
+    assert basis.eigenvalues == pytest.approx(fine[:resolved], rel=2e-3)
+    assert basis.eigenvalues[-1] <= edge < fine[-1]
+    with pytest.raises(ResolutionError, match=f"eigenvalue {resolved + 1}: .* below which lie {resolved} eigenvalues"):
+        eigen_solve(prob, resolved + 1)
 
 
 @pytest.mark.parametrize(
@@ -546,6 +565,81 @@ def test_count_brackets_every_eigenvalue(coeffs, grid, n_max):
                 step = 1e-9 * abs(lam)
                 assert sturm._count(prob, lam - step)[1] == n - 1
                 assert sturm._count(prob, lam + step)[1] == n
+
+
+@pytest.mark.parametrize("coeffs", sorted(BLOCK_COEFFS))
+def test_characteristic_many_equals_characteristic_bit_for_bit(coeffs):
+    """Each value of a batch is the one-lambda value, whatever else the batch
+    holds: shuffled sub-batches of lambdas on both sides of every level's
+    bound and of every degree cut within a level."""
+    p, q, rho = BLOCK_COEFFS[coeffs]
+    rng = np.random.default_rng(25)
+    for grid in (30, 300, 4096):
+        prob = SLProblem(p, q, rho, 1.0, BoundaryCondition.robin(0.8), NEUMANN, grid_size=grid)
+        tops = [top for _, top in prob._block_lams]
+        cuts = [r * prob._coeffs[lv][1] for lv, _ in prob._block_lams for r in prob._coeffs[lv][2]]
+        lams = np.concatenate([
+            level_lams(prob),
+            [math.nextafter(top, math.inf) for top in tops],
+            np.outer(cuts, [-1.001, -0.999, 0.999, 1.001]).ravel(),
+            rng.uniform(-2.0, 2.0, 20) * tops[-1],
+        ])
+        one = {lam: characteristic(prob, lam).hex() for lam in lams.tolist()}
+        for size in (2, 3, 7, len(lams)):
+            for _ in range(4):
+                batch = rng.permutation(lams)[:size]
+                assert [v.hex() for v in characteristic_many(prob, batch).tolist()] == [one[x] for x in batch.tolist()]
+
+
+def test_eigenvalues_do_not_depend_on_how_many_are_solved():
+    """Every eigenvalue takes its own path in the lockstep solve, so the
+    first k of n_max eigenpairs are the eigen_solve(prob, k) ones."""
+    p, q, rho = BLOCK_COEFFS["mild"]
+    for left, right in ((DIRICHLET, BoundaryCondition.robin(0.7)), (NEUMANN, DIRICHLET)):
+        prob = SLProblem(p, q, rho, 1.0, left, right, grid_size=1024)
+        full = eigen_solve(prob, 10)
+        for k in range(1, 11):
+            part = eigen_solve(prob, k)
+            assert part.eigenvalues == full.eigenvalues[:k]
+            assert part.norm_constants == full.norm_constants[:k]
+            assert part.node_counts == full.node_counts[:k]
+
+
+def isolate_alone(prob, n):
+    """The n-th eigenvalue's count bracket, each count a one-lambda call."""
+    lo, hi = prob.eigenvalue_window(n)
+    lo -= 1e-6 + 1e-3 * abs(lo)
+    hi += 1e-6 + 1e-3 * abs(hi)
+    isolate = sturm._isolate(prob, n, lo, hi, sturm._resolved_top(prob))
+    points = next(isolate)
+    try:
+        while True:
+            points = isolate.send([sturm._count(prob, x)[1] for x in points])
+    except StopIteration as stop:
+        return stop.value
+
+
+@pytest.mark.parametrize("grid", [16, 30, 64, 256, 4096])
+@pytest.mark.parametrize("coeffs", sorted(BLOCK_COEFFS))
+def test_lockstep_solve_equals_one_eigenvalue_at_a_time(coeffs, grid):
+    """Each eigenvalue equals refine_root on the scalar characteristic from
+    its bracket isolated with one-lambda counts, and each norm constant the
+    one of its own solve_theta, bit for bit, at every pair of Dirichlet,
+    Neumann and Robin ends."""
+    p, q, rho = BLOCK_COEFFS[coeffs]
+    ends = [DIRICHLET, NEUMANN, BoundaryCondition.robin(0.7), BoundaryCondition.robin(25.0)]
+    for left in ends:
+        for right in ends:
+            prob = SLProblem(p, q, rho, 1.0, left, right, grid_size=grid)
+            n_max = min(6, sturm._count(prob, sturm._resolved_top(prob))[1])
+            basis = eigen_solve(prob, n_max)
+            a, b = prob.left_initial_data()
+            for n in range(1, n_max + 1):
+                lam = refine_root(lambda t: characteristic(prob, t), *isolate_alone(prob, n), ftol=0.0)
+                values = solve_theta(prob, lam, a, b).values
+                norm = 1.0 / math.sqrt(composite_simpson(prob._rho[::2] * values**2, prob.h_step))
+                assert basis.eigenvalues[n - 1] == lam
+                assert basis.norm_constants[n - 1] == norm
 
 
 def test_node_count_monotone():

@@ -27,8 +27,9 @@ of its build, its BLAS, and the environment variables that steer those.
 It is rewritten after every pair and every traced run, so an interrupted
 run keeps what it finished.  Last, it prints one line per workload and
 gated metric, read back from the file it wrote: the parent's median
-[q1, q3], the change's, and the pairs the change wins.  Standard library
-only.
+[q1, q3], the change's, and the pairs the change wins; then one line per
+traced per-layer metric that moved by more than 10 % between the two
+sides' traced runs.  Standard library only.
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ print(json.dumps({
     "env": {k: os.environ.get(k) for k in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")},
 }))
 """
+# A traced per-layer metric is printed when change/parent - 1 exceeds this
+# in size.
+TRACED_MOVE = 0.10
 # op_cost_ref's report line: "... the mean of N reference loops (X s) timed while the operations ran"
 REFERENCE_MEAN = re.compile(r"^op_cost_ref\s.*\(([^ ]+) s\) timed while the operations ran")
 
@@ -200,6 +204,17 @@ def main() -> int:
                 print(f"{workload} {name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
                       f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {s['unit']}; "
                       f"change wins {s['change_wins']} of {s['pairs']}")
+    units = {m["name"]: m["unit"] for m in benchmark.get("per_layer", [])}
+    for workload, entry in written["workloads"].items():
+        traced = entry.get("traced", {})
+        if set(traced) != set(SIDES):
+            continue
+        before, after = traced["parent"]["metrics"], traced["change"]["metrics"]
+        for name in sorted(set(before) & set(after)):
+            p, c = before[name], after[name]
+            if p and c is not None and abs(c / p - 1.0) > TRACED_MOVE:
+                print(f"{workload} traced {name}: parent {p:.4g} -> change {c:.4g} {units.get(name, '')} "
+                      f"({c / p - 1.0:+.1%})")
     return 0
 
 
