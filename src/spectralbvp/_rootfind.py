@@ -24,15 +24,11 @@ _MAX_STEPS = 2_000_000
 # Brent iterations before refine_root returns its best bracket end.
 _MAX_ITER = 200
 
-# A coroutine of this module's protocol yields a tuple of points, is sent the
-# list of their values in the same order, and returns its result.
-Coroutine = Generator[tuple, list, object]
 
-
-def zeroin(a: float, b: float, ftol: float) -> Coroutine:
-    """Brent's zeroin on the sign-change bracket [a, b] as a coroutine: it
-    yields (a, b) and then one point per iteration, and returns the root
-    that refine_root documents."""
+def zeroin(a: float, b: float, ftol: float) -> Generator[tuple, list, float]:
+    """Brent's zeroin on the sign-change bracket [a, b] as a coroutine of
+    lockstep's protocol: it yields (a, b) and then one point per iteration,
+    and returns the root that refine_root documents."""
     fa, fb = yield a, b
     if fa == 0.0:
         return a
@@ -107,12 +103,14 @@ def refine_root(
             return stop.value
 
 
-def lockstep(coroutines: Sequence[Coroutine], evaluate: Callable[[list], Sequence]) -> list:
-    """Results of the coroutines, driven together: each round sends every
-    live coroutine the values of the points it yielded, all computed by one
-    call of evaluate on the list of those points (coroutines in order).  A
-    coroutine's path is the one it takes alone when evaluate gives each
-    point the value that a scalar function does."""
+def lockstep(coroutines: Sequence[Generator], evaluate: Callable[[list], Sequence]) -> list:
+    """Results of the coroutines, driven together.  Each coroutine yields a
+    tuple of points, is sent the list of their values in the same order, and
+    returns its result.  Each round computes the values of every point that
+    the live coroutines yielded by one call of evaluate on the list of those
+    points (coroutines in order).  A coroutine's path is the one it takes
+    alone when evaluate gives each point the value that a scalar function
+    does."""
     results: list = [None] * len(coroutines)
     asks = {i: next(co) for i, co in enumerate(coroutines)}
     while asks:

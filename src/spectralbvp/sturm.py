@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 from ._quad import composite_simpson, cumulative_simpson, sample
 from ._record import dataclass, field
-from ._rootfind import Coroutine, lockstep, zeroin
+from ._rootfind import lockstep, zeroin
 from ._vec import np
 
 __all__ = [
@@ -400,7 +400,7 @@ def _sweeps(problem: SLProblem, lams: np.ndarray, nodes: bool = False):
             yield (part, *_transfer(problem, lams[part], level, a, w0, nodes))
 
 
-def _solutions(problem: SLProblem, lams: Sequence[float], a: float, b: float) -> list["ThetaSolution"]:
+def _solutions(problem: SLProblem, lams: Sequence[float], a: float, b: float) -> list[ThetaSolution]:
     """Node values and derivatives of the solutions with theta(0) = a,
     theta'(0) = b, one step-matrix sweep per lambda."""
     w0 = problem._p[0] * b
@@ -628,7 +628,7 @@ class EigenBasis:
 _MAX_EXPANSIONS = 6
 
 
-def _isolate(problem: SLProblem, n: int, lo: float, hi: float, top: float) -> Coroutine:
+def _isolate(problem: SLProblem, n: int, lo: float, hi: float, top: float) -> Generator[tuple, list, tuple]:
     """Coroutine (see _rootfind.lockstep) that is sent the counts below(lam)
     of the lambdas it yields and returns a bracket that holds the n-th
     eigenvalue alone: below(lo) = n - 1 and below(hi) = n.  [lo, hi], capped
