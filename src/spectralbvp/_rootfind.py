@@ -108,22 +108,28 @@ def lockstep(coroutines: Sequence[Generator], evaluate: Callable[[list], Sequenc
     tuple of points, is sent the list of their values in the same order, and
     returns its result.  Each round computes the values of every point that
     the live coroutines yielded by one call of evaluate on the list of those
-    points (coroutines in order).  A coroutine's path is the one it takes
-    alone when evaluate gives each point the value that a scalar function
-    does."""
+    points (coroutines in order).  A coroutine that raises an Exception
+    stops there, and the exception is its result; the others go on.  A
+    coroutine's path is the one it takes alone when evaluate gives each
+    point the value that a scalar function does."""
     results: list = [None] * len(coroutines)
-    asks = {i: next(co) for i, co in enumerate(coroutines)}
-    while asks:
-        values = evaluate([x for points in asks.values() for x in points])
-        start, sent = 0, {}
-        for i, points in asks.items():
-            stop = start + len(points)
+    replies: dict = dict.fromkeys(range(len(coroutines)))
+    while replies:
+        asks = {}
+        for i, reply in replies.items():
             try:
-                sent[i] = coroutines[i].send(values[start:stop])
+                asks[i] = coroutines[i].send(reply)
             except StopIteration as done:
                 results[i] = done.value
-            start = stop
-        asks = sent
+            except Exception as error:
+                results[i] = error
+        if not asks:
+            break
+        values = evaluate([x for points in asks.values() for x in points])
+        replies, start = {}, 0
+        for i, points in asks.items():
+            replies[i] = values[start : start + len(points)]
+            start += len(points)
     return results
 
 

@@ -343,6 +343,12 @@ def _node_transfers(m: np.ndarray) -> np.ndarray:
     return m
 
 
+# _transfer keeps the batch innermost for a tree product over at most this
+# many factors and more lambdas than factors: there its tree product saves
+# more than its polynomial evaluation costs (measured at 4 to 256 factors).
+_SHORT_TREE = 32
+
+
 def _transfer(problem: SLProblem, lams: np.ndarray, level: int, a, w0, nodes: bool = False):
     """theta and p theta' from theta(0) = a, p theta'(0) = w0 at each lambda of
     the 1-d batch lams, through factors of 2**level steps (level is 0 or one
@@ -352,9 +358,10 @@ def _transfer(problem: SLProblem, lams: np.ndarray, level: int, a, w0, nodes: bo
     ``einsum`` with the powers of lambda, cut for each lambda to the degrees
     its own |lambda| needs (the powers above its cut are zero), so a value
     does not depend on the rest of the batch; the factors are multiplied out
-    by tree or prefix products.  A tree product over more lambdas than
-    factors keeps the batch innermost in memory; each entry is the same
-    sum of the same products either way, and tests check the bits."""
+    by tree or prefix products.  A tree product over at most _SHORT_TREE
+    factors and more lambdas than factors keeps the batch innermost in
+    memory; each entry is the same sum of the same products either way, and
+    tests check the bits."""
     coeffs, unit, cuts = problem._coeffs[level]
     z = lams / unit
     if cuts:
@@ -365,13 +372,13 @@ def _transfer(problem: SLProblem, lams: np.ndarray, level: int, a, w0, nodes: bo
         keep = 2 + np.array(cuts).searchsorted(np.abs(z))
         powers[np.arange(len(coeffs)) >= keep[:, None]] = 0.0
     factors = coeffs.shape[1] // 4
-    if nodes or len(lams) <= factors:
-        m = np.einsum("bd,dk->bk", powers, coeffs).reshape(len(lams), 2, 2, factors).transpose(1, 2, 0, 3)
-    else:
+    if not nodes and factors <= _SHORT_TREE and factors < len(lams):
         # the same matrices with the batch innermost in memory, so that the
         # einsum loops of the tree product run along the longer axis
         m = np.einsum("bd,dk->kb", powers, coeffs, order="C").reshape(2, 2, factors, len(lams))
         m = m.transpose(0, 1, 3, 2)
+    else:
+        m = np.einsum("bd,dk->bk", powers, coeffs).reshape(len(lams), 2, 2, factors).transpose(1, 2, 0, 3)
     t = _node_transfers(m) if nodes else _end_transfer(m)
     return t[0, 0] * a + t[0, 1] * w0, t[1, 0] * a + t[1, 1] * w0
 
@@ -568,8 +575,7 @@ def _count(problem: SLProblem, lam: float) -> tuple[int, int]:
             f"grid of {problem.n} steps under-resolves lambda={lam}: "
             f"h*sqrt(lam*rho_max/p_min) = {step_angle:.3f} > {_MAX_STEP_ANGLE}"
         )
-    a, b = problem.left_initial_data()
-    theta, w = _transfer(problem, np.array([lam]), _level(problem, lam), a, problem._p[0] * b, nodes=True)
+    ((_, theta, w),) = _sweeps(problem, np.array([lam]), nodes=True)
     zeros, below = _zeros_below(problem, theta, w)
     return int(zeros[0]), int(below[0])
 
@@ -679,7 +685,9 @@ def eigen_solve(problem: SLProblem, n_max: int) -> EigenBasis:
     characteristic in that bracket and certified by |m(lam)| <= _M_TOL
     times its local scale (the three values of every eigenvalue are one
     more batch).  Raises ResolutionError, naming the count, when fewer than
-    n_max eigenvalues lie below the largest resolved lambda.
+    n_max eigenvalues lie below the largest resolved lambda.  When several
+    eigenvalues fail, the error is the first one of the lowest of them, the
+    error that solving them one at a time in order would raise.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -690,22 +698,29 @@ def eigen_solve(problem: SLProblem, n_max: int) -> EigenBasis:
         windows.append((lo - (1e-6 + 1e-3 * abs(lo)), hi + (1e-6 + 1e-3 * abs(hi))))
     below = lambda lams: _below_many(problem, np.array(lams)).tolist()
     g = lambda lams: characteristic_many(problem, lams).tolist()
-    brackets = lockstep([_isolate(problem, n, lo, hi, top) for n, (lo, hi) in enumerate(windows, start=1)], below)
-    eigs = lockstep([zeroin(lo, hi, 0.0) for lo, hi in brackets], g)
+    # each eigenvalue's bracket, then its root; an exception in its place once it fails
+    lanes = lockstep([_isolate(problem, n, lo, hi, top) for n, (lo, hi) in enumerate(windows, start=1)], below)
+    live = [i for i, lane in enumerate(lanes) if not isinstance(lane, Exception)]
+    for i, lam in zip(live, lockstep([zeroin(*lanes[i], 0.0) for i in live], g)):
+        lanes[i] = lam
+    live = [i for i in live if not isinstance(lanes[i], Exception)]
     # the local scale of m, from m at lam +- span
     spans = [max(1e-9, 1e-7 * max(1.0, abs(hi))) for _, hi in windows]
-    m = g([x for lam, span in zip(eigs, spans) for x in (lam - span, lam + span, lam)])
-    for n, lam in enumerate(eigs, start=1):
-        m_lo, m_hi, mval = m[3 * n - 3 : 3 * n]
+    m = g([x for i in live for x in (lanes[i] - spans[i], lanes[i] + spans[i], lanes[i])])
+    for k, i in enumerate(live):
+        m_lo, m_hi, mval = m[3 * k : 3 * k + 3]
         if abs(mval) > _M_TOL * max(1.0, abs(m_lo), abs(m_hi)):
-            raise BracketingError(
-                f"characteristic residual {mval:.3e} exceeds tolerance at eigenvalue {n} (lam={lam})"
+            lanes[i] = BracketingError(
+                f"characteristic residual {mval:.3e} exceeds tolerance at eigenvalue {i + 1} (lam={lanes[i]})"
             )
-    sols = _solutions(problem, eigs, *problem.left_initial_data())
+    error = next((lane for lane in lanes if isinstance(lane, Exception)), None)
+    if error is not None:
+        raise error
+    sols = _solutions(problem, lanes, *problem.left_initial_data())
     rho_nodes = problem._rho[::2]
     return EigenBasis(
         problem=problem,
-        eigenvalues=eigs,
+        eigenvalues=lanes,
         norm_constants=[1.0 / math.sqrt(composite_simpson(rho_nodes * sol.values**2, problem.h_step)) for sol in sols],
         _solutions=sols,
         # a Dirichlet right end's node is zero only up to rounding

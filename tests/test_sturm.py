@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from spectralbvp import sturm
 from spectralbvp._quad import composite_simpson
-from spectralbvp._rootfind import refine_root, scan_brackets
+from spectralbvp._rootfind import lockstep, refine_root, scan_brackets
 from spectralbvp.sturm import (
     DIRICHLET,
     NEUMANN,
@@ -640,6 +640,43 @@ def test_lockstep_solve_equals_one_eigenvalue_at_a_time(coeffs, grid):
                 norm = 1.0 / math.sqrt(composite_simpson(prob._rho[::2] * values**2, prob.h_step))
                 assert basis.eigenvalues[n - 1] == lam
                 assert basis.norm_constants[n - 1] == norm
+
+
+def test_lockstep_keeps_each_coroutines_exception_as_its_result():
+    """A coroutine that raises stops there with its exception as its result,
+    while the others go on; every round is one evaluate call."""
+
+    def walk(steps, fail):
+        x = 0.0
+        for _ in range(steps):
+            (x,) = yield (x + 1.0,)
+        if fail:
+            raise ValueError(f"failed at {x}")
+        return x
+
+    calls = []
+    evaluate = lambda xs: calls.append(list(xs)) or [2.0 * x for x in xs]
+    results = lockstep([walk(3, False), walk(1, True), walk(2, False), walk(0, True)], evaluate)
+    assert results[0] == 14.0 and results[2] == 6.0
+    assert [str(r) for r in results[1::2]] == ["failed at 2.0", "failed at 0.0"]
+    assert all(isinstance(r, ValueError) for r in results[1::2])
+    assert calls == [[1.0, 1.0, 1.0], [3.0, 3.0], [7.0]]
+    assert lockstep([], evaluate) == [] and len(calls) == 3
+
+
+def test_the_lowest_failing_eigenvalue_decides_the_error(monkeypatch):
+    """When several eigenvalues fail, eigen_solve raises the first error of
+    the lowest one, as solving them one at a time in order would: at 64
+    steps kappa50 resolves 7 eigenvalues, so 8 to 10 are refused, naming 8;
+    with every certificate failing, eigenvalue 1's BracketingError comes
+    first although the refusals happen earlier in the lockstep solve."""
+    p, q, rho = BLOCK_COEFFS["kappa50"]
+    prob = SLProblem(p, q, rho, 1.0, DIRICHLET, DIRICHLET, grid_size=64)
+    with pytest.raises(ResolutionError, match="eigenvalue 8: .* below which lie 7 eigenvalues"):
+        eigen_solve(prob, 10)
+    monkeypatch.setattr(sturm, "_M_TOL", -1.0)
+    with pytest.raises(sturm.BracketingError, match="at eigenvalue 1 "):
+        eigen_solve(prob, 10)
 
 
 def test_node_count_monotone():
