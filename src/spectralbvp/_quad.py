@@ -15,7 +15,11 @@ contraction of the modes, the ``gauss_rule`` weights and the samples.
 contraction and its operands, and it refines a rung at a time up to the
 solver's cap and stops once two rungs agree on the scale of the summands,
 which it forms from the same operands; so smooth data is sampled on a
-fraction of the cap's grid.
+fraction of the cap's grid.  Every integral of a user callable against
+modes, the Sturm coefficients and Rayleigh quotients included, takes that
+path.  ``composite_simpson`` and ``cumulative_simpson`` serve data that
+already sits on a uniform grid: the Sturm norm constants over stored node
+values, and the Picard cross-check.
 """
 
 from __future__ import annotations

@@ -79,6 +79,8 @@ class BeamSpectrum:
         return 2 if self.bc_pair == BeamBC.FREE_FREE else 0
 
     def omega(self, n: int) -> float:
+        if not 1 <= n <= len(self.roots):
+            raise IndexError(f"mode index {n} outside 1..{len(self.roots)}")
         return self.frequency(self.roots[n - 1])
 
     def frequency(self, mu):

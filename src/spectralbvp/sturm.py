@@ -28,10 +28,11 @@ import math
 from bisect import bisect_left
 from typing import Callable, Generator, Sequence
 
-from ._quad import composite_simpson, cumulative_simpson, sample
+from ._quad import composite_simpson, cumulative_simpson, gauss_ladder, gauss_rule, sample, sample_rows
 from ._record import dataclass, field
 from ._rootfind import lockstep, zeroin
-from ._vec import np
+from ._series import project
+from ._vec import as_arg, inside, np
 
 __all__ = [
     "BoundaryCondition",
@@ -165,7 +166,8 @@ class ThetaSolution:
     """Dense output of the initial-value integration.
 
     Stores values and derivatives at the integrator nodes; evaluation between
-    nodes is cubic Hermite, matching the fourth-order step accuracy.
+    nodes is cubic Hermite, matching the fourth-order step accuracy.  A point
+    outside [0, l], or NaN, raises ValueError naming it.
     """
 
     problem: SLProblem
@@ -176,7 +178,11 @@ class ThetaSolution:
     def _cell(self, x):
         """Step length h, offset s in [0, 1] of x in its step, and the node
         values y0, y1 and derivatives d0, d1 at the step's ends."""
-        x = np.asarray(x, dtype=float)
+        x, l = as_arg(x), self.problem.l
+        if not inside(x, 0.0, l):
+            bad = x if type(x) is float else float(x.flat[np.argmin((x >= 0.0) & (x <= l))])
+            raise ValueError(f"x = {bad!r} is outside [0, {l!r}]")
+        x = np.asarray(x)
         h = self.problem.h_step
         idx = np.clip((x / h).astype(int), 0, self.problem.n - 1)
         s = (x - idx * h) / h
@@ -479,21 +485,17 @@ def _end_residual(problem: SLProblem, value, deriv):
     return deriv + problem.right.h * value
 
 
-def characteristic(problem: SLProblem, lam: float, method: str = "rk4") -> float:
+def characteristic(problem: SLProblem, lam: float) -> float:
     """Right-end boundary residual of the left-normalized solution.
 
     Its zeros are exactly the eigenvalues: m(lam) = theta'(l) + h2 theta(l)
     for a Robin right end, theta(l) for a Dirichlet right end.
     """
-    if method == "rk4":
-        if not math.isfinite(lam):
-            raise ValueError("lambda must be finite")
-        a, b = problem.left_initial_data()
-        theta, w = _transfer(problem, np.array([lam]), _level(problem, lam), a, problem._p[0] * b)
-        return float(_end_residual(problem, theta[0], w[0] / problem._p[-1]))
+    if not math.isfinite(lam):
+        raise ValueError("lambda must be finite")
     a, b = problem.left_initial_data()
-    sol = solve_theta(problem, lam, a, b, method=method)
-    return _end_residual(problem, sol.end_value, sol.end_derivative)
+    theta, w = _transfer(problem, np.array([lam]), _level(problem, lam), a, problem._p[0] * b)
+    return float(_end_residual(problem, theta[0], w[0] / problem._p[-1]))
 
 
 def characteristic_many(problem: SLProblem, lams: Sequence[float]) -> np.ndarray:
@@ -607,27 +609,40 @@ class EigenBasis:
     _solutions: list[ThetaSolution] = field(repr=False, default_factory=list)
     node_counts: list[int] = field(default_factory=list)
 
+    def _mode(self, n: int) -> tuple[ThetaSolution, float]:
+        """The n-th solution and its norm constant; IndexError outside 1..len."""
+        if not 1 <= n <= len(self.eigenvalues):
+            raise IndexError(f"mode index {n} outside 1..{len(self.eigenvalues)}")
+        return self._solutions[n - 1], self.norm_constants[n - 1]
+
     def eigenfunction(self, n: int) -> Callable[[float], float]:
-        """n-th normalized eigenfunction (n >= 1) as a callable."""
-        sol = self._solutions[n - 1]
-        c = self.norm_constants[n - 1]
+        """n-th normalized eigenfunction (n >= 1) as a callable on [0, l]."""
+        sol, c = self._mode(n)
         return lambda x: c * sol(x)
 
     def eigenfunction_derivative(self, n: int) -> Callable[[float], float]:
-        sol = self._solutions[n - 1]
-        c = self.norm_constants[n - 1]
+        sol, c = self._mode(n)
         return lambda x: c * sol.derivative(x)
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
 
     def coefficient(self, f: Callable[[float], float], n: int) -> float:
-        """rho-weighted inner product <X_n, f>."""
-        xs = self.problem.grid
-        rho = self.problem._rho[::2]
-        fv = sample(f, xs)
-        xn = self.norm_constants[n - 1] * self._solutions[n - 1].values
-        return composite_simpson(rho * fv * xn, self.problem.h_step)
+        """rho-weighted inner product <X_n, f>, on the Gauss ladder
+        (``_quad.gauss_ladder``, n the mode floor): each rung contracts X_n's
+        Hermite interpolant, rho and f at the nodes of its rule on [0, l]."""
+        sol, c = self._mode(n)
+        l, rho = self.problem.l, self.problem.rho
+
+        def rung(m):
+            xs, w = gauss_rule(0.0, l, m)
+            return project, (sol(xs)[:, None], w * sample(rho, xs), sample(f, xs))
+
+        # The cap is 256 points, as for the interval modes, up to n = 64;
+        # above, the next power of two >= 4 n, so that the cap and its half
+        # rung both hold 2 n nodes and the ladder always compares two rungs.
+        cap = max(256, 1 << (4 * int(n) - 1).bit_length())
+        return c * float(gauss_ladder(rung, cap, n)[0][0])
 
 
 # Widenings of an eigenvalue bracket by its width on both sides before BracketingError.
@@ -745,28 +760,35 @@ def rayleigh_quotient(
 ) -> float:
     """Energy ratio (int p f'^2 + int q f^2 + boundary terms) / int rho f^2.
 
-    Bounds the lowest eigenvalue from above for any admissible f.  When the
-    derivative is not supplied it is taken by central differences.
+    Bounds the lowest eigenvalue from above for any admissible f.  The three
+    integrals are one Gauss ladder (``_quad.gauss_ladder``, capped at 256
+    points): each rung samples p, q, rho, f and f' at the nodes of its rule
+    on [0, l].  When the derivative is not supplied it is taken there by
+    central differences, clamped to [0, l].  The Robin terms take p at the
+    ends from the problem's samples and f(0), f(l).
     """
-    xs = problem.grid
-    h = problem.h_step
-    fv = sample(f, xs)
-    if fprime is not None:
-        fd = sample(fprime, xs)
-    else:
-        step = (np.finfo(float).eps) ** (1.0 / 3.0) * max(1.0, problem.l)
-        right = np.minimum(problem.l, xs + step)
-        left = np.maximum(0.0, xs - step)
-        fd = (sample(f, right) - sample(f, left)) / (right - left)
-    p = problem._p[::2]
-    q = problem._q[::2]
-    rho = problem._rho[::2]
-    num = composite_simpson(p * fd**2, h) + composite_simpson(q * fv**2, h)
+    l = problem.l
+    step = np.finfo(float).eps ** (1.0 / 3.0) * max(1.0, l)
+
+    def rung(m):
+        xs, w = gauss_rule(0.0, l, m)
+        fv = sample(f, xs)
+        if fprime is not None:
+            fd = sample(fprime, xs)
+        else:
+            right = np.minimum(l, xs + step)
+            left = np.maximum(0.0, xs - step)
+            fd = (sample(f, right) - sample(f, left)) / (right - left)
+        pqr = sample_rows((problem.p, problem.q, problem.rho), xs)
+        return (lambda w, c, s: np.einsum("n,kn,kn->k", w, c, s)), (w, pqr, np.array([fd * fd, fv * fv, fv * fv]))
+
+    (stiff, medium, den), _ = gauss_ladder(rung, 256, 1)
+    f0, fl = sample(f, np.array([0.0, l]))
+    num = stiff + medium
     if not problem.left.dirichlet:
-        num += problem.left.h * p[0] * fv[0] ** 2
+        num += problem.left.h * problem._p[0] * f0**2
     if not problem.right.dirichlet:
-        num += problem.right.h * p[-1] * fv[-1] ** 2
-    den = composite_simpson(rho * fv**2, h)
+        num += problem.right.h * problem._p[-1] * fl**2
     if den <= 0.0:
         raise ValueError("trial function is numerically zero")
     return float(num / den)

@@ -239,6 +239,8 @@ class ModalSolution:
 
     def mode_energy(self, n: int, t: float) -> float:
         """Energy of the n-th mode (n >= 1) per unit density."""
+        if not 1 <= n <= len(self.laws):
+            raise IndexError(f"mode index {n} outside 1..{len(self.laws)}")
         law = self.laws[n - 1]
         q, dq = law.q(t), law.qdot(t)
         return 0.5 * self.medium.rho * (dq * dq + law.omega**2 * q * q)

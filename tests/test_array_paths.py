@@ -30,7 +30,7 @@ from spectralbvp import (
 )
 from spectralbvp import geomnd
 from spectralbvp.intervals import uniform_basis
-from spectralbvp._quad import composite_simpson, fixed_gauss, gauss_rule, sample
+from spectralbvp._quad import fixed_gauss, gauss_rule, sample
 from spectralbvp._rootfind import refine_root, scan_brackets
 from spectralbvp._vec import _FEW
 
@@ -434,26 +434,17 @@ def test_sl_problem_samples_vectorised_coefficients_once():
 def test_coefficient_and_rayleigh_quotient_unchanged_for_scalar_callables():
     p, q, rho = _scalar_problem()
     prob = SLProblem(p, q, rho, 1.0, NEUMANN, DIRICHLET, grid_size=256)
-    xs = prob.grid
-    # the per-point expressions these methods evaluated before sampling
-    f = lambda x: math.cos(1.3 * x) * (1.0 - x)
-    fprime = lambda x: -1.3 * math.sin(1.3 * x) * (1.0 - x) - math.cos(1.3 * x)
     basis = eigen_solve(prob, 2)
-    fv = np.array([f(float(x)) for x in xs])
-    xn = basis.norm_constants[1] * basis._solutions[1].values
-    want = composite_simpson(prob._rho[::2] * fv * xn, prob.h_step)
-    assert basis.coefficient(f, 2) == want
-    step = np.finfo(float).eps ** (1.0 / 3.0)
-    fd = np.array(
-        [(f(min(1.0, x + step)) - f(max(0.0, x - step))) / (min(1.0, x + step) - max(0.0, x - step)) for x in xs]
-    )
-    fdx = np.array([float(fprime(x)) for x in xs])
-    for deriv, fprime_arg in ((fd, None), (fdx, fprime)):
-        num = composite_simpson(prob._p[::2] * deriv**2, prob.h_step) + composite_simpson(
-            prob._q[::2] * fv**2, prob.h_step
-        )
-        den = composite_simpson(prob._rho[::2] * fv**2, prob.h_step)
-        assert rayleigh_quotient(prob, f, fprime_arg) == float(num / den)
+    # plain arithmetic, which rounds the same on a float and on an array
+    f = lambda x: (1.0 - x) * (1.0 + x * (0.4 - 0.3 * x))
+    fprime = lambda x: -0.6 + x * (-1.4 + 0.9 * x)
+    # float() of an array of several points raises TypeError: called point by point
+    scalar = lambda g: lambda x: g(float(x))
+    for n in (1, 2):
+        assert basis.coefficient(scalar(f), n) == basis.coefficient(f, n)
+    for deriv in (None, fprime):
+        want = rayleigh_quotient(prob, f, deriv)
+        assert rayleigh_quotient(prob, scalar(f), deriv and scalar(deriv)) == want
 
 
 # ----------------------------------------------------------------------

@@ -4,14 +4,15 @@ against the dimensionless Robin characteristic, and the spectral
 monotonicity/bound properties."""
 
 import math
+import re
 from bisect import bisect_left
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectralbvp import sturm
-from spectralbvp._quad import composite_simpson
+from spectralbvp import WaveMedium, beam_spectrum, string_modes, sturm
+from spectralbvp._quad import composite_simpson, gauss_rule
 from spectralbvp._rootfind import lockstep, refine_root, scan_brackets
 from spectralbvp.sturm import (
     DIRICHLET,
@@ -418,7 +419,8 @@ def test_propagator_constant_coefficients_closed_form(half_grid, ends, h_left, h
     assert abs(m_rk4 - m_exact) <= (trunc + roundoff) * m_scale
     if abs(lam) <= 40.0 and prob.n <= 1024:
         # the Volterra route carries its own O(h^4) Simpson bias
-        m_picard = characteristic(prob, lam, method="picard")
+        pic = solve_theta(prob, lam, a, b, method="picard")
+        m_picard = pic.values[-1] if right.dirichlet else pic.derivs[-1] + right.h * pic.values[-1]
         assert abs(m_picard - m_rk4) <= (trunc + 0.125 * (h * k) ** 4 * (1.0 + k * l) + roundoff + 1e-11) * m_scale
 
 
@@ -866,12 +868,60 @@ def test_nonfinite_data_is_refused_by_every_projection():
     prob = dirichlet_problem(grid=256)
     basis = eigen_solve(prob, 2)
     bad = lambda x: math.nan if x > 0.5 else x
-    with pytest.raises(ValueError, match="not finite at x = 0.50390625"):
+    # mode 1's ladder starts on the 32-point Gauss rule
+    first = min(x for x in gauss_rule(0.0, 1.0, 32)[0].tolist() if x > 0.5)
+    with pytest.raises(ValueError, match=f"not finite at x = {re.escape(repr(first))}"):
         basis.coefficient(bad, 1)
     with pytest.raises(ValueError, match="not finite"):
         rayleigh_quotient(prob, bad, lambda x: 1.0)
     with pytest.raises(ValueError, match="not finite"):
         rayleigh_quotient(prob, lambda x: x * (1 - x), lambda x: math.inf)
+
+
+def test_coefficients_match_a_fine_grid_solve():
+    p = lambda x: 1.0 + 0.4 * math.sin(2.0 * x + 0.7)
+    q = lambda x: 0.3 * (1.0 + math.sin(3.0 * x + 1.9))
+    rho = lambda x: 1.0 + 0.5 * math.cos(1.5 * x + 1.9) ** 2
+    f = lambda x: 0.6 * x * (1.0 - x) - 0.8 * math.cos(2.0 * x)
+    robin = BoundaryCondition.robin
+    for left, right in [(DIRICHLET, DIRICHLET), (DIRICHLET, robin(1.3)), (robin(0.7), DIRICHLET), (robin(2.2), NEUMANN)]:
+        basis = eigen_solve(SLProblem(p, q, rho, 1.0, left, right), 8)
+        fine = SLProblem(p, q, rho, 1.0, left, right, grid_size=16384)
+        ref = eigen_solve(fine, 8)
+        weighted = fine._rho[::2] * np.array([f(x) for x in fine.grid.tolist()])
+        for n in (1, 3, 8):
+            # Simpson over the fine solve's nodes, independent of the ladder
+            want = composite_simpson(weighted * ref.norm_constants[n - 1] * ref._solutions[n - 1].values, fine.h_step)
+            assert abs(basis.coefficient(f, n) - want) <= 1e-12
+
+
+def test_eigenfunctions_refuse_points_outside_the_interval():
+    prob = dirichlet_problem(grid=256)
+    basis = eigen_solve(prob, 1)
+    sol = solve_theta(prob, 5.0, 0.0, 1.0)
+    for fn in (basis.eigenfunction(1), basis.eigenfunction_derivative(1), sol, sol.derivative):
+        for x, name in [(1.5, "1.5"), (-0.25, "-0.25"), (math.nan, "nan"), (math.inf, "inf"),
+                        (np.array([0.2, 1.0, 1.5]), "1.5"), (np.array([0.3, math.nan]), "nan")]:
+            with pytest.raises(ValueError, match=f"x = {name} is outside"):
+                fn(x)
+        assert np.isfinite(fn(np.array([0.0, 0.5, 1.0]))).all() and math.isfinite(fn(1))
+
+
+@pytest.mark.parametrize("call", ["eigenfunction", "eigenfunction_derivative", "coefficient", "mode_energy", "omega"])
+def test_mode_index_outside_one_to_count_is_refused(call):
+    basis = eigen_solve(dirichlet_problem(grid=256), 3)
+    string = string_modes(WaveMedium(a=1.0, l=1.0), (DIRICHLET, DIRICHLET), lambda x: x * (1.0 - x), None, 3)
+    spectrum = beam_spectrum("clamped_clamped", 3)
+    calls = {
+        "eigenfunction": basis.eigenfunction,
+        "eigenfunction_derivative": basis.eigenfunction_derivative,
+        "coefficient": lambda n: basis.coefficient(lambda x: x, n),
+        "mode_energy": lambda n: string.mode_energy(n, 0.5),
+        "omega": spectrum.omega,
+    }
+    for n in (0, -1, 4):
+        with pytest.raises(IndexError, match=f"mode index {n} outside 1..3"):
+            calls[call](n)
 
 
 def test_characteristic_matches_dimensionless_closed_form():

@@ -17,19 +17,20 @@ The file holds each run's gated metrics, the ungated ``op_p50_s``,
 that ``op_cost_ref`` divides by (``reference_mean_s``, read from its report
 line), and its operation counts; and per workload and metric each side's
 median and quartiles and the pairs the change wins (ties count for
-neither).  After the pairs, each tree runs every workload once more with
-``--trace 1`` on seed S, parent first, and its per-layer metrics are kept
-under ``workloads[W]["traced"][side]``.  Under ``machine`` it records,
-once per tree and read by a child process of the interpreter that runs
-it, what the last bits of a float result depend on besides the source:
+neither).  After the pairs, each tree runs every workload ``TRACED_RUNS``
+= 3 more times with ``--trace 1``, run k on seed S + k with the parent
+first on even k; ``workloads[W]["traced"][side]`` keeps the runs and each
+per-layer metric's median and quartiles over them.  Under ``machine`` it
+records, once per tree and read by a child process of the interpreter that
+runs it, what the last bits of a float result depend on besides the source:
 numpy's version, the CPU baseline, dispatch targets and enabled features
 of its build, its BLAS, and the environment variables that steer those.
 It is rewritten after every pair and every traced run, so an interrupted
 run keeps what it finished.  Last, it prints one line per workload and
 gated metric, read back from the file it wrote: the parent's median
 [q1, q3], the change's, and the pairs the change wins; then one line per
-traced per-layer metric that moved by more than 10 % between the two
-sides' traced runs.  Standard library only.
+traced per-layer metric whose median moved by more than 10 % between the
+two sides and whose quartile ranges do not overlap.  Standard library only.
 """
 
 from __future__ import annotations
@@ -69,8 +70,10 @@ print(json.dumps({
     "env": {k: os.environ.get(k) for k in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")},
 }))
 """
-# A traced per-layer metric is printed when change/parent - 1 exceeds this
-# in size.
+# Traced runs per tree and workload: the fewest that give quartiles.
+TRACED_RUNS = 3
+# A traced per-layer metric is printed when change/parent - 1 of its medians
+# exceeds this in size and the two sides' quartile ranges are apart.
 TRACED_MOVE = 0.10
 # op_cost_ref's report line: "... the mean of N reference loops (X s) timed while the operations ran"
 REFERENCE_MEAN = re.compile(r"^op_cost_ref\s.*\(([^ ]+) s\) timed while the operations ran")
@@ -139,6 +142,13 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def summarize_traced(runs: list[dict]) -> dict:
+    """Median and quartiles of each per-layer metric that every run reports."""
+    names = set.intersection(*(set(r["metrics"]) for r in runs))
+    return {name: quartiles([r["metrics"][name] for r in runs]) for name in sorted(names)
+            if all(r["metrics"][name] is not None for r in runs)}
+
+
 def write(record: dict, path: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -190,11 +200,17 @@ def main() -> int:
                   flush=True)
         write(record, args.out)
     for workload in args.workload:
-        record["workloads"][workload]["traced"] = {
-            side: run_bench(roots[side], workload, args.seed0, seconds, trace=1) for side in SIDES
-        }
-        print(f"traced {workload}: seed {args.seed0}", flush=True)
-        write(record, args.out)
+        record["workloads"][workload]["traced"] = {side: {"runs": [], "summary": {}} for side in SIDES}
+    for k in range(TRACED_RUNS):
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        for workload in args.workload:
+            traced = record["workloads"][workload]["traced"]
+            for side in order:
+                traced[side]["runs"].append(run_bench(roots[side], workload, args.seed0 + k, seconds, trace=1))
+                if len(traced[side]["runs"]) >= 2:
+                    traced[side]["summary"] = summarize_traced(traced[side]["runs"])
+            print(f"traced {workload}: seed {args.seed0 + k}, {order[0]} first", flush=True)
+            write(record, args.out)
     with open(args.out, encoding="utf-8") as fh:
         written = json.load(fh)
     for workload, entry in written["workloads"].items():
@@ -209,12 +225,14 @@ def main() -> int:
         traced = entry.get("traced", {})
         if set(traced) != set(SIDES):
             continue
-        before, after = traced["parent"]["metrics"], traced["change"]["metrics"]
+        before, after = traced["parent"]["summary"], traced["change"]["summary"]
         for name in sorted(set(before) & set(after)):
             p, c = before[name], after[name]
-            if p and c is not None and abs(c / p - 1.0) > TRACED_MOVE:
-                print(f"{workload} traced {name}: parent {p:.4g} -> change {c:.4g} {units.get(name, '')} "
-                      f"({c / p - 1.0:+.1%})")
+            apart = c["q1"] > p["q3"] or c["q3"] < p["q1"]
+            if p["median"] and apart and abs(c["median"] / p["median"] - 1.0) > TRACED_MOVE:
+                print(f"{workload} traced {name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
+                      f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {units.get(name, '')} "
+                      f"({c['median'] / p['median'] - 1.0:+.1%})")
     return 0
 
 
