@@ -17,7 +17,13 @@ solver's cap and stops once two rungs agree on the scale of the summands,
 which it forms from the same operands; so smooth data is sampled on a
 fraction of the cap's grid.  Every integral of a user callable against
 modes, the Sturm coefficients and Rayleigh quotients included, takes that
-path.  ``composite_simpson`` and ``cumulative_simpson`` serve data that
+path.  A separable solver's rung takes its modes from ``mode_table``: the
+family on the reference interval [0, 1] (or [-1, 1]) at the rung's Gauss
+nodes, which depends only on integers (the family's order or end kinds,
+its mode count, the rung size), evaluated once per process and kept in one
+cache whose retained bytes ``_TABLE_BYTES`` bounds; the physical scale
+(1/R, 1/sqrt(l), ...) is a positive factor on the rung's weights.
+``composite_simpson`` and ``cumulative_simpson`` serve data that
 already sits on a uniform grid: the Sturm norm constants over stored node
 values, and the Picard cross-check.
 """
@@ -25,6 +31,8 @@ values, and the Picard cross-check.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from functools import cache
 from typing import Callable
 
@@ -33,6 +41,8 @@ from ._vec import any_, is_array, np
 __all__ = [
     "adaptive_simpson",
     "gauss_legendre_nodes",
+    "mode_table",
+    "cached",
     "gauss_rule",
     "gauss_sum",
     "gauss_ladder",
@@ -143,6 +153,65 @@ def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _legendre_rule(n)
 
 
+# Bytes of arrays that ``cached`` keeps, least recently used evicted first;
+# bounded in bytes, not entries, since one 2000-mode table on the 256-point
+# rule alone is 4 MB.  An array larger than this is returned, not kept.
+_TABLE_BYTES = 16 * 2**20
+
+
+class _ArrayCache:
+    """Read-only arrays by key, at most ``_TABLE_BYTES`` of them in all."""
+
+    def __init__(self):
+        self._arrays: OrderedDict = OrderedDict()
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._arrays)
+
+    def get(self, key, make: Callable):
+        with self._lock:
+            kept = self._arrays.get(key)
+            if kept is not None:
+                self._arrays.move_to_end(key)
+                return kept
+        # made outside the lock: make may itself read the cache
+        value = make()
+        value.setflags(write=False)
+        with self._lock:
+            if key not in self._arrays and value.nbytes <= _TABLE_BYTES:
+                self._arrays[key] = value
+                self.nbytes += value.nbytes
+                while self.nbytes > _TABLE_BYTES:
+                    self.nbytes -= self._arrays.popitem(last=False)[1].nbytes
+        return value
+
+
+_TABLES = _ArrayCache()
+
+
+def cached(make: Callable, *key):
+    """``make(*key)``, an array, evaluated once per process while it stays
+    in the cache and returned read-only.  ``key`` holds integers and enums,
+    never a float: whatever depends on a length, radius or Robin constant
+    is computed outside."""
+    return _TABLES.get((make, key), lambda: make(*key))
+
+
+def _at_gauss_nodes(family: Callable, key: tuple, n: int, lo: int):
+    x = gauss_legendre_nodes(n)[0]
+    return family(*key, x if lo == -1 else 0.5 + 0.5 * x)
+
+
+def mode_table(family: Callable, key: tuple, n: int, lo: int = 0):
+    """``family(*key, x)`` at the nodes x of the n-point Gauss rule on
+    [lo, 1], lo = 0 or -1 (the nodes of ``gauss_rule(lo, 1, n)`` bit for
+    bit), through ``cached``: a mode family on the reference interval,
+    one row per node."""
+    return cached(_at_gauss_nodes, family, key, n, lo)
+
+
 def gauss_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule scaled to [a, b]."""
     x, w = gauss_legendre_nodes(n)
@@ -211,7 +280,12 @@ def gauss_ladder(rung: Callable, cap, modes):
     axis's mode count (``modes``, shaped like ``cap``) is skipped, the cap
     never.  The first rung whose coefficients agree with the previous rung's
     to ``_RUNG_AGREEMENT`` of its largest summand scale is returned, else the
-    cap's, which is the fixed-grid projection bit for bit.  Data orthogonal
+    cap's, which is the fixed-grid projection bit for bit.  A solver's rung
+    takes its modes from ``mode_table``, evaluated on the reference interval
+    once per process and rung size (the cache keeps at most
+    ``_TABLE_BYTES``), and puts the positive physical scale (1/R,
+    1/sqrt(l), ...) on its weights; it samples the data at the physical
+    nodes.  Data orthogonal
     to every mode has coefficients of rounding noise, which agree on that
     scale although not relative to each other.
 

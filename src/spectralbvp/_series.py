@@ -11,7 +11,13 @@ import math
 
 from ._vec import is_array, np, xp
 
-__all__ = ["project", "contract", "oscillator", "outer"]
+__all__ = ["project", "contract", "oscillator", "outer", "mode_count"]
+
+
+def mode_count(name: str, n) -> None:
+    """ValueError naming the parameter unless the mode count n is >= 1."""
+    if not n >= 1:
+        raise ValueError(f"{name} must be >= 1, got {n!r}")
 
 
 def project(phi: np.ndarray, weights: np.ndarray, data: np.ndarray) -> np.ndarray:

@@ -13,10 +13,10 @@ import math
 from enum import Enum
 from typing import Callable
 
-from ._quad import fixed_gauss, gauss_ladder, gauss_rule, sample_rows
+from ._quad import fixed_gauss, gauss_ladder, gauss_rule, mode_table, sample_rows
 from ._record import dataclass
 from ._rootfind import refine_root
-from ._series import contract, oscillator, outer, project
+from ._series import contract, mode_count, oscillator, outer, project
 from ._vec import as_arg, inside, np, xp
 from .specfun import ZeroFamily, zero_table
 
@@ -131,6 +131,12 @@ def _shapes(bc: BeamBC, mu, l: float, x):
     return _mode_derivatives(bc, mu, outer(x, mu) / l)[0] / (xp(mu).sqrt(_norm2(bc, mu)) * math.sqrt(l))
 
 
+def _unit_shapes(bc: BeamBC, n_modes: int, s):
+    """The first n_modes modes of the unit beam (l = 1) at the points s, one
+    column each: X_n(x) on [0, l] is this at x/l over sqrt(l)."""
+    return _shapes(bc, np.array(beam_char_roots(bc, n_modes)), 1.0, s)
+
+
 def beam_mode(bc_pair: BeamBC | str, n: int, x, l: float = 1.0):
     """n-th mode shape (n >= 1), normalized to unit L2 norm on [0, l], at x
     (a float or an array)."""
@@ -199,13 +205,17 @@ def beam_response(
     t: float,
 ) -> float:
     """Free bending vibration u(x, t) = sum q_n(t) X_n(x) from initial shape
-    u0 and velocity v0, truncated at n_modes."""
+    u0 and velocity v0, truncated at n_modes.  Each Gauss rung takes the
+    unit beam's modes from their cached table, its weights carrying the
+    1/sqrt(l)."""
+    mode_count("n_modes", n_modes)
     bc, l = spectrum.bc_pair, spectrum.l
     mus = np.array(beam_char_roots(bc, n_modes))
+    root_l = math.sqrt(l)
 
     def rung(n):
         xs, w = gauss_rule(0.0, l, n)
-        return project, (_shapes(bc, mus, l, xs), w, sample_rows((u0, v0), xs))
+        return project, (mode_table(_unit_shapes, (bc, n_modes), n), w / root_l, sample_rows((u0, v0), xs))
 
     a, b = gauss_ladder(rung, 192, n_modes)[0]
     return contract(_shapes(bc, mus, l, x), oscillator(spectrum.frequency(mus), a, b, 0.0, t)[0])

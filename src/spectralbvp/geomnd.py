@@ -10,9 +10,9 @@ import math
 from enum import Enum
 from typing import Callable, Literal
 
-from ._quad import adaptive_simpson, fixed_gauss, gauss_ladder, gauss_rule, sample, sample_rows
+from ._quad import adaptive_simpson, cached, fixed_gauss, gauss_ladder, gauss_rule, mode_table, sample, sample_rows
 from ._record import dataclass
-from ._series import contract, oscillator, outer, project
+from ._series import contract, mode_count, oscillator, outer, project
 from ._vec import as_arg, full, inside, np, xp
 from .intervals import uniform_basis
 from .specfun import (
@@ -158,16 +158,13 @@ class DiskMembrane:
 
 
 def _disk_radial(spec: DiskMembrane, m: int, k: int):
+    """The k-th zero alpha of J_m and the normalized radial factor
+    chi(r) = sqrt(2) J_m(alpha r/R) / (R |J_m'(alpha)|), int_0^R r chi^2 dr
+    = 1 (chi keeps r's shape); the series take theirs from ``_j_modes``."""
     alpha = bessel_zero(ZeroFamily.BESSEL_J, m, k)
-    return alpha, _bessel_family(spec.radius, m, alpha)[1]
-
-
-def _bessel_family(radius: float, m: int, alpha):
-    """Scale s = sqrt(2) / (R |J_m'(alpha)|) and the normalized radial factor
-    chi(r) = s J_m(alpha r/R), int_0^R r chi^2 dr = 1, for one zero alpha of
-    J_m (chi keeps r's shape) or an array of zeros (one column each)."""
+    radius = spec.radius
     scale = math.sqrt(2.0) / (radius * abs(bessel_j_prime(m, alpha)))
-    return scale, (lambda r: scale * bessel_j(m, outer(as_arg(r), alpha) / radius))
+    return alpha, (lambda r: scale * bessel_j(m, outer(as_arg(r), alpha) / radius))
 
 
 def disk_membrane_modes(spec: DiskMembrane, m: int, k: int, parity: str = "cos"):
@@ -218,36 +215,38 @@ def disk_axisym_solution(
     r = as_arg(r)
     if not inside(r, 0.0, spec.radius):
         raise ValueError("radial coordinate outside the disk")
-    alphas = _j_zeros(0, n_modes)
-    _, phi = _bessel_family(spec.radius, 0, alphas)
-    a, b = gauss_ladder(_radial_rung(spec.radius, phi, u0, v0), 192, n_modes)[0]
-    omega = alphas * spec.a / spec.radius
+    mode_count("n_modes", n_modes)
+    big_r = spec.radius
+    alphas = cached(_j_zeros, 0, n_modes)
+    a, b = gauss_ladder(_radial_rung(big_r, 0, n_modes, u0, v0), 192, n_modes)[0]
+    omega = alphas * spec.a / big_r
     q = oscillator(omega, a, b, 0.0, t)[0]
     if force is not None:
-        rf, wf = gauss_rule(0.0, spec.radius, 96)
-        at_rf = phi(rf)
-        load = lambda tau: project(at_rf, wf * rf, sample(lambda x: force(x, tau), rf))
+        rf, wf = gauss_rule(0.0, big_r, 96)
+        at_rf, wf = mode_table(_j_modes, (0, n_modes), 96), wf * rf / big_r
+        load = lambda tau: project(at_rf, wf, sample(lambda x: force(x, tau), rf))
         forced = adaptive_simpson(lambda tau: np.sin(omega * (t - tau)) * load(tau), 0.0, t, tol=1e-9)
         q = q + forced / (omega * spec.rho)
-    return contract(phi(r), q)
+    return contract(_j_modes(0, n_modes, r / big_r) / big_r, q)
 
 
 def disk_axisym_coefficients(
     spec: DiskMembrane, u0: Callable[[float], float], n_modes: int
 ) -> list[float]:
     """Projections of u0(r) on the normalized axisymmetric radial modes."""
-    phi = _bessel_family(spec.radius, 0, _j_zeros(0, n_modes))[1]
-    return gauss_ladder(_radial_rung(spec.radius, phi, u0), 192, n_modes)[0][0].tolist()
+    mode_count("n_modes", n_modes)
+    return gauss_ladder(_radial_rung(spec.radius, 0, n_modes, u0), 192, n_modes)[0][0].tolist()
 
 
-def _radial_rung(radius: float, phi, *data):
+def _radial_rung(radius: float, m: int, count: int, *data):
     """The Gauss ladder's rung for the r-weighted projections over [0, R] of
-    each f(r) in data (zeros for None) on the modes phi, one row per f:
-    every rung evaluates phi once for all the data."""
+    each f(r) in data (zeros for None) on the first count normalized
+    Fourier-Bessel modes of order m, one row per f: the modes come from
+    their cached table at s = r/R, the weights carry their 1/R."""
 
     def rung(n):
         rr, w = gauss_rule(0.0, radius, n)
-        return project, (phi(rr), w * rr, sample_rows(data, rr))
+        return project, (mode_table(_j_modes, (m, count), n), w * rr / radius, sample_rows(data, rr))
 
     return rung
 
@@ -255,6 +254,19 @@ def _radial_rung(radius: float, phi, *data):
 def _j_zeros(m: int, count: int) -> np.ndarray:
     """The first count positive zeros of J_m."""
     return np.array(zero_table(ZeroFamily.BESSEL_J, m, count).roots)
+
+
+def _j_norms(m: int, count: int) -> np.ndarray:
+    """sqrt(2)/|J_m'(alpha_k)| over the first count zeros alpha_k of J_m: R
+    times the norm scale of each Fourier-Bessel mode."""
+    return math.sqrt(2.0) / abs(bessel_j_prime(m, cached(_j_zeros, m, count)))
+
+
+def _j_modes(m: int, count: int, s):
+    """R times the first count normalized Fourier-Bessel modes of order m at
+    s = r/R (a float or an array), one column per zero alpha_k of J_m:
+    sqrt(2) J_m(alpha_k s)/|J_m'(alpha_k)|, unit r-weighted norm on [0, 1]."""
+    return cached(_j_norms, m, count) * bessel_j(m, outer(s, cached(_j_zeros, m, count)))
 
 
 def disk_pressure_steady_amplitude(spec: DiskMembrane, p0: float, omega: float, r: float) -> float:
@@ -287,9 +299,16 @@ def cylinder_cooling(
     at zero; the axial coordinate z runs over [-H/2, H/2].
 
     ``t0`` is either T0(r) or T0(r, z).  With half_infinite=True the axial
-    factor drops out and the solution reduces to the long-rod radial series.
+    factor drops out and the solution reduces to the long-rod radial series;
+    height and n_axial are then not read.
     """
     r, z = point
+    for name, value in (("radius", radius), ("a2", a2)) + ((("height", height),) if not half_infinite else ()):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    mode_count("n_radial", n_radial)
+    if not half_infinite:
+        mode_count("n_axial", n_axial)
     if not 0.0 <= t < math.inf:
         raise ValueError(f"time must be finite and >= 0, got {t!r}")
     if not 0.0 <= r <= radius:
@@ -299,25 +318,26 @@ def cylinder_cooling(
         raise ValueError("half-infinite reduction needs radial initial data T0(r)")
     if not half_infinite and not -height / 2.0 <= z <= height / 2.0:
         raise ValueError("axial coordinate outside the cylinder")
-    alphas = _j_zeros(0, n_radial)
-    _, chi = _bessel_family(radius, 0, alphas)
-    rad_rate = (alphas / radius) ** 2
+    rad_rate = (cached(_j_zeros, 0, n_radial) / radius) ** 2
     # axial modes sqrt(2/H) sin(n pi s/H) in s = z + H/2
     if takes_z:
         axial = uniform_basis(height, DIRICHLET, DIRICHLET, n_axial)
+        root_h = math.sqrt(height)
 
         def rung(sizes):
             # T0(r, z) is sampled once per rung; each (n, k) coefficient is
-            # (w_r r J_0) . T . (w_z axial_n)
+            # (w_r r J_0) . T . (w_z axial_n), the modes from their tables and
+            # their 1/R and 1/sqrt(H) on the weights
             rr, wr = gauss_rule(0.0, radius, sizes[0])
             zz, wz = gauss_rule(-height / 2.0, height / 2.0, sizes[1])
-            operands = axial._shapes(zz + height / 2.0), wz, sample(t0, rr, zz), chi(rr), wr * rr
+            radial = mode_table(_j_modes, (0, n_radial), sizes[0])
+            operands = axial._on_rule(sizes[1]), wz / root_h, sample(t0, rr, zz), radial, wr * rr / radius
             return (lambda ax, wz, data, rad, wr: project(rad, wr, project(ax, wz, data).T)), operands
 
         coef = gauss_ladder(rung, (96, 96), (n_radial, n_axial))[0]
         ax_here, ax_rate = axial._shapes(z + height / 2.0), np.array(axial.eigenvalues)
     else:
-        radial = gauss_ladder(_radial_rung(radius, chi, t0), 192, n_radial)[0][0]
+        radial = gauss_ladder(_radial_rung(radius, 0, n_radial, t0), 192, n_radial)[0][0]
         if half_infinite:
             coef, ax_here, ax_rate = radial[None, :], np.ones(1), np.zeros(1)
         else:
@@ -328,7 +348,7 @@ def cylinder_cooling(
             coef = np.multiply.outer(2.0 * math.sqrt(2.0 * height) / (math.pi * nn), radial)
             ax_here, ax_rate = axial._shapes(z + height / 2.0)[::2], np.array(axial.eigenvalues[::2])
     decay = np.exp(-np.add.outer(ax_rate, rad_rate) * a2 * t)
-    return contract(ax_here, np.einsum("kn,n->k", coef * decay, chi(r)))
+    return contract(ax_here, np.einsum("kn,n->k", coef * decay, _j_modes(0, n_radial, r / radius) / radius))
 
 
 def _arity_two(f) -> bool:
@@ -398,6 +418,14 @@ def _ball_modes(spec: BallSpec, gamma):
     return (gamma / big_r) ** 2, (lambda r: c * _sin_over_r(g, r))
 
 
+def _unit_ball_modes(bc: BallBC, n_modes: int, s):
+    """The first n_modes radial modes of the unit ball with a Dirichlet or
+    Neumann surface at s (an array), one column each: R^{3/2} times those of
+    the ball of radius R at r = R s."""
+    unit = BallSpec(1.0, bc)
+    return _ball_modes(unit, np.array([_ball_gamma(unit, k) for k in range(1, n_modes + 1)]))[1](s)
+
+
 def ball_radial_modes(spec: BallSpec, k: int):
     """Eigenvalue lam_k = gamma_k^2/R^2 and normalized radial mode
     Phi_k(r) = C_k sin(gamma_k r/R)/r with unit norm over the ball volume."""
@@ -450,14 +478,24 @@ def ball_solution(
     if radial:
         if t == math.inf:
             return _ball_steady_sources(spec, float(data), r, conductivity)
-        lam, phi = _ball_modes(spec, np.array([_ball_gamma(spec, k) for k in range(1, n_modes + 1)]))
+        mode_count("n_modes", n_modes)
+        gammas = np.array([_ball_gamma(spec, k) for k in range(1, n_modes + 1)])
+        lam, phi = _ball_modes(spec, gammas)
         cooling = problem == BallProblem.COOLING
+        # the unit ball's modes (Robin constant h R) on the rung, their
+        # R^{-3/2} on the weights; only a Robin surface's are not cached
+        scale = big_r * math.sqrt(big_r)
+        if spec.bc == BallBC.ROBIN:
+            unit = _ball_modes(BallSpec(1.0, spec.bc, h=spec.h * big_r), gammas)[1]
+            table = lambda n: unit(gauss_rule(0.0, 1.0, n)[0])
+        else:
+            table = lambda n: mode_table(_unit_ball_modes, (spec.bc, n_modes), n)
 
         def rung(n):
             rr, w = gauss_rule(0.0, big_r, n)
             if cooling:
-                return (lambda *ops: 4.0 * math.pi * project(*ops)), (phi(rr), w * rr * rr, sample(data, rr))
-            return project, (phi(rr), w, rr * rr)
+                return (lambda *ops: 4.0 * math.pi * project(*ops)), (table(n), w * rr * rr / scale, sample(data, rr))
+            return project, (table(n), w / scale, rr * rr)
 
         proj = gauss_ladder(rung, 256, n_modes)[0]
         if cooling:
@@ -465,6 +503,7 @@ def ball_solution(
         f = (float(data) / conductivity) * spec.a2 * 4.0 * math.pi * proj
         rate = lam * spec.a2
         return contract(phi(r), f * (1.0 - np.exp(-rate * t)) / rate)
+    mode_count("n_modes", n_modes)
     if problem == BallProblem.AXISYM_COOLING:
         return _ball_axisym_cooling(spec, data, n_modes, r, theta, t)
     if problem == BallProblem.LAPLACE_DIRICHLET:
@@ -472,7 +511,7 @@ def ball_solution(
 
         def rung(n):
             xs, w = gauss_rule(-1.0, 1.0, n)
-            operands = _legendre_columns(n_modes, xs), w, sample(data, np.arccos(xs))
+            operands = mode_table(_legendre_columns, (n_modes,), n, -1), w, sample(data, np.arccos(xs))
             return (lambda *ops: (degrees + 0.5) * project(*ops)), operands
 
         a = gauss_ladder(rung, 160, n_modes)[0]
@@ -500,12 +539,23 @@ def _ball_radial_norm(n: int, alpha: float, big_r: float) -> float:
     return 0.5 * big_r**3 * spherical_bessel("j", n + 1, alpha) ** 2
 
 
+def _sph_zeros(n: int, count: int) -> np.ndarray:
+    """The first count positive zeros of j_n."""
+    return np.array(_zeros(_SPHERICAL_J, n, count)[:count])
+
+
+def _sph_modes(n: int, count: int, s):
+    """j_n(alpha_k s) at s = r/R (a float or an array), one column per zero
+    alpha_k of j_n, k = 1 .. count."""
+    return spherical_bessel("j", n, outer(s, cached(_sph_zeros, n, count)))
+
+
 def _ball_axisym_cooling(spec: BallSpec, t0, n_modes: int, r: float, theta: float, t: float) -> float:
     if spec.bc != BallBC.DIRICHLET:
         raise NotImplementedError("axisymmetric cooling implemented for the clamped surface")
     big_r = spec.radius
     orders = range(n_modes)
-    alphas = [np.array(_zeros(_SPHERICAL_J, n, n_modes)[:n_modes]) for n in orders]
+    alphas = [cached(_sph_zeros, n, n_modes) for n in orders]
     norms = [_ball_radial_norm(n, alphas[n], big_r) * (2.0 / (2 * n + 1)) for n in orders]
 
     def per_degree(legendre, ws, data, weights, *radial):
@@ -514,16 +564,18 @@ def _ball_axisym_cooling(spec: BallSpec, t0, n_modes: int, r: float, theta: floa
 
     def rung(sizes):
         # T0(r, theta) is sampled once per rung; each (n, k) coefficient is
-        # (w_r r^2 j_n(alpha r/R)) . T . (w_x P_n(x)), x = cos(theta)
+        # (w_r r^2 j_n(alpha r/R)) . T . (w_x P_n(x)), x = cos(theta), the
+        # modes from their tables at r/R and x
         rr, wr = gauss_rule(0.0, big_r, sizes[0])
         xs, ws = gauss_rule(-1.0, 1.0, sizes[1])
         data = sample(t0, rr, np.arccos(xs))
-        radial = [spherical_bessel("j", n, outer(rr, alphas[n]) / big_r) for n in orders]
-        return per_degree, (_legendre_columns(n_modes, xs), ws, data, wr * rr * rr, *radial)
+        radial = [mode_table(_sph_modes, (n, n_modes), sizes[0]) for n in orders]
+        legendre = mode_table(_legendre_columns, (n_modes,), sizes[1], -1)
+        return per_degree, (legendre, ws, data, wr * rr * rr, *radial)
 
     coef = gauss_ladder(rung, (128, 96), (n_modes, n_modes))[0]
     p_here = _legendre_columns(n_modes, math.cos(theta))
-    phi = [spherical_bessel("j", n, alphas[n] * r / big_r) * p_here[n] for n in orders]
+    phi = [_sph_modes(n, n_modes, r / big_r) * p_here[n] for n in orders]
     amps = [coef[n] * np.exp(-((alphas[n] / big_r) ** 2) * spec.a2 * t) for n in orders]
     return contract(np.concatenate(phi), np.concatenate(amps))
 
@@ -563,26 +615,26 @@ def expand_series(
     sum c_n P_n(x).  The integrals run on the Gauss ladder, capped at 256
     points (Fourier-Bessel) or max(160, 2 n_terms) (Legendre).
     """
+    mode_count("n_terms", n_terms)
     if kind == "fourier_bessel":
         if not 0.0 < radius < math.inf:
             raise ValueError(f"radius must be positive and finite, got {radius!r}")
-        scale, phi = _bessel_family(radius, m, _j_zeros(m, n_terms))
-
-        (a,), err = gauss_ladder(_radial_rung(radius, phi, f), 256, n_terms)
+        (a,), err = gauss_ladder(_radial_rung(radius, m, n_terms, f), 256, n_terms)
 
         def reconstruct(r):
             r = as_arg(r)
             if not inside(r, 0.0, radius):
                 raise ValueError("radial coordinate outside the disk")
-            return contract(phi(r), a)
+            return contract(_j_modes(m, n_terms, r / radius) / radius, a)
 
-        return SeriesExpansion(kind, (scale * a).tolist(), reconstruct, err)
+        return SeriesExpansion(kind, (cached(_j_norms, m, n_terms) / radius * a).tolist(), reconstruct, err)
     if kind == "legendre":
         half = np.arange(n_terms) + 0.5
 
         def rung(n):
             xs, w = gauss_rule(-1.0, 1.0, n)
-            return (lambda *ops: half * project(*ops)), (_legendre_columns(n_terms, xs), w, sample(f, xs))
+            operands = mode_table(_legendre_columns, (n_terms,), n, -1), w, sample(f, xs)
+            return (lambda *ops: half * project(*ops)), operands
 
         c, err = gauss_ladder(rung, max(160, 2 * n_terms), n_terms)
         return SeriesExpansion(kind, c.tolist(), lambda x: contract(_legendre_columns(n_terms, x), c), err)

@@ -299,9 +299,10 @@ def heat_interval_modes(
     coeffs = _project(basis, u0)
     load = None
     if source is not None:
-        # mode shapes are sampled once; each tau samples only the source
+        # the modes come from their table, the weights carry 1/sqrt(l); each
+        # tau samples only the source
         xs, w = gauss_rule(0.0, l, 128)
-        phi = basis._shapes(xs)
+        phi, w = basis._on_rule(128), w / math.sqrt(l)
         load = lambda tau: project(phi, w, sample(lambda x: source(x, tau), xs))
     return HeatModalSolution(basis, medium, coeffs, load)
 

@@ -6,7 +6,11 @@ Dirichlet ends reduces to one phase condition in xi = sqrt(lam) * l, linear
 the normalized eigenfunctions and their elementary norm constants for every
 end-condition combination, including the zero mode of the fully free
 interval, and the projection of data on the basis that the string and heat
-solvers share.
+solvers share.  A projection takes its modes from the unit interval, whose
+ends carry each Robin constant times l: X_n(x) = X^1_n(x/l)/sqrt(l).
+Without a Robin end the unit modes depend only on the end kinds and the
+mode count, and each Gauss rung's table of them is cached
+(``_quad.mode_table``).
 """
 
 from __future__ import annotations
@@ -15,12 +19,12 @@ import math
 from functools import cached_property, partial
 from typing import Callable
 
-from ._quad import gauss_ladder, gauss_rule, sample
+from ._quad import gauss_ladder, gauss_rule, mode_table, sample
 from ._record import dataclass
 from ._rootfind import refine_root
-from ._series import outer, project
+from ._series import mode_count, outer, project
 from ._vec import as_arg, np, where, xp
-from .sturm import BoundaryCondition
+from .sturm import DIRICHLET, NEUMANN, BoundaryCondition
 
 __all__ = ["UniformMode", "UniformBasis", "uniform_basis", "robin_xi_roots", "robin_norm_constant"]
 
@@ -48,14 +52,15 @@ class UniformBasis:
     def __init__(self, l: float, left: BoundaryCondition, right: BoundaryCondition, n_modes: int):
         if not 0.0 < l < math.inf:
             raise ValueError("interval length must be positive and finite")
+        mode_count("n_modes", n_modes)
         self.l = float(l)
         self.left = left
         self.right = right
-        xi, self._norms = _roots_and_norms(self.l, left, right, n_modes)
-        self._wavenumbers = [x / self.l for x in xi]
+        self._xi, self._norms = _roots_and_norms(self.l, left, right, n_modes)
+        self._wavenumbers = [x / self.l for x in self._xi]
         self.modes: list[UniformMode] = [
             UniformMode(i, x, k**2, partial(_family, left, k, cc), partial(_family, left, k, cc, prime=True), x == 0.0)
-            for i, (x, k, cc) in enumerate(zip(xi, self._wavenumbers, self._norms))
+            for i, (x, k, cc) in enumerate(zip(self._xi, self._wavenumbers, self._norms))
         ]
 
     def __len__(self) -> int:
@@ -78,6 +83,15 @@ class UniformBasis:
         along the last axis.  The wavenumber and norm arrays are built on the
         first call, so a basis used only for its modes loads no numpy."""
         return _family(self.left, self._k, self._c, as_arg(x))
+
+    def _on_rule(self, n: int):
+        """sqrt(l) times every mode at the nodes of ``gauss_rule(0, l, n)``:
+        the unit interval's modes at the nodes of ``gauss_rule(0, 1, n)``,
+        one cached table unless an end is Robin."""
+        left, right = _unit_end(self.left, self.l), _unit_end(self.right, self.l)
+        if not _has_robin(_eta(left, 1.0), _eta(right, 1.0)):
+            return mode_table(_closed_form_modes, (left.dirichlet, right.dirichlet, len(self)), n)
+        return _unit_modes(left, right, self._xi, gauss_rule(0.0, 1.0, n)[0])
 
 
 def uniform_basis(l: float, left: BoundaryCondition, right: BoundaryCondition, n_modes: int) -> UniformBasis:
@@ -166,29 +180,50 @@ def _family(left: BoundaryCondition, k, c, x, prime: bool = False):
     return c * (f.cos(kx) + h1 / where(k > 0.0, k, 1.0) * f.sin(kx))
 
 
+def _norms(l: float, left: BoundaryCondition, right: BoundaryCondition, xi: list[float]) -> list[float]:
+    """Norm constants c_n of the modes with roots xi."""
+    if not _has_robin(_eta(left, l), _eta(right, l)):
+        # sin(2 xi) = 0 at these roots, so the norm is exactly sqrt(2/l)
+        return [1.0 / math.sqrt(l) if x == 0.0 else math.sqrt(2.0 / l) for x in xi]
+    if left.dirichlet:
+        return [_norm_constant(l, x, 0.0, 1.0) for x in xi]
+    return [robin_norm_constant(l, left.h, x) for x in xi]
+
+
 def _roots_and_norms(l: float, left: BoundaryCondition, right: BoundaryCondition, n_modes: int):
     """Roots xi_n and norm constants c_n of the first n_modes modes."""
-    etas = (_eta(left, l), _eta(right, l))
-    robin = _has_robin(*etas)
-    xi = _xi_roots(*etas, range(1, n_modes + 1))
-    if not robin:
-        # sin(2 xi) = 0 at these roots, so the norm is exactly sqrt(2/l)
-        c = [1.0 / math.sqrt(l) if x == 0.0 else math.sqrt(2.0 / l) for x in xi]
-    elif left.dirichlet:
-        c = [_norm_constant(l, x, 0.0, 1.0) for x in xi]
-    else:
-        c = [robin_norm_constant(l, left.h, x) for x in xi]
-    return xi, c
+    xi = _xi_roots(_eta(left, l), _eta(right, l), range(1, n_modes + 1))
+    return xi, _norms(l, left, right, xi)
+
+
+def _unit_end(bc: BoundaryCondition, l: float) -> BoundaryCondition:
+    """The end of the unit interval that bc is on [0, l]: h l for a Robin h
+    (the roots xi depend on h l alone)."""
+    return bc if bc.dirichlet or bc.h == 0.0 else BoundaryCondition(h=bc.h * l)
+
+
+def _unit_modes(left: BoundaryCondition, right: BoundaryCondition, xi: list[float], s):
+    """The unit interval's modes with roots xi at the points s (an array),
+    modes last."""
+    return _family(left, np.array(xi), np.array(_norms(1.0, left, right, xi)), s)
+
+
+def _closed_form_modes(left_dirichlet: bool, right_dirichlet: bool, n_modes: int, s):
+    """``_unit_modes`` of the first n_modes modes for Dirichlet and Neumann
+    ends, named by flags for ``mode_table``'s key."""
+    left, right = (DIRICHLET if d else NEUMANN for d in (left_dirichlet, right_dirichlet))
+    return _unit_modes(left, right, _xi_roots(_eta(left, 1.0), _eta(right, 1.0), range(1, n_modes + 1)), s)
 
 
 def _project(basis: UniformBasis, func: Callable[[float], float] | None) -> list[float]:
     """Coefficients <func, X_n> on the Gauss ladder capped at 256 points
-    (zeros for None)."""
+    (zeros for None); the rung's weights carry the modes' 1/sqrt(l)."""
     if func is None:
         return [0.0] * len(basis)
+    root_l = math.sqrt(basis.l)
 
     def rung(n):
         xs, w = gauss_rule(0.0, basis.l, n)
-        return project, (basis._shapes(xs), w, sample(func, xs))
+        return project, (basis._on_rule(n), w / root_l, sample(func, xs))
 
     return gauss_ladder(rung, 256, len(basis))[0].tolist()

@@ -500,8 +500,10 @@ def zero_table(
     Brent's method to |f| <= 1e-15 on the scaled characteristic (or until
     its bracket collapses to floating-point resolution).  A root is thus a
     pure function of (family, order, param, k), whatever was asked before.
-    A non-finite param raises ValueError.
+    A negative count or a non-finite param raises ValueError.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count!r}")
     family = ZeroFamily(family)
     return ZeroTable(family, order, _zeros(family, order, count, param)[:count], param=param)
 

@@ -28,7 +28,7 @@ from spectralbvp import (
     rect_membrane_modes,
     specfun,
 )
-from spectralbvp import geomnd
+from spectralbvp import _quad, geomnd
 from spectralbvp.intervals import uniform_basis
 from spectralbvp._quad import fixed_gauss, gauss_rule, sample
 from spectralbvp._rootfind import refine_root, scan_brackets
@@ -352,7 +352,9 @@ def test_axisym_cooling_evaluates_shapes_per_mode(monkeypatch):
     rung's radial nodes and all its radial roots, one for the closed-form
     norms (j_{n+1} at the roots) and one for the point values, not one call
     per (n, k) term or a 192-point norm rule.  Constant data stops the
-    ladder at its second rung, 32 x 24."""
+    ladder at its second rung, 32 x 24.  The rung tables are counted on a
+    cold mode-table cache, this test's own."""
+    monkeypatch.setattr(_quad, "_TABLES", _quad._ArrayCache())
     calls = []
 
     def counted(kind, n, x):
@@ -372,7 +374,8 @@ def test_axisym_cooling_evaluates_shapes_per_mode(monkeypatch):
 def test_disk_axisym_builds_its_radial_family_once(monkeypatch):
     """One solve reads its roots from one zero table and evaluates J_0' once
     for all the norms, J_0 once per Gauss rung (shared by u0 and v0) and
-    once at the point."""
+    once at the point, on a cold mode-table cache (this test's own)."""
+    monkeypatch.setattr(_quad, "_TABLES", _quad._ArrayCache())
     counts = {}
     for name in ("zero_table", "bessel_j_prime"):
         counts[name] = _counted(getattr(geomnd, name))

@@ -555,6 +555,24 @@ def test_ball_and_disk_refuse_a_radius_outside_the_domain(scale):
                 call()
 
 
+@pytest.mark.parametrize("bad", [0.0, -2.0, math.inf, math.nan])
+def test_cylinder_cooling_refuses_bad_dimensions_by_name(bad):
+    """radius, height and a2 are checked before use: a2 = -2 returned
+    -6.7e26, NaN passed through, and a zero or infinite radius failed inside
+    J_0 with "x must be finite"."""
+    t0 = lambda r: 1.0 - r * r
+    calls = {
+        "radius": lambda: cylinder_cooling(bad, 2.0, 1.0, t0, 3, 2, (0.0, 0.1), 0.1),
+        "height": lambda: cylinder_cooling(1.0, bad, 1.0, t0, 3, 2, (0.3, 0.0), 0.1),
+        "a2": lambda: cylinder_cooling(1.0, 2.0, bad, t0, 3, 2, (0.3, 0.1), 0.1),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            call()
+    # a half-infinite cylinder reads no height
+    assert math.isfinite(cylinder_cooling(1.0, bad, 1.0, t0, 3, 2, (0.3, 0.0), 0.1, half_infinite=True))
+
+
 def test_ball_sources_keep_the_steady_state_at_infinite_time():
     spec = BallSpec(radius=1.0, bc=BallBC.ROBIN, h=2.0)
     steady = ball_solution(spec, "sources", 1.0, 3, 0.4, math.inf)

@@ -20,15 +20,17 @@ from spectralbvp import (
     beam_response,
     beam_spectrum,
     cylinder_cooling,
+    damped_modes,
     disk_axisym_solution,
     expand_series,
     heat_interval_modes,
     string_modes,
+    time_green_string,
 )
 from spectralbvp._quad import gauss_rule, sample
 from spectralbvp._series import project
 from spectralbvp.beams import BeamBC, _shapes as _beam_shapes, beam_char_roots
-from spectralbvp.geomnd import _ball_gamma, _ball_modes
+from spectralbvp.geomnd import _ball_gamma, _ball_modes, disk_axisym_coefficients
 from spectralbvp.intervals import uniform_basis
 from spectralbvp.specfun import (
     ZeroFamily,
@@ -345,3 +347,49 @@ def test_ladder_values_match_the_fixed_grids(rf, af, n_modes, length, u, t, bc, 
     medium, ends = WaveMedium(a=1.3, l=length), (NEUMANN, BoundaryCondition.robin(0.8))
     close(string_modes(medium, ends, f, g, n_modes)(r, t), _fixed_string(medium, ends, f, g, n_modes, r, t),
           sample(f, rr), sample(g, rr))
+
+
+# ----------------------------------------------------------------------
+# Mode counts
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_mode_counts_below_one_are_refused_by_name(count):
+    """Counts below one used to return [] or 0.0, a truncated series, or
+    fail inside numpy; every series solver now refuses them by name."""
+    f = lambda x: 1.0 - 0.5 * x
+    medium, ends = WaveMedium(a=1.0, l=1.0, eta=0.5), (DIRICHLET, NEUMANN)
+    disk, ball = DiskMembrane(radius=1.0), BallSpec(radius=1.0)
+    calls = {
+        "n_terms": [
+            lambda: expand_series("fourier_bessel", f, count),
+            lambda: expand_series("legendre", f, count),
+        ],
+        "n_modes": [
+            lambda: disk_axisym_solution(disk, f, None, count, 0.3, 0.1),
+            lambda: disk_axisym_coefficients(disk, f, count),
+            lambda: ball_solution(ball, "cooling", f, count, 0.3, 0.1),
+            lambda: ball_solution(ball, "sources", 1.0, count, 0.3, 0.1),
+            lambda: ball_solution(ball, "axisym_cooling", lambda r, th: r, count, (0.3, 0.2), 0.1),
+            lambda: ball_solution(ball, "laplace_dirichlet", lambda th: 1.0, count, (0.3, 0.2)),
+            lambda: string_modes(medium, ends, f, None, count),
+            lambda: damped_modes(medium, ends, f, None, count),
+            lambda: time_green_string(medium, ends, 0.3, 0.5, 0.1, count),
+            lambda: heat_interval_modes(ends, f, HeatMedium(a2=1.0), 1.0, count),
+            lambda: beam_response(beam_spectrum("pinned_pinned", 4), f, None, count, 0.3, 0.1),
+            lambda: uniform_basis(1.0, DIRICHLET, DIRICHLET, count),
+        ],
+        "n_radial": [
+            lambda: cylinder_cooling(1.0, 2.0, 1.0, f, count, 2, (0.3, 0.1), 0.1),
+            lambda: cylinder_cooling(1.0, 2.0, 1.0, lambda r, z: r, count, 2, (0.3, 0.1), 0.1),
+            lambda: cylinder_cooling(1.0, 2.0, 1.0, f, count, 2, (0.3, 0.1), 0.1, half_infinite=True),
+        ],
+        "n_axial": [
+            lambda: cylinder_cooling(1.0, 2.0, 1.0, f, 3, count, (0.3, 0.1), 0.1),
+            lambda: cylinder_cooling(1.0, 2.0, 1.0, lambda r, z: r, 3, count, (0.3, 0.1), 0.1),
+        ],
+    }
+    for name, group in calls.items():
+        for call in group:
+            with pytest.raises(ValueError, match=f"{name} must be >= 1, got {count}"):
+                call()

@@ -524,6 +524,15 @@ def test_zero_tables_agree_across_threads(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_zero_table_refuses_a_negative_count():
+    """A negative count sliced the stored roots from their end, so the table
+    depended on what earlier calls had stored."""
+    specfun.zero_table("bessel_j", 0, 5)
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        specfun.zero_table("bessel_j", 0, -2)
+    assert specfun.zero_table("bessel_j", 0, 0).roots == ()
+
+
 @pytest.mark.parametrize("param", [math.nan, math.inf, -math.inf])
 def test_zero_tables_reject_non_finite_param(param):
     with pytest.raises(ValueError, match="param"):

@@ -20,7 +20,9 @@ median and quartiles and the pairs the change wins (ties count for
 neither).  After the pairs, each tree runs every workload ``TRACED_RUNS``
 = 3 more times with ``--trace 1``, run k on seed S + k with the parent
 first on even k; ``workloads[W]["traced"][side]`` keeps the runs and each
-per-layer metric's median and quartiles over them.  Under ``machine`` it
+per-layer metric's median and quartiles over them, and each run's call
+count per metric and number of traced operations, both read from its
+report.  Under ``machine`` it
 records, once per tree and read by a child process of the interpreter that
 runs it, what the last bits of a float result depend on besides the source:
 numpy's version, the CPU baseline, dispatch targets and enabled features
@@ -30,7 +32,14 @@ run keeps what it finished.  Last, it prints one line per workload and
 gated metric, read back from the file it wrote: the parent's median
 [q1, q3], the change's, and the pairs the change wins; then one line per
 traced per-layer metric whose median moved by more than 10 % between the
-two sides and whose quartile ranges do not overlap.  Standard library only.
+two sides and whose quartile ranges do not overlap.  A metric with fewer
+calls than its run traced operations, in every traced run of both trees,
+was not read from each of them: the layer pass reads the other workloads
+from one operation each per run, a probe's batch runs once per run, and on
+``cli_oneshot`` a kind's runner reads about a tenth of the operations.
+Their few values per side are single samples taken minutes apart, so such
+a metric is left out of the moves and printed after them as a
+single-operation reading, under the same test.  Standard library only.
 """
 
 from __future__ import annotations
@@ -77,6 +86,8 @@ TRACED_RUNS = 3
 TRACED_MOVE = 0.10
 # op_cost_ref's report line: "... the mean of N reference loops (X s) timed while the operations ran"
 REFERENCE_MEAN = re.compile(r"^op_cost_ref\s.*\(([^ ]+) s\) timed while the operations ran")
+# A traced run's report line: "tracing overhead: ... over the same N operations, ..."
+TRACED_OPS = re.compile(r"^tracing overhead: .* over the same (\d+) operations")
 
 
 def compile_tree(root: str) -> dict:
@@ -106,7 +117,14 @@ def run_bench(root: str, workload: str, seed: int, seconds: float, trace: int = 
     result = json.loads(lines[-1])
     result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
     if trace:
-        # a traced run reports per-layer metrics only, and no reference loop
+        # a traced run reports per-layer metrics only, and no reference loop;
+        # its report gives each metric's call count, "name value unit N calls"
+        ops = [int(m.group(1)) for m in map(TRACED_OPS.match, lines) if m]
+        if len(ops) != 1:
+            raise SystemExit(f"{' '.join(cmd)} in {root}: no count of traced operations in the report")
+        result["traced_ops"] = ops[0]
+        result["calls"] = {words[0]: int(words[-2]) for words in map(str.split, lines)
+                           if len(words) > 3 and words[-1] == "calls" and words[0] in result["metrics"]}
         return result
     # the ungated metrics appear only in the report, one "name value unit ..." line each
     reported = {m["name"] for m in REPORTED}
@@ -147,6 +165,20 @@ def summarize_traced(runs: list[dict]) -> dict:
     names = set.intersection(*(set(r["metrics"]) for r in runs))
     return {name: quartiles([r["metrics"][name] for r in runs]) for name in sorted(names)
             if all(r["metrics"][name] is not None for r in runs)}
+
+
+def single_operation(runs: list[dict]) -> set[str]:
+    """The metrics with fewer calls than their run's traced operations in
+    every one of the runs: none of them was read from each operation."""
+    return {name for name in set.intersection(*(set(r["calls"]) for r in runs))
+            if all(r["calls"][name] < r["traced_ops"] for r in runs)}
+
+
+def moves(p: dict, c: dict) -> bool:
+    """Whether a traced metric's median moved by more than ``TRACED_MOVE``
+    between the sides' summaries, with their quartile ranges apart."""
+    apart = c["q1"] > p["q3"] or c["q3"] < p["q1"]
+    return bool(p["median"]) and apart and abs(c["median"] / p["median"] - 1.0) > TRACED_MOVE
 
 
 def write(record: dict, path: str) -> None:
@@ -226,11 +258,13 @@ def main() -> int:
         if set(traced) != set(SIDES):
             continue
         before, after = traced["parent"]["summary"], traced["change"]["summary"]
-        for name in sorted(set(before) & set(after)):
-            p, c = before[name], after[name]
-            apart = c["q1"] > p["q3"] or c["q3"] < p["q1"]
-            if p["median"] and apart and abs(c["median"] / p["median"] - 1.0) > TRACED_MOVE:
-                print(f"{workload} traced {name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
+        single = single_operation(traced["parent"]["runs"] + traced["change"]["runs"])
+        moved = [name for name in sorted(set(before) & set(after)) if moves(before[name], after[name])]
+        for label, names in (("traced", [n for n in moved if n not in single]),
+                             ("single-operation reading", [n for n in moved if n in single])):
+            for name in names:
+                p, c = before[name], after[name]
+                print(f"{workload} {label} {name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
                       f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {units.get(name, '')} "
                       f"({c['median'] / p['median'] - 1.0:+.1%})")
     return 0
